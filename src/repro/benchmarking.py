@@ -56,7 +56,6 @@ __all__ = [
     "bench_sweep_executor",
     "bench_report_marts",
     "bench_obs_overhead",
-    "bench_serve_steady_state",
     "run_benchmarks",
     "run_pytest_benchmarks",
     "current_revision",
@@ -480,9 +479,14 @@ def bench_ipf_series(*, bins: int = 48, repeat: int = 3) -> BenchmarkRecord:
 
 
 def bench_tomogravity_batch(*, bins: int = 16, repeat: int = 3) -> BenchmarkRecord:
-    """Batched tomogravity refinement vs calling it one bin at a time."""
+    """Batched tomogravity refinement vs calling it one bin at a time.
+
+    Both arms refine against the factor cached on the routing matrix, so
+    the comparison is the kernel's, not the one-off factorisation's.
+    """
     week, system = _small_system(bins)
-    matrix, observations = system.augmented_system()
+    _, observations = system.augmented_system()
+    matrix = system.routing.observation_factor()
     priors = week.to_vectors()
 
     def per_bin_loop():
@@ -1101,8 +1105,10 @@ def bench_obs_overhead(*, bins: int = 96, chunk_bins: int = 16, repeat: int = 3)
     seed_seconds, stream_seconds = measure(repeat)
     overhead_pct = (stream_seconds - seed_seconds) / max(seed_seconds, 1e-12) * 100.0
     if overhead_pct > budget_pct:
-        # One retry at doubled rounds before believing a busy-container blip.
-        seed_seconds, stream_seconds = measure(max(2, repeat * 2))
+        # One retry before believing a busy-container blip.  A round takes
+        # ~15 ms, so a best-of-two still swings by tens of percent: the
+        # retry takes at least ten interleaved rounds.
+        seed_seconds, stream_seconds = measure(max(10, repeat * 2))
         overhead_pct = (stream_seconds - seed_seconds) / max(seed_seconds, 1e-12) * 100.0
     if overhead_pct > 10.0:
         raise RuntimeError(
@@ -1120,150 +1126,6 @@ def bench_obs_overhead(*, bins: int = 96, chunk_bins: int = 16, repeat: int = 3)
             "budget_pct": budget_pct,
             "within_budget": bool(overhead_pct <= budget_pct),
             "matches_seed_bitwise": matches,
-        },
-    )
-
-
-def bench_serve_steady_state(
-    *, n_nodes: int = 32, bins: int = 64, chunk_bins: int = 16, repeat: int = 3
-) -> BenchmarkRecord:
-    """Steady-state serve throughput with the incremental fast path on vs off.
-
-    Replays a committed synthetic scenario through two full
-    :class:`~repro.ingest.IngestService` runs — an n>=30 ring-with-chords
-    topology carrying a rank-1 rescaled traffic series ``X(t) = s(t) · X₀``
-    (half the bins exactly steady, half following a diurnal-style sinusoid),
-    the workload the gravity prior turns into the factorization cache's
-    equal/scaled tiers.  The slow arm re-runs the per-bin gram/``pinv``
-    oracle every bin; the fast arm reuses one cached correction operator and
-    the IPF solve memo.
-
-    Before timing, both sinks are parsed and compared: the fast path must
-    match the oracle within 1e-10 relative (the cold first chunk is exact,
-    hence bitwise), otherwise the benchmark raises.  Timed rounds reuse the
-    fast estimator across runs so they measure the *steady state* — the
-    cache-warm regime a long-running daemon lives in.  ``speedup_bins_per_sec``
-    is the headline; the target is >=3x.
-    """
-    import tempfile
-
-    from repro.estimation.pipeline import TMEstimator
-    from repro.ingest import IngestService, SyntheticFlowSource
-    from repro.streaming import ArrayChunkStream
-    from repro.topology import Topology
-
-    topology = Topology("bench-serve-ring", tuple(f"pop{i:02d}" for i in range(n_nodes)))
-    for i in range(n_nodes):
-        topology.add_bidirectional_link(f"pop{i:02d}", f"pop{(i + 1) % n_nodes:02d}")
-        topology.add_bidirectional_link(
-            f"pop{i:02d}", f"pop{(i + n_nodes // 4) % n_nodes:02d}"
-        )
-
-    rng = np.random.default_rng(1207)
-    base = rng.gamma(2.0, 50.0, size=(n_nodes, n_nodes))
-    np.fill_diagonal(base, 0.0)
-    scales = np.ones(bins)
-    # Second half: a diurnal-style rescaling of the same spatial shape — the
-    # structure detector's scaled tier (the first half exercises the
-    # bit-identical equal tier).
-    ramp = np.arange(bins // 2, bins)
-    scales[bins // 2 :] = 1.0 + 0.2 * np.sin(2.0 * np.pi * ramp / 24.0)
-    cube = scales[:, np.newaxis, np.newaxis] * base
-
-    def make_source():
-        stream = ArrayChunkStream(
-            cube, topology.nodes, bin_seconds=300.0, chunk_bins=chunk_bins
-        )
-        return SyntheticFlowSource(stream)
-
-    def serve(estimator, sink_path) -> None:
-        IngestService(
-            make_source(),
-            topology,
-            estimator=estimator,
-            bin_seconds=300.0,
-            chunk_bins=chunk_bins,
-            prior="gravity",
-            sink=sink_path,
-        ).run()
-
-    def read_estimates(sink_path) -> np.ndarray:
-        rows = []
-        with open(sink_path, encoding="utf-8") as handle:
-            for line in handle:
-                rows.append(np.asarray(json.loads(line)["estimate"], dtype=float))
-        return np.stack(rows)
-
-    fast = TMEstimator(fast_path=True)
-    slow = TMEstimator()
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_dir = Path(tmp)
-        run_index = 0
-
-        def run_arm(estimator) -> tuple[float, Path]:
-            nonlocal run_index
-            run_index += 1
-            sink = tmp_dir / f"run-{run_index}.jsonl"
-            started = time.perf_counter()
-            serve(estimator, sink)
-            return time.perf_counter() - started, sink
-
-        # Verification pass (also the warm-up): the fast arm starts cold
-        # here, so its first chunk runs the exact path and every later chunk
-        # exercises the equal/scaled cache tiers against the slow oracle.
-        _, fast_sink = run_arm(fast)
-        _, slow_sink = run_arm(slow)
-        fast_values = read_estimates(fast_sink)
-        slow_values = read_estimates(slow_sink)
-        scale = max(float(np.abs(slow_values).max()), 1e-12)
-        max_rel_diff = float(np.abs(fast_values - slow_values).max()) / scale
-        if max_rel_diff > 1e-10:
-            raise RuntimeError(
-                f"serve fast path diverged from the per-bin oracle: max relative "
-                f"difference {max_rel_diff:.3e} exceeds 1e-10"
-            )
-        first_chunk_bitwise = bool(
-            np.array_equal(fast_values[:chunk_bins], slow_values[:chunk_bins])
-        )
-
-        def measure(rounds: int) -> tuple[float, float]:
-            fast_best = slow_best = float("inf")
-            for _ in range(max(1, rounds)):
-                seconds, _ = run_arm(fast)
-                fast_best = min(fast_best, seconds)
-                seconds, _ = run_arm(slow)
-                slow_best = min(slow_best, seconds)
-            return fast_best, slow_best
-
-        fast_seconds, slow_seconds = measure(repeat)
-        speedup = slow_seconds / max(fast_seconds, 1e-12)
-        if speedup < 3.0:
-            # Busy-container blip insurance before believing a miss.
-            fast_seconds, slow_seconds = measure(max(2, repeat * 2))
-            speedup = slow_seconds / max(fast_seconds, 1e-12)
-        if speedup < 2.0:
-            raise RuntimeError(
-                f"serve steady-state fast path is only {speedup:.2f}x the oracle "
-                "(<2x): the factorization cache has regressed"
-            )
-    stats = fast.fast_path_stats()
-    return BenchmarkRecord(
-        name="serve_steady_state",
-        wall_seconds=fast_seconds,
-        extra_info={
-            "n_nodes": n_nodes,
-            "bins": bins,
-            "chunk_bins": chunk_bins,
-            "slow_seconds": slow_seconds,
-            "bins_per_sec_fast": bins / max(fast_seconds, 1e-12),
-            "bins_per_sec_slow": bins / max(slow_seconds, 1e-12),
-            "speedup_bins_per_sec": speedup,
-            "target_speedup": 3.0,
-            "meets_target": bool(speedup >= 3.0),
-            "max_rel_diff": max_rel_diff,
-            "first_chunk_bitwise": first_chunk_bitwise,
-            "factor_cache": stats["factor_cache"],
-            "ipf_cache": stats["ipf_cache"],
         },
     )
 
@@ -1353,8 +1215,6 @@ def run_benchmarks(
         bench_sweep_executor(repeat=min(max(1, repeat), 2)),
         bench_report_marts(repeat=repeat),
         bench_obs_overhead(repeat=repeat),
-        # Whole service runs per round: cap like the sweep benches.
-        bench_serve_steady_state(repeat=min(max(1, repeat), 2)),
     ]
     if not quick:
         records.extend(run_pytest_benchmarks(benchmarks_dir=benchmarks_dir))

@@ -66,13 +66,6 @@ def _add_scenario_knobs(parser: argparse.ArgumentParser) -> None:
                         help="measurement-noise seed")
     parser.add_argument("--dataset-seed", type=int, default=None,
                         help="override the dataset generation seed")
-    parser.add_argument("--fast-path", action=argparse.BooleanOptionalAction, default=False,
-                        help="incremental estimation fast path: cache the "
-                             "tomogravity factorisation and IPF solutions "
-                             "across bins (bit-identical for repeated "
-                             "weights, <=1e-10 for exactly rescaled priors; "
-                             "off by default so batch reproduction stays "
-                             "byte-identical)")
     _add_streaming_knobs(parser)
     _add_obs_knobs(parser)
     parser.add_argument("--spill-dir", default=None,
@@ -355,14 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative std of simulated SNMP noise on the binned "
                             "measurements (deterministic per chunk)")
     serve.add_argument("--seed", type=int, default=0, help="measurement-noise seed")
-    serve.add_argument("--fast-path", action=argparse.BooleanOptionalAction, default=True,
-                       help="incremental estimation fast path: cache the "
-                            "tomogravity factorisation and IPF solutions "
-                            "across bins between prior swaps, and warm-start "
-                            "iterative solves from the previous bin "
-                            "(bit-identical for repeated weights, <=1e-10 "
-                            "for rescaled priors; on by default for serve — "
-                            "use --no-fast-path for the oracle per-bin path)")
     _add_obs_knobs(serve, metrics_port=True)
     _add_backend_knob(serve)
     serve.set_defaults(handler=_cmd_serve)
@@ -568,7 +553,6 @@ def _scenario_from_args(args: argparse.Namespace, *, dataset: str, prior: str) -
         spill_dir=getattr(args, "spill_dir", None),
         spill_shard_bins=getattr(args, "spill_shard_bins", None),
         backend=args.backend,
-        fast_path=getattr(args, "fast_path", False),
     )
 
 
@@ -723,9 +707,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         status_path = status_path or sink_dir / "status.json"
         checkpoint_path = checkpoint_path or sink_dir / "checkpoint.json"
 
-    estimator = ESTIMATORS.entry(args.estimator).obj(
-        backend=args.backend, fast_path=args.fast_path
-    )
+    estimator = ESTIMATORS.entry(args.estimator).obj(backend=args.backend)
     service = IngestService(
         source,
         topology,
@@ -758,20 +740,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
     summary = status.to_dict()
-    fast = summary.get("fast_path") or {}
-    fast_note = ""
-    if fast.get("enabled"):
-        factor = fast["factor_cache"]
-        fast_note = (
-            f", fast-path factor hits {factor['hits_equal']}eq/"
-            f"{factor['hits_scaled']}sc/{factor['misses']}miss"
-        )
     print(
         f"serve: published {summary['bins_published']} bins "
         f"({summary['records_seen']} records, "
         f"{summary['records_dropped_late']} dropped late, "
-        f"prior {summary['prior']['mode']} v{summary['prior']['version']}"
-        f"{fast_note})"
+        f"prior {summary['prior']['mode']} v{summary['prior']['version']})"
         + (" [stopped by signal]" if status.stopped_by_signal else ""),
         file=sys.stderr,
     )

@@ -39,8 +39,6 @@ def entropy_estimate(
     penalty: float = 1e3,
     max_iterations: int = 200,
     backend=None,
-    warm_start: bool = False,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Refine ``prior`` toward the observations with an entropy objective.
 
@@ -62,17 +60,6 @@ def entropy_estimate(
         device inputs are brought to the host, the optimisation runs there,
         and the result is shipped back as a device array (the backend's
         ``supports_scipy`` capability flag documents this limitation).
-    warm_start:
-        Batch mode only: seed each bin's optimiser at the previous bin's
-        solution instead of the bin's own prior.  The objective is strictly
-        convex, so both starts converge to the same minimiser up to the
-        optimiser's own stopping tolerance; warm starts just get there in
-        fewer gradient evaluations when consecutive bins are similar.  The
-        default (``False``) is the historical bit-identical path.
-    x0:
-        Optional explicit starting point (``(n_od,)``): the seed for the
-        single-bin solve, or for the *first* bin in batch mode (later bins
-        chain on ``warm_start``).  Ignored when ``None``.
     """
     if backend is not None:
         be = resolve_backend(backend)
@@ -83,8 +70,6 @@ def entropy_estimate(
                 be.to_numpy(observations),
                 penalty=penalty,
                 max_iterations=max_iterations,
-                warm_start=warm_start,
-                x0=None if x0 is None else be.to_numpy(x0),
             )
             return be.asarray(estimates)
     prior = np.asarray(prior, dtype=float)
@@ -98,13 +83,10 @@ def entropy_estimate(
                 "observations must have shape (T, n_obs) matching the prior batch and matrix rows"
             )
         estimates = np.empty_like(prior)
-        seed = x0
         for t in range(prior.shape[0]):
             estimates[t] = entropy_estimate(
-                prior[t], matrix, observed[t], penalty=penalty,
-                max_iterations=max_iterations, x0=seed,
+                prior[t], matrix, observed[t], penalty=penalty, max_iterations=max_iterations
             )
-            seed = estimates[t] if warm_start else None
         return estimates
     if prior.ndim != 1 or observed.ndim != 1:
         raise ShapeError("entropy_estimate expects 1-D prior/observations and a 2-D matrix")
@@ -124,15 +106,9 @@ def entropy_estimate(
         gradient = np.log(x / safe_prior) + (2.0 * penalty / scale) * (matrix.T @ residual)
         return value, gradient
 
-    if x0 is not None:
-        start = np.maximum(np.asarray(x0, dtype=float), _EPS)
-        if start.shape != prior.shape:
-            raise ShapeError(f"x0 must have shape {prior.shape}, got {start.shape}")
-    else:
-        start = safe_prior
     result = optimize.minimize(
         objective,
-        x0=start,
+        x0=safe_prior,
         jac=True,
         method="L-BFGS-B",
         bounds=[(0.0, None)] * prior.shape[0],

@@ -106,9 +106,6 @@ def iterative_proportional_fitting_series(
     max_iterations: int = 100,
     tolerance: float = 1e-8,
     backend=None,
-    initial_row_scale: np.ndarray | None = None,
-    initial_col_scale: np.ndarray | None = None,
-    scale_state: dict | None = None,
     iteration_counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched IPF over a ``(T, n, n)`` stack of seed matrices.
@@ -133,34 +130,18 @@ def iterative_proportional_fitting_series(
         same per-bin convergence freezing (converged bins are masked out
         instead of compacted away), and returns a device array.  The default
         (and explicit ``"numpy"``) is the historical bit-identical path.
-    initial_row_scale, initial_col_scale:
-        Optional ``(T, n)`` positive diagonal pre-scales applied to the seeds
-        before iterating (a *warm start* from a related solve).  Diagonal
-        pre-scaling preserves each seed's cross-ratios, hence IPF's fixed
-        point; only the iteration count changes.  NumPy backend only.
-    scale_state:
-        Optional dict; on return it holds ``"row"``/``"col"`` arrays of shape
-        ``(T, n)`` with the accumulated per-bin diagonal scale products
-        (including the initial pre-scale) — the state a caller feeds back as
-        the next warm start.  NumPy backend only.
     iteration_counts:
         Optional out-array of shape ``(T,)`` (integer dtype); on return,
         entry ``t`` is the number of scaling sweeps bin ``t`` ran before
         convergence froze it (``max_iterations`` if it never converged,
-        0 for zero-total bins).  NumPy backend only.
-
-    The four optional parameters leave the fitted values untouched when the
-    pre-scales are ``None``: the default path is bit-identical with or
-    without instrumentation.
+        0 for zero-total bins).  NumPy backend only; the fitted values are
+        bit-identical with or without it.
     """
-    extras = (initial_row_scale, initial_col_scale, scale_state, iteration_counts)
     if backend is not None:
         be = resolve_backend(backend)
         if not be.is_numpy:
-            if any(extra is not None for extra in extras):
-                raise ValidationError(
-                    "warm-start/instrumentation parameters require the NumPy backend"
-                )
+            if iteration_counts is not None:
+                raise ValidationError("iteration_counts requires the NumPy backend")
             return _ipf_series_xp(
                 be, matrices, row_totals, column_totals,
                 max_iterations=max_iterations, tolerance=tolerance,
@@ -195,25 +176,6 @@ def iterative_proportional_fitting_series(
     empty_cols = (current.sum(axis=1) <= 0) & (cols > 0)
     current = np.where(empty_cols[:, np.newaxis, :], np.maximum(current, 1.0), current)
 
-    if initial_row_scale is not None or initial_col_scale is not None:
-        if initial_row_scale is None or initial_col_scale is None:
-            raise ValidationError(
-                "initial_row_scale and initial_col_scale must be given together"
-            )
-        warm_rows = np.asarray(initial_row_scale, dtype=float)
-        warm_cols = np.asarray(initial_col_scale, dtype=float)
-        if warm_rows.shape != (t, n) or warm_cols.shape != (t, n):
-            raise ShapeError(f"initial scales must have shape (T, n) = ({t}, {n})")
-        if not (np.all(np.isfinite(warm_rows)) and np.all(np.isfinite(warm_cols))):
-            raise ValidationError("initial scales must be finite")
-        if np.any(warm_rows <= 0) or np.any(warm_cols <= 0):
-            raise ValidationError("initial scales must be strictly positive")
-        current = current * warm_rows[:, :, np.newaxis] * warm_cols[:, np.newaxis, :]
-
-    track_scales = scale_state is not None
-    if track_scales:
-        acc_row = warm_rows.copy() if initial_row_scale is not None else np.ones((t, n))
-        acc_col = warm_cols.copy() if initial_col_scale is not None else np.ones((t, n))
     if iteration_counts is not None:
         if iteration_counts.shape != (t,):
             raise ShapeError(f"iteration_counts must have shape (T,) = ({t},)")
@@ -237,9 +199,6 @@ def iterative_proportional_fitting_series(
         )
         sub = sub * col_scale[:, np.newaxis, :]
         current[active] = sub
-        if track_scales:
-            acc_row[active] = acc_row[active] * row_scale
-            acc_col[active] = acc_col[active] * col_scale
         if iteration_counts is not None:
             iteration_counts[active] = iteration
         row_error = _max_relative_mismatch_rows(sub.sum(axis=2), sub_rows)
@@ -250,9 +209,6 @@ def iterative_proportional_fitting_series(
         combined = np.where(col_error > row_error, col_error, row_error)
         active = active[~(combined < tolerance)]
     current[zero_bins] = 0.0
-    if track_scales:
-        scale_state["row"] = acc_row
-        scale_state["col"] = acc_col
     return current
 
 

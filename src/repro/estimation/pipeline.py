@@ -17,11 +17,10 @@ from repro.backend import resolve_backend
 from repro.core.metrics import percent_improvement, rel_l2_temporal_error
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
-from repro.estimation.fastpath import FactorizationCache, IPFSolveCache
 from repro.estimation.ipf import iterative_proportional_fitting_series
 from repro.estimation.linear_system import LinkLoadSystem
 from repro.estimation.tomogravity import tomogravity_estimate
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.estimation.entropy import entropy_estimate
 from repro.registry import register_estimator
 
@@ -35,9 +34,7 @@ __all__ = [
 
 # Network size at which the auto mode switches the tomogravity refinement to
 # the sparse stacked operator.  The paper-scale topologies (22/23 PoPs) stay
-# on the historical dense path, whose numbers are locked by the bit-identity
-# hashes; beyond this the dense (n_links + 2n) x n^2 operator and its
-# weighted stacks dominate memory and the sparse path wins.
+# dense; beyond this the dense (n_links + 2n) x n^2 operator dominates memory.
 SPARSE_SYSTEM_MIN_NODES = 48
 
 
@@ -99,9 +96,9 @@ class TMEstimator:
         stacked operator instead of densifying the routing matrix.  ``None``
         (the default) chooses automatically: sparse for tomogravity on
         networks of :data:`SPARSE_SYSTEM_MIN_NODES` or more PoPs, dense
-        otherwise (the historical, bit-stable path for the paper-scale
-        topologies).  The entropy method always densifies, and so does any
-        non-NumPy backend (``scipy.sparse`` operators are host-only).
+        otherwise; both run the same rank-reduced kernel.  The entropy
+        method always densifies, and so does any non-NumPy backend
+        (``scipy.sparse`` operators are host-only).
     backend:
         Compute backend for the refinement and IPF stages
         (:mod:`repro.backend`): a name, a ``Backend`` instance, or ``None``
@@ -110,22 +107,6 @@ class TMEstimator:
         non-NumPy backend the observation system is shipped to the device
         once per run, priors once per run (or once per chunk when
         streaming), and only the final estimates return to the host.
-    fast_path:
-        Enable the incremental fast path (:mod:`repro.estimation.fastpath`):
-        the tomogravity correction operator is cached per (operator, prior
-        version) and reused bit-identically for bins whose weights repeat,
-        reused within ≤1e-10 for bins that are an exact rescaling of the
-        cached base, and recomputed exactly otherwise; the IPF stage gains
-        the matching equal/scaled solve memo.  Off by default so batch
-        reproduction (fig11–13) stays byte-identical to the historical
-        path.  NumPy dense systems only — sparse tomogravity and non-NumPy
-        backends silently keep the existing kernels.
-    warm_start:
-        Seed each bin's iterative solve (IPF scale state, entropy L-BFGS-B
-        start) from the previous bin's solution.  ``None`` (default)
-        follows ``fast_path``.  Warm-started solves agree with cold ones
-        up to the solver's own stopping tolerance rather than bitwise, so
-        batch reproduction keeps this off.
     """
 
     def __init__(
@@ -136,8 +117,6 @@ class TMEstimator:
         ipf_iterations: int = 50,
         use_sparse_system: bool | None = None,
         backend=None,
-        fast_path: bool = False,
-        warm_start: bool | None = None,
     ):
         if method not in ("tomogravity", "entropy"):
             raise ValidationError(f"unknown refinement method {method!r}")
@@ -146,107 +125,6 @@ class TMEstimator:
         self._ipf_iterations = int(ipf_iterations)
         self._use_sparse = use_sparse_system
         self._backend = backend
-        self._fast_path = bool(fast_path)
-        self._warm_start = self._fast_path if warm_start is None else bool(warm_start)
-        self._factor_cache = FactorizationCache() if self._fast_path else None
-        self._ipf_cache = IPFSolveCache() if self._fast_path else None
-        self._entropy_seed: np.ndarray | None = None
-
-    @property
-    def fast_path_enabled(self) -> bool:
-        return self._fast_path
-
-    @property
-    def warm_start_enabled(self) -> bool:
-        return self._warm_start
-
-    def invalidate_fast_path(self) -> None:
-        """Drop every cached factorisation/solution (e.g. after a prior swap)."""
-        if self._factor_cache is not None:
-            self._factor_cache.invalidate()
-        if self._ipf_cache is not None:
-            self._ipf_cache.invalidate()
-        self._entropy_seed = None
-
-    def fast_path_stats(self) -> dict | None:
-        """Cumulative cache statistics, or ``None`` when the fast path is off."""
-        if not self._fast_path:
-            return None
-        return {
-            "enabled": True,
-            "warm_start": self._warm_start,
-            "factor_cache": self._factor_cache.stats(),
-            "ipf_cache": self._ipf_cache.stats(),
-        }
-
-    def _publish_fast_metrics(self) -> None:
-        """Mirror cache totals into the ambient metrics registry."""
-        metrics = get_metrics()
-        factor = self._factor_cache
-        metrics.counter("repro_estimate_factor_cache_hits", mode="equal").set_total(
-            float(factor.hits_equal)
-        )
-        metrics.counter("repro_estimate_factor_cache_hits", mode="scaled").set_total(
-            float(factor.hits_scaled)
-        )
-        metrics.counter("repro_estimate_factor_cache_misses").set_total(float(factor.misses))
-        ipf = self._ipf_cache
-        metrics.counter("repro_estimate_ipf_cache_hits", mode="equal").set_total(
-            float(ipf.hits_equal)
-        )
-        metrics.counter("repro_estimate_ipf_cache_hits", mode="scaled").set_total(
-            float(ipf.hits_scaled)
-        )
-        metrics.counter("repro_estimate_ipf_cache_misses").set_total(float(ipf.solved))
-
-    def _fast_block(
-        self,
-        prior_vectors: np.ndarray,
-        matrix,
-        observed_block: np.ndarray,
-        ingress_block: np.ndarray,
-        egress_block: np.ndarray,
-        n: int,
-        *,
-        as_sparse: bool,
-        prior_version,
-    ) -> np.ndarray:
-        """One chunk of bins through the cached fast path (NumPy only).
-
-        Matches the slow path bit-for-bit for equal-weight and recomputed
-        bins, and to ≤1e-10 for scaled-tier and warm-started bins.
-        """
-        if self._method == "tomogravity" and not as_sparse:
-            refined, _ = self._factor_cache.refine(
-                prior_vectors, matrix, observed_block, key=prior_version
-            )
-        elif self._method == "tomogravity":
-            # Sparse operator: the cached dense correction operator does not
-            # replicate the sparse kernel's operation order; keep it exact.
-            refined = tomogravity_estimate(prior_vectors, matrix, observed_block)
-        else:
-            refined = entropy_estimate(
-                prior_vectors,
-                matrix,
-                observed_block,
-                warm_start=self._warm_start,
-                x0=self._entropy_seed if self._warm_start else None,
-            )
-            if self._warm_start:
-                self._entropy_seed = refined[-1].copy()
-        estimates, _, counts = self._ipf_cache.fit(
-            refined.reshape(-1, n, n),
-            ingress_block,
-            egress_block,
-            max_iterations=self._ipf_iterations,
-            warm_start=self._warm_start,
-        )
-        if counts.size:
-            histogram = get_metrics().histogram("repro_estimate_warm_start_iterations")
-            for count in counts:
-                histogram.observe(float(count))
-        self._publish_fast_metrics()
-        return estimates
 
     def _resolve_backend(self):
         """The backend this run executes on (explicit, else ambient)."""
@@ -263,12 +141,31 @@ class TMEstimator:
         return bool(self._use_sparse)
 
     def _observation_system(self, system: LinkLoadSystem, backend=None):
-        """The ``(B, Z)`` pair the refinement step solves against."""
+        """The ``(B, Z)`` pair the refinement step solves against.
+
+        Tomogravity on NumPy gets ``B`` as the factor cached on the routing
+        matrix (:meth:`~repro.topology.routing.RoutingMatrix.observation_factor`),
+        so every run over one routing memo shares a single factorisation.
+        """
         as_sparse = self._resolve_sparse(system, backend)
         if self._augment:
-            return system.augmented_system(as_sparse=as_sparse)
-        matrix = system.routing.sparse if as_sparse else system.routing.matrix
-        return matrix, system.link_loads
+            matrix, observations = system.augmented_system(as_sparse=as_sparse)
+        else:
+            matrix = system.routing.sparse if as_sparse else system.routing.matrix
+            observations = system.link_loads
+        if self._method == "tomogravity" and (backend is None or backend.is_numpy):
+            matrix = system.routing.observation_factor(
+                augmented=self._augment, as_sparse=as_sparse
+            )
+        return matrix, observations
+
+    def _estimate_block(self, prior_vectors, matrix, observations, ingress, egress, n):
+        """Refinement + IPF for one block of bins on NumPy."""
+        refine = tomogravity_estimate if self._method == "tomogravity" else entropy_estimate
+        refined = refine(prior_vectors, matrix, observations)
+        return iterative_proportional_fitting_series(
+            refined.reshape(-1, n, n), ingress, egress, max_iterations=self._ipf_iterations
+        )
 
     def estimate(
         self,
@@ -303,28 +200,9 @@ class TMEstimator:
 
         prior_vectors = prior.to_vectors()
         if backend.is_numpy:
-            if self._fast_path:
-                estimates = self._fast_block(
-                    prior_vectors,
-                    matrix,
-                    observations,
-                    system.ingress,
-                    system.egress,
-                    n,
-                    as_sparse=self._resolve_sparse(system, backend),
-                    prior_version=0,
-                )
-            else:
-                if self._method == "tomogravity":
-                    refined = tomogravity_estimate(prior_vectors, matrix, observations)
-                else:
-                    refined = entropy_estimate(prior_vectors, matrix, observations)
-                estimates = iterative_proportional_fitting_series(
-                    refined.reshape(system.n_timesteps, n, n),
-                    system.ingress,
-                    system.egress,
-                    max_iterations=self._ipf_iterations,
-                )
+            estimates = self._estimate_block(
+                prior_vectors, matrix, observations, system.ingress, system.egress, n
+            )
         else:
             estimates = self._estimate_on_device(
                 backend,
@@ -381,7 +259,6 @@ class TMEstimator:
         ground_truth_stream=None,
         collect_estimate: bool = False,
         chunk_sink=None,
-        prior_version: int = 0,
     ) -> EstimationResult:
         """Run the pipeline chunk by chunk over a streamed prior.
 
@@ -389,8 +266,7 @@ class TMEstimator:
         entropy and IPF drivers carry no state across bins), so feeding it
         ``(T_chunk, n, n)`` blocks produces exactly the numbers of the
         materialised :meth:`estimate` while holding only one chunk of
-        ``n^2``-sized data — the working-set drops from the refinement's
-        ``O(T n_obs n^2)`` stacks to ``O(chunk n_obs n^2)``.
+        ``n^2``-sized data.
 
         Parameters
         ----------
@@ -410,11 +286,6 @@ class TMEstimator:
             is produced — the out-of-core alternative to
             ``collect_estimate``: spill writers persist the blocks (e.g. as
             ``.npz`` shards) without this process ever holding the cube.
-        prior_version:
-            Opaque token identifying the prior model these bins were drawn
-            from.  Only consulted when ``fast_path`` is on: a version change
-            atomically invalidates the cached factorisation, which is how
-            the ingest service's rolling prior swaps keep the cache honest.
         """
         from repro.streaming import as_chunk_stream, zip_chunks
 
@@ -459,27 +330,14 @@ class TMEstimator:
                         system.egress[t0:stop],
                         n,
                     )
-                elif self._fast_path:
-                    estimates = self._fast_block(
+                else:
+                    estimates = self._estimate_block(
                         prior_vectors,
                         matrix,
                         observations[t0:stop],
                         system.ingress[t0:stop],
                         system.egress[t0:stop],
                         n,
-                        as_sparse=self._resolve_sparse(system, backend),
-                        prior_version=prior_version,
-                    )
-                else:
-                    if self._method == "tomogravity":
-                        refined = tomogravity_estimate(prior_vectors, matrix, observations[t0:stop])
-                    else:
-                        refined = entropy_estimate(prior_vectors, matrix, observations[t0:stop])
-                    estimates = iterative_proportional_fitting_series(
-                        refined.reshape(-1, n, n),
-                        system.ingress[t0:stop],
-                        system.egress[t0:stop],
-                        max_iterations=self._ipf_iterations,
                     )
                 if collected is not None:
                     collected[t0:stop] = estimates

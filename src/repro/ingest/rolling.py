@@ -263,13 +263,6 @@ class RollingFitManager:
     fit_kwargs:
         Extra keyword arguments forwarded to ``fit_stable_fp_streaming``
         (iteration caps for latency-sensitive deployments).
-    on_swap:
-        Optional callable invoked with the new :class:`ActivePrior` every
-        time a fit (or pin) swaps the active prior.  The ingest service
-        registers the estimator's ``invalidate_fast_path`` here so a prior
-        swap atomically drops any cached factorisations built against the
-        outgoing prior; the callback runs after the swap, in the same
-        (single-threaded) observe call that triggered it.
     """
 
     def __init__(
@@ -285,7 +278,6 @@ class RollingFitManager:
         spill_dir=None,
         min_fit_bins: int = 8,
         fit_kwargs: dict | None = None,
-        on_swap=None,
     ):
         if mode not in PRIOR_MODES:
             raise ValidationError(
@@ -300,7 +292,6 @@ class RollingFitManager:
         self._refit_every = int(refit_every)
         self._min_fit_bins = max(int(min_fit_bins), 2)
         self._fit_kwargs = dict(fit_kwargs or {})
-        self._on_swap = on_swap
         self._needs_fit = mode == "stable_fp" and refit_every > 0
         self._window = (
             RollingWindow(
@@ -348,8 +339,6 @@ class RollingFitManager:
             version=self._active.version + 1,
             fitted_at_bin=fitted_at,
         )
-        if self._on_swap is not None:
-            self._on_swap(self._active)
 
     def observe(self, start_bin: int, block: np.ndarray) -> bool:
         """Feed closed bins into the window; re-fit when the period elapses.

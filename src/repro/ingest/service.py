@@ -103,7 +103,6 @@ class ServiceStatus:
     stage_latency: dict = field(default_factory=dict)
     peak_rss_mb: float | None = None
     stopped_by_signal: bool = False
-    fast_path: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -134,7 +133,6 @@ class ServiceStatus:
             },
             "peak_rss_mb": None if self.peak_rss_mb is None else round(self.peak_rss_mb, 1),
             "stopped_by_signal": self.stopped_by_signal,
-            "fast_path": self.fast_path if self.fast_path else {"enabled": False},
         }
 
 
@@ -275,9 +273,8 @@ class IngestService:
         # Build the measurement system once at init: the routing-matrix memo
         # and the augmented-operator cache are populated here, so per-chunk
         # LinkLoadSystem construction reuses one validated operator object
-        # instead of re-deriving (and re-validating) it every chunk — which
-        # is also what keeps the estimator's factorization cache keyed on a
-        # stable operator identity across chunks.
+        # (and its cached tomogravity factor) instead of re-deriving it every
+        # chunk.
         self._routing = build_routing_matrix(topology)
         self._routing_t = self._routing.matrix.T
         self._routing.augmented_operator(
@@ -298,11 +295,6 @@ class IngestService:
         )
         if window_budget_bytes is not None:
             manager_kwargs["window_budget_bytes"] = int(window_budget_bytes)
-        # A prior swap must atomically invalidate the estimator's cached
-        # factorisations; the version key on estimate_stream would age them
-        # out anyway, but the callback drops the memory immediately.
-        if hasattr(self._estimator, "invalidate_fast_path"):
-            manager_kwargs["on_swap"] = lambda active: self._estimator.invalidate_fast_path()
         self._fits = RollingFitManager(topology.nodes, **manager_kwargs)
         if resumed_fit is not None:
             self._fits.pin(
@@ -427,8 +419,6 @@ class IngestService:
         status.refits = self._fits.refits
         status.stage_latency = self._stage_latency()
         status.peak_rss_mb = peak_rss_mb()
-        stats = getattr(self._estimator, "fast_path_stats", None)
-        status.fast_path = stats() if callable(stats) else None
         self._sync_metrics(status, counters)
         if self._status_path is not None:
             self._status_path.parent.mkdir(parents=True, exist_ok=True)
@@ -467,26 +457,6 @@ class IngestService:
         metrics.counter("repro_serve_refits_total").set_total(status.refits)
         if status.peak_rss_mb is not None:
             metrics.gauge("repro_serve_peak_rss_mb").set(status.peak_rss_mb)
-        fast = status.fast_path
-        if fast:
-            factor = fast["factor_cache"]
-            metrics.counter("repro_estimate_factor_cache_hits", mode="equal").set_total(
-                float(factor["hits_equal"])
-            )
-            metrics.counter("repro_estimate_factor_cache_hits", mode="scaled").set_total(
-                float(factor["hits_scaled"])
-            )
-            metrics.counter("repro_estimate_factor_cache_misses").set_total(
-                float(factor["misses"])
-            )
-            ipf = fast["ipf_cache"]
-            metrics.counter("repro_estimate_ipf_cache_hits", mode="equal").set_total(
-                float(ipf["hits_equal"])
-            )
-            metrics.counter("repro_estimate_ipf_cache_hits", mode="scaled").set_total(
-                float(ipf["hits_scaled"])
-            )
-            metrics.counter("repro_estimate_ipf_cache_misses").set_total(float(ipf["solved"]))
 
     # -- the loop ------------------------------------------------------------
 
@@ -525,12 +495,7 @@ class IngestService:
 
         with tracer.span("estimate", start_bin=start_bin, bins=t_chunk):
             started = time.perf_counter()
-            result = self._estimator.estimate_stream(
-                system,
-                prior_stream,
-                collect_estimate=True,
-                prior_version=active.version,
-            )
+            result = self._estimator.estimate_stream(system, prior_stream, collect_estimate=True)
             self._record_stage("estimate", time.perf_counter() - started)
 
         with tracer.span("bin_publish", start_bin=start_bin, bins=t_chunk):

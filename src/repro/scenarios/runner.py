@@ -485,7 +485,7 @@ class ScenarioRunner:
         )
 
         prior_started = time.perf_counter()
-        estimator = estimator_factory(**({"fast_path": True} if scenario.fast_path else {}))
+        estimator = estimator_factory()
         sharing_main = shared is not None and self._is_baseline_prior(scenario)
         with tracer.span("build_prior", prior=scenario.prior):
             prior = None if sharing_main else prior_entry.obj(context)
@@ -611,7 +611,7 @@ class ScenarioRunner:
         if self._baseline is not None and scenario.prior != canonical_name(self._baseline):
             baseline_entry = PRIORS.entry(self._baseline)
             baseline_builder = self._streaming_prior(baseline_entry.name)
-        estimator = estimator_factory(**({"fast_path": True} if scenario.fast_path else {}))
+        estimator = estimator_factory()
         if not hasattr(estimator, "estimate_stream"):
             raise ValidationError(
                 f"estimator {scenario.estimator!r} does not support streaming "

@@ -90,13 +90,6 @@ class Scenario:
         namespace (synthesis stays on the host; transfers happen at the
         chunk boundaries).  ``None`` follows the ambient selection
         (``REPRO_BACKEND`` environment variable, default ``numpy``).
-    fast_path:
-        Run the estimator with the incremental fast path
-        (:mod:`repro.estimation.fastpath`): cached tomogravity
-        factorisations and IPF solutions are reused across bins —
-        bit-identical for repeated weights, ≤1e-10 for exactly rescaled
-        priors.  Off by default so figure reproduction stays
-        byte-identical to the historical per-bin path.
     name:
         Optional human label; defaults to ``"<dataset>/<prior>"``.
     """
@@ -120,7 +113,6 @@ class Scenario:
     spill_dir: str | None = None
     spill_shard_bins: int | None = None
     backend: str | None = None
-    fast_path: bool = False
     name: str | None = None
 
     def __post_init__(self):

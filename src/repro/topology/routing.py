@@ -98,6 +98,7 @@ class RoutingMatrix:
         self._links = tuple(links)
         self._nodes = tuple(str(node) for node in nodes)
         self._augmented: dict[bool, object] = {}
+        self._factors: dict[tuple[bool, bool], object] = {}
         if sparse.issparse(matrix):
             self._sparse: sparse.csr_matrix | None = matrix.tocsr()
             self._dense: np.ndarray | None = None
@@ -225,6 +226,27 @@ class RoutingMatrix:
             self._augmented[bool(as_sparse)] = cached
         return cached
 
+    def observation_factor(self, *, augmented: bool = True, as_sparse: bool = False):
+        """The tomogravity factor of the observation operator, built once and cached.
+
+        ``augmented`` selects the stacked ``[R; H; G]`` operator (else the
+        routing matrix alone) and ``as_sparse`` its representation; see
+        :func:`repro.estimation.tomogravity.factor_observation_operator`.
+        The factor lives exactly as long as this routing matrix, so dropping
+        the routing memo drops it too.
+        """
+        key = (bool(augmented), bool(as_sparse))
+        cached = self._factors.get(key)
+        if cached is None:
+            from repro.estimation.tomogravity import factor_observation_operator
+
+            if augmented:
+                operator = self.augmented_operator(as_sparse=as_sparse)
+            else:
+                operator = self.sparse if as_sparse else self.matrix
+            cached = self._factors[key] = factor_observation_operator(operator)
+        return cached
+
     def rank(self) -> int:
         """Numerical rank of the routing matrix (always < n^2: the system is ill-posed)."""
         return int(np.linalg.matrix_rank(self.matrix))
@@ -239,7 +261,8 @@ class RoutingMatrix:
 # Routing matrices memoised by topology content: Dijkstra plus matrix
 # assembly is pure in (nodes, links, ecmp), and a sweep's cells all route
 # over the same few topologies — sharing the instance also shares its lazily
-# cached dense/CSC forms and the stacked augmented operator.
+# cached dense/CSC forms, the stacked augmented operator and its tomogravity
+# factors.
 _ROUTING_CACHE: dict[tuple, RoutingMatrix] = {}
 _ROUTING_CACHE_MAX = 8
 

@@ -123,7 +123,6 @@ class TestMicroBenchmarks:
             "sweep_executor",
             "report_marts",
             "obs_overhead",
-            "serve_steady_state",
         ]
 
     def test_bench_sweep_grid_record(self, small_sweep_grid):
@@ -164,7 +163,7 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         assert "ic_series_kernel" in out
         payload = json.loads((tmp_path / "BENCH_test.json").read_text())
-        assert len(payload["benchmarks"]) == 12
+        assert len(payload["benchmarks"]) == 11
         by_name = {bench["name"]: bench for bench in payload["benchmarks"]}
         assert "numpy" in by_name["ic_series_backend"]["extra_info"]["backends"]
         assert by_name["sweep_grid"]["extra_info"]["matches_serial_bitwise"] is True

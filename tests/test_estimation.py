@@ -117,6 +117,22 @@ class TestTomogravity:
         with pytest.raises(ShapeError):
             tomogravity_estimate(np.ones(4), np.ones((3, 4)), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observations_rejected(self, abilene_world, bad):
+        _, series, system = abilene_world
+        observed = system.link_loads[:2].copy()
+        observed[1, 3] = bad
+        with pytest.raises(ValidationError, match="observations"):
+            tomogravity_estimate(series.to_vectors()[:2], system.routing.matrix, observed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_rejected(self, abilene_world, bad):
+        _, series, system = abilene_world
+        prior = series.to_vectors()[0].copy()
+        prior[5] = bad
+        with pytest.raises(ValidationError, match="prior"):
+            tomogravity_estimate(prior, system.routing.matrix, system.link_loads[0])
+
 
 class TestIPF:
     def test_matches_marginals(self):
