@@ -271,39 +271,6 @@ def test_ipf_series_freezes_converged_bins_like_the_loop(measurement_setup):
     )
 
 
-def _ipf_problem(seed, t=5, n=6):
-    rng = np.random.default_rng(seed)
-    seeds = rng.gamma(2.0, 5.0, (t, n, n))
-    targets = rng.gamma(2.0, 5.0, (t, n, n))
-    return seeds, targets.sum(axis=2), targets.sum(axis=1)
-
-
-def test_ipf_iteration_counts_leave_the_fit_bit_identical():
-    seeds, rows, cols = _ipf_problem(seed=31)
-    plain = iterative_proportional_fitting_series(seeds, rows, cols)
-    counts = np.zeros(seeds.shape[0], dtype=np.intp)
-    counted = iterative_proportional_fitting_series(seeds, rows, cols, iteration_counts=counts)
-    assert np.array_equal(plain, counted)
-    assert np.all(counts >= 1)
-
-
-def test_ipf_zero_total_bins_report_zero_iterations():
-    seeds, rows, cols = _ipf_problem(seed=37, t=3)
-    rows[1] = 0.0
-    cols[1] = 0.0
-    counts = np.zeros(3, dtype=np.intp)
-    iterative_proportional_fitting_series(seeds, rows, cols, iteration_counts=counts)
-    assert counts[1] == 0 and counts[0] >= 1 and counts[2] >= 1
-
-
-def test_ipf_iteration_counts_shape_checked():
-    seeds, rows, cols = _ipf_problem(seed=0, t=2)
-    with pytest.raises(ShapeError, match="iteration_counts"):
-        iterative_proportional_fitting_series(
-            seeds, rows, cols, iteration_counts=np.zeros(5, dtype=np.intp)
-        )
-
-
 # -- routing equivalence (sparse vs dense reference build) -------------------
 
 

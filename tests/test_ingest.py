@@ -393,18 +393,6 @@ class TestServiceEquivalence:
         diff = np.max(np.abs(served - batch.estimate.values))
         assert diff <= 1e-12  # in practice exactly 0.0 through the JSONL sink
 
-    def test_served_replay_is_chunk_invariant(self, tmp_path, abilene):
-        """Each bin's estimate is independent of the chunk it is served in."""
-        trace = "examples/sample_flows.csv"
-        sinks = {}
-        for chunk in (4, 16):
-            sinks[chunk] = tmp_path / f"chunk-{chunk}.jsonl"
-            IngestService(
-                FileReplaySource(trace, abilene.nodes), abilene,
-                bin_seconds=300.0, chunk_bins=chunk, sink=sinks[chunk],
-            ).run()
-        assert sinks[4].read_bytes() == sinks[16].read_bytes()
-
     def test_source_topology_node_mismatch_rejected(self, tmp_path, abilene, geant):
         data = open_dataset_stream("geant", n_weeks=1, bins_per_week=6, seed=1)
         with pytest.raises(ValidationError, match="disagree on node ordering"):
