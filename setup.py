@@ -22,13 +22,6 @@ setup(
         "numpy",
         "scipy",
     ],
-    extras_require={
-        # Optional compute backends (repro.backend); the package never
-        # imports these unless the matching backend is selected.
-        "array-api-strict": ["array-api-strict"],
-        "torch": ["torch"],
-        "cupy": ["cupy"],
-    },
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",

@@ -83,13 +83,6 @@ from repro.registry import (
     register_prior,
     register_topology,
 )
-from repro.backend import (
-    Backend,
-    available_backends,
-    get_backend,
-    register_backend,
-    use_backend,
-)
 from repro.scenarios import (
     Scenario,
     ScenarioResult,
@@ -153,10 +146,5 @@ __all__ = [
     "SweepResult",
     "run_scenario",
     "sweep",
-    "Backend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "use_backend",
     "__version__",
 ]

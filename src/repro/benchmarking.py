@@ -46,7 +46,6 @@ __all__ = [
     "BenchmarkRecord",
     "BenchComparison",
     "bench_ic_series_kernel",
-    "bench_ic_series_backend",
     "bench_routing_matrix",
     "bench_ipf_series",
     "bench_tomogravity_batch",
@@ -99,26 +98,11 @@ def current_revision() -> str:
 
 
 def environment_info() -> dict:
-    """The environment fingerprint embedded in every BENCH file.
-
-    Includes the available compute backends and their devices, so
-    ``BENCH_*.json`` trajectories remain comparable across machines: a
-    snapshot taken with a GPU backend present is distinguishable from a
-    host-only one.
-    """
-    from repro.backend import available_backends, get_backend
-
-    backends = {}
-    for name in available_backends():
-        try:
-            backends[name] = get_backend(name).describe()
-        except Exception:  # noqa: BLE001 - a broken backend must not sink the bench
-            continue
+    """The environment fingerprint embedded in every BENCH file."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "backends": backends,
     }
 
 
@@ -256,31 +240,13 @@ def compare_bench_files(
     new_times = {
         bench["name"]: float(bench["wall_seconds"]) for bench in new_payload["benchmarks"]
     }
-    old_backends = _backend_times(old_payload)
-    new_backends = _backend_times(new_payload)
     rows = []
     for name in sorted(set(old_times) & set(new_times)):
         old_seconds, new_seconds = old_times[name], new_times[name]
         ratio = new_seconds / old_seconds if old_seconds > 0 else float("nan")
         rows.append((name, old_seconds, new_seconds, ratio))
-        # Per-backend sub-entries diff only the backends both snapshots ran:
-        # a backend present on one machine and not the other (GPU vs host-only
-        # CI) is reported as one-sided, never as a regression.
-        old_sub = old_backends.get(name, {})
-        new_sub = new_backends.get(name, {})
-        for backend_name in sorted(set(old_sub) & set(new_sub)):
-            old_b, new_b = old_sub[backend_name], new_sub[backend_name]
-            ratio_b = new_b / old_b if old_b > 0 else float("nan")
-            rows.append((f"{name}[{backend_name}]", old_b, new_b, ratio_b))
     only_old = sorted(set(old_times) - set(new_times))
     only_new = sorted(set(new_times) - set(old_times))
-    for name in set(old_backends) & set(new_backends):
-        only_old += [
-            f"{name}[{backend}]" for backend in sorted(set(old_backends[name]) - set(new_backends[name]))
-        ]
-        only_new += [
-            f"{name}[{backend}]" for backend in sorted(set(new_backends[name]) - set(old_backends[name]))
-        ]
     return BenchComparison(
         old_revision=str(old_payload.get("revision", "?")),
         new_revision=str(new_payload.get("revision", "?")),
@@ -289,18 +255,6 @@ def compare_bench_files(
         only_old=only_old,
         only_new=only_new,
     )
-
-
-def _backend_times(payload: dict) -> dict[str, dict[str, float]]:
-    """Per-benchmark ``backends`` timing maps from a BENCH payload."""
-    result: dict[str, dict[str, float]] = {}
-    for bench in payload.get("benchmarks", []):
-        backends = bench.get("extra_info", {}).get("backends")
-        if isinstance(backends, dict) and backends:
-            result[bench["name"]] = {
-                str(name): float(seconds) for name, seconds in backends.items()
-            }
-    return result
 
 
 def format_records(records) -> str:
@@ -362,54 +316,6 @@ def bench_ic_series_kernel(*, n: int = 50, timesteps: int = 288, repeat: int = 3
             "loop_seconds": loop_seconds,
             "speedup_vs_loop": loop_seconds / max(batch_seconds, 1e-12),
             "matches_loop_bitwise": matches,
-        },
-    )
-
-
-def bench_ic_series_backend(*, n: int = 50, timesteps: int = 288, repeat: int = 3) -> BenchmarkRecord:
-    """Time the IC series kernel once per registered-and-available backend.
-
-    Each backend gets the same ``(T, n)`` problem; inputs are shipped to the
-    device **before** timing (the kernel cost is what the trajectory tracks,
-    transfers are reported by ``repro bench`` elsewhere), and
-    ``Backend.synchronize`` is called inside the timed region so asynchronous
-    devices are measured honestly.  Results land under the ``backends`` key
-    of ``extra_info`` — ``repro bench --compare`` diffs the backends both
-    snapshots have and treats the rest as non-regressions, so a snapshot
-    taken on a GPU machine still compares cleanly against a host-only one.
-    """
-    from repro.backend import available_backends, get_backend
-    from repro.core.ic_model import simplified_ic_series as ic_series
-
-    rng = np.random.default_rng(0)
-    activity = rng.random((timesteps, n)) * 1e6
-    preference = rng.random(n) + 1e-3
-    forward = 0.25
-
-    seconds_by_backend: dict[str, float] = {}
-    devices: dict[str, str] = {}
-    for name in available_backends():
-        backend = get_backend(name)
-        device_activity = backend.asarray(activity)
-        device_preference = backend.asarray(preference)
-
-        def timed(backend=backend, a=device_activity, p=device_preference):
-            result = ic_series(forward, a, p, backend=backend)
-            backend.synchronize()
-            return result
-
-        seconds_by_backend[name] = _best_of(timed, repeat=repeat)
-        devices[name] = backend.describe()["device"]
-
-    wall = seconds_by_backend.get("numpy", min(seconds_by_backend.values(), default=0.0))
-    return BenchmarkRecord(
-        name="ic_series_backend",
-        wall_seconds=wall,
-        extra_info={
-            "n": n,
-            "timesteps": timesteps,
-            "backends": seconds_by_backend,
-            "devices": devices,
         },
     )
 
@@ -1036,7 +942,6 @@ def bench_obs_overhead(*, bins: int = 96, chunk_bins: int = 16, repeat: int = 3)
     one re-measurement at doubled ``repeat`` and only a gross (>10%) miss
     raises — ``within_budget`` records the verdict either way.
     """
-    from repro.backend import get_backend
     from repro.estimation.pipeline import TMEstimator
     from repro.estimation.tomogravity import tomogravity_estimate as refine
     from repro.streaming import ArrayChunkStream
@@ -1048,7 +953,6 @@ def bench_obs_overhead(*, bins: int = 96, chunk_bins: int = 16, repeat: int = 3)
     t = system.n_timesteps
     prior_cube = np.asarray(week.values, dtype=float)
     estimator = TMEstimator()
-    backend = get_backend("numpy")
 
     def instrumented():
         stream = ArrayChunkStream(
@@ -1060,9 +964,7 @@ def bench_obs_overhead(*, bins: int = 96, chunk_bins: int = 16, repeat: int = 3)
         # The pre-instrumentation chunk loop verbatim: same observation
         # system per call, same chunk stream, same reshape → tomogravity →
         # IPF arithmetic — minus every tracer/metrics call.
-        matrix, observations = estimator._observation_system(  # noqa: SLF001
-            system, backend
-        )
+        matrix, observations = estimator._observation_system(system)  # noqa: SLF001
         stream = ArrayChunkStream(
             prior_cube, week.nodes, bin_seconds=300.0, chunk_bins=chunk_bins
         )
@@ -1203,7 +1105,6 @@ def run_benchmarks(
     """
     records = [
         bench_ic_series_kernel(repeat=repeat),
-        bench_ic_series_backend(repeat=repeat),
         bench_routing_matrix(repeat=repeat),
         bench_ipf_series(repeat=repeat),
         bench_tomogravity_batch(repeat=repeat),

@@ -31,7 +31,6 @@ import numpy as np
 from scipy import optimize
 
 from repro._validation import normalized, require_probability
-from repro.backend import resolve_backend
 from repro.core.ic_model import simplified_ic_series
 from repro.core.metrics import rel_l2_temporal_error
 from repro.core.traffic_matrix import TrafficMatrixSeries
@@ -276,7 +275,6 @@ def fit_stable_fp(
     tolerance: float = 1e-6,
     refine: bool = False,
     forward_bounds: tuple[float, float] = (0.0, 0.5),
-    backend=None,
 ) -> FitResult:
     """Fit the stable-fP IC model (Eq. 5): one ``f``, one ``P``, per-bin ``A(t)``.
 
@@ -307,14 +305,6 @@ def fit_stable_fp(
     A :class:`repro.streaming.ChunkStream` is also accepted; it is fitted in
     bounded memory by :func:`repro.core.streaming.fit_stable_fp_streaming`
     (which does not support ``refine``).
-
-    ``backend`` selects the array namespace the ALS inner loops run on
-    (:mod:`repro.backend`); ``None`` follows the ambient selection
-    (``use_backend`` context / ``REPRO_BACKEND``), which defaults to the
-    bit-identical NumPy path.  On a non-NumPy backend the series is shipped
-    to the device once and every ALS subproblem runs there; the returned
-    :class:`FitResult` always holds host arrays.  ``refine`` and chunk
-    streams are NumPy-only.
     """
     from repro.streaming import ChunkStream
 
@@ -330,7 +320,6 @@ def fit_stable_fp(
             tolerance=tolerance,
             forward_bounds=forward_bounds,
         )
-    be = resolve_backend(backend)
     values, nodes, _ = _series_values(series)
     if values.shape[0] < 1:
         raise ValidationError("series must contain at least one time bin")
@@ -339,21 +328,6 @@ def fit_stable_fp(
     if not 0.0 <= low < high <= 1.0:
         raise ValidationError(f"forward_bounds must satisfy 0 <= low < high <= 1, got {forward_bounds}")
     f = float(np.clip(f, low, high))
-    if not be.is_numpy:
-        if refine:
-            raise ValidationError(
-                "refine=True is only supported on the numpy backend "
-                "(the scalar polish runs scipy.optimize on the host)"
-            )
-        return _fit_stable_fp_xp(
-            be,
-            values,
-            nodes,
-            initial_forward_fraction=f,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            forward_bounds=(low, high),
-        )
     weights = _bin_weights(values)
     preference, activity = _initial_parameters(values, f)
 
@@ -422,140 +396,6 @@ def _refine_forward_fraction(
     return f_best, preference, activity, history
 
 
-# ---------------------------------------------------------------------------
-# namespace-generic stable-fP ALS (repro.backend)
-# ---------------------------------------------------------------------------
-#
-# The same alternating least squares as the NumPy path above, written against
-# the array-API standard plus the Backend shims.  The observed series is
-# shipped to the device once; every subproblem (activity pinv, preference
-# normal equations, closed-form f, the per-iteration objective) runs on the
-# device, and only the per-iteration scalar objective crosses back to drive
-# the convergence test.
-
-def _rel_l2_temporal_xp(be, actual, estimate):
-    """Device-resident version of :func:`repro.core.metrics.rel_l2_temporal_error`."""
-    xp = be.xp
-    diff = xp.sqrt(xp.sum((actual - estimate) ** 2, axis=(1, 2)))
-    norm = xp.sqrt(xp.sum(actual**2, axis=(1, 2)))
-    ones = xp.ones(norm.shape, dtype=norm.dtype)
-    zeros = xp.zeros(norm.shape, dtype=norm.dtype)
-    infs = xp.full(norm.shape, float("inf"), dtype=norm.dtype)
-    return xp.where(
-        norm > 0, diff / xp.where(norm > 0, norm, ones), xp.where(diff > 0, infs, zeros)
-    )
-
-
-def _simplified_series_xp(be, f: float, activity, preference):
-    """Device simplified-IC prediction from already-normalised parameters."""
-    base = be.einsum("ti,j->tij", activity, preference)
-    return f * base + (1.0 - f) * be.matrix_transpose(base)
-
-
-def _solve_activity_xp(be, flat, f: float, preference, eye_nn):
-    """Device counterpart of :func:`_solve_activity` (shared design pinv)."""
-    xp = be.xp
-    g = 1.0 - f
-    n = int(preference.shape[0])
-    # design[(i, j), k] = f * P_j * delta_ik + (1-f) * P_i * delta_jk
-    design = f * preference[None, :, None] * eye_nn[:, None, :]
-    design = design + g * preference[:, None, None] * eye_nn[None, :, :]
-    design = xp.reshape(design, (n * n, n))
-    pinv = be.pinv(design)
-    activity = xp.matmul(flat, be.matrix_transpose(pinv))
-    return xp.clip(activity, 0.0, None)
-
-
-def _solve_preference_xp(be, values, f: float, activity, weights, eye_nn):
-    """Device counterpart of :func:`_solve_preference`."""
-    xp = be.xp
-    g = 1.0 - f
-    w2 = weights**2
-    n = int(activity.shape[1])
-    norms = xp.sum(activity**2, axis=1)
-    identity_scale = be.scalar(xp.sum(w2 * norms)) * (f * f + g * g)
-    outer = be.einsum("t,ti,tj->ij", w2, activity, activity)
-    m = identity_scale * eye_nn + (2.0 * f * g) * outer
-    b = f * be.einsum("t,ti,tik->k", w2, activity, values) + g * be.einsum(
-        "t,tj,tkj->k", w2, activity, values
-    )
-    preference = be.solve(m + _EPS * eye_nn, b)
-    preference = xp.clip(preference, 0.0, None)
-    total = be.scalar(xp.sum(preference))
-    if total <= 0.0:
-        return xp.full((n,), 1.0 / n, dtype=values.dtype)
-    return preference / total
-
-
-def _solve_forward_fraction_xp(
-    be, values, activity, preference, weights, bounds: tuple[float, float]
-) -> float:
-    """Device counterpart of :func:`_solve_forward_fraction`."""
-    u = be.einsum("ti,j->tij", activity, preference) - be.einsum(
-        "tj,i->tij", activity, preference
-    )
-    v = be.einsum("tj,i->tij", activity, preference)
-    w2 = weights**2
-    numerator = be.scalar(be.einsum("t,tij,tij->", w2, u, values - v))
-    denominator = be.scalar(be.einsum("t,tij,tij->", w2, u, u))
-    if denominator <= _EPS:
-        return float(np.clip(0.5, bounds[0], bounds[1]))
-    return float(np.clip(numerator / denominator, bounds[0], bounds[1]))
-
-
-def _fit_stable_fp_xp(
-    be,
-    values: np.ndarray,
-    nodes: tuple[str, ...],
-    *,
-    initial_forward_fraction: float,
-    max_iterations: int,
-    tolerance: float,
-    forward_bounds: tuple[float, float],
-) -> FitResult:
-    """Stable-fP ALS on a non-NumPy backend; mirrors the host loop step for step."""
-    xp = be.xp
-    low, high = forward_bounds
-    f = initial_forward_fraction
-    device_values = be.asarray(values)
-    t, n = values.shape[0], values.shape[1]
-    flat = xp.reshape(device_values, (t, n * n))
-    eye_nn = xp.eye(n, dtype=device_values.dtype)
-    norms = xp.sqrt(xp.sum(device_values**2, axis=(1, 2)))
-    weights = 1.0 / xp.clip(norms, _EPS, None)
-    preference_host, activity_host = _initial_parameters(values, f)
-    preference = be.asarray(preference_host)
-
-    history: list[float] = []
-    converged = False
-    previous = np.inf
-    activity = be.asarray(activity_host)
-    for _ in range(max_iterations):
-        activity = _solve_activity_xp(be, flat, f, preference, eye_nn)
-        preference = _solve_preference_xp(be, device_values, f, activity, weights, eye_nn)
-        f = _solve_forward_fraction_xp(
-            be, device_values, activity, preference, weights, (low, high)
-        )
-        predicted = _simplified_series_xp(be, f, activity, preference)
-        objective = be.scalar(xp.sum(_rel_l2_temporal_xp(be, device_values, predicted)))
-        history.append(objective)
-        if previous - objective < tolerance:
-            converged = True
-            break
-        previous = objective
-
-    predicted = _simplified_series_xp(be, f, activity, preference)
-    errors = _rel_l2_temporal_xp(be, device_values, predicted)
-    return FitResult(
-        model="stable-fP",
-        forward_fraction=float(f),
-        preference=be.to_numpy(preference),
-        activity=be.to_numpy(activity),
-        errors=be.to_numpy(errors),
-        objective_history=history,
-        converged=converged,
-        nodes=nodes,
-    )
 
 
 def fit_stable_f(

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from repro._validation import as_1d_array, require_nonnegative
-from repro.backend import resolve_backend
 from repro.core.traffic_matrix import TrafficMatrix, TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
 from repro.registry import register_model
@@ -28,19 +27,13 @@ from repro.registry import register_model
 __all__ = ["gravity_matrix", "gravity_series_values", "gravity_series", "GravityModel"]
 
 
-def gravity_series_values(ingress, egress, *, backend=None) -> np.ndarray:
+def gravity_series_values(ingress, egress) -> np.ndarray:
     """Vectorised gravity kernel over ``(T, n)`` ingress/egress marginals.
 
     Batched equivalent of stacking :func:`gravity_matrix` per bin; zero-traffic
     bins yield all-zero matrices.  Returns a ``(T, n, n)`` array that is
-    bit-identical to the per-bin loop.  ``backend`` selects the array
-    namespace (:mod:`repro.backend`); a non-NumPy backend accepts host or
-    device marginals and returns a device array.
+    bit-identical to the per-bin loop.
     """
-    if backend is not None:
-        be = resolve_backend(backend)
-        if not be.is_numpy:
-            return _gravity_series_values_xp(be, ingress, egress)
     ingress = np.atleast_2d(np.asarray(ingress, dtype=float))
     egress = np.atleast_2d(np.asarray(egress, dtype=float))
     if ingress.ndim != 2 or ingress.shape != egress.shape:
@@ -58,28 +51,6 @@ def gravity_series_values(ingress, egress, *, backend=None) -> np.ndarray:
     estimates = np.einsum("ti,tj->tij", ingress, egress) / safe_totals[:, None, None]
     estimates[totals <= 0] = 0.0
     return estimates
-
-
-def _gravity_series_values_xp(be, ingress, egress):
-    """Namespace-generic gravity kernel (array-API standard + Backend shims)."""
-    xp = be.xp
-    ingress = be.asarray(ingress)
-    egress = be.asarray(egress)
-    if len(ingress.shape) == 1:
-        ingress = ingress[None, :]
-    if len(egress.shape) == 1:
-        egress = egress[None, :]
-    if len(ingress.shape) != 2 or tuple(ingress.shape) != tuple(egress.shape):
-        raise ShapeError(
-            f"ingress and egress series must both have shape (T, n), "
-            f"got {tuple(ingress.shape)} vs {tuple(egress.shape)}"
-        )
-    totals = xp.sum(ingress, axis=1)
-    ones = xp.ones(totals.shape, dtype=totals.dtype)
-    zeros = xp.zeros((1, 1, 1), dtype=totals.dtype)
-    safe_totals = xp.where(totals > 0, totals, ones)
-    estimates = be.einsum("ti,tj->tij", ingress, egress) / safe_totals[:, None, None]
-    return xp.where((totals > 0)[:, None, None], estimates, zeros)
 
 
 def gravity_matrix(ingress, egress) -> np.ndarray:

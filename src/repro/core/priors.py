@@ -468,7 +468,7 @@ class StreamingPriorContext:
         the same bin count receive the identical
         :class:`~repro.core.streaming.FitResult` — reuse is bit-identical to
         re-fitting.  The ``(week, n_bins, cache_budget)`` suffix completes
-        the scheduler's plan/scale/backend key: it separates a full
+        the scheduler's plan/scale key: it separates a full
         calibration week from the same week trimmed by ``max_bins``, and
         different replay-cache budgets (which cannot change the result, but
         keeping them distinct makes the key a pure function of the call).

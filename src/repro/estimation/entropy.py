@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from repro.backend import resolve_backend
 from repro.errors import ShapeError
 
 __all__ = ["entropy_estimate"]
@@ -38,7 +37,6 @@ def entropy_estimate(
     *,
     penalty: float = 1e3,
     max_iterations: int = 200,
-    backend=None,
 ) -> np.ndarray:
     """Refine ``prior`` toward the observations with an entropy objective.
 
@@ -54,24 +52,7 @@ def entropy_estimate(
         Weight of the quadratic penalty on the normalised constraint residual.
     max_iterations:
         Iteration cap handed to the optimiser.
-    backend:
-        Array namespace (:mod:`repro.backend`).  The L-BFGS-B optimiser is
-        ``scipy`` and therefore host-only, so a non-NumPy backend round-trips:
-        device inputs are brought to the host, the optimisation runs there,
-        and the result is shipped back as a device array (the backend's
-        ``supports_scipy`` capability flag documents this limitation).
     """
-    if backend is not None:
-        be = resolve_backend(backend)
-        if not be.is_numpy and not be.supports_scipy:
-            estimates = entropy_estimate(
-                be.to_numpy(prior),
-                be.to_numpy(observation_matrix),
-                be.to_numpy(observations),
-                penalty=penalty,
-                max_iterations=max_iterations,
-            )
-            return be.asarray(estimates)
     prior = np.asarray(prior, dtype=float)
     matrix = np.asarray(observation_matrix, dtype=float)
     observed = np.asarray(observations, dtype=float)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.errors import ShapeError, ValidationError
 
 __all__ = ["iterative_proportional_fitting", "iterative_proportional_fitting_series"]
@@ -105,7 +104,6 @@ def iterative_proportional_fitting_series(
     *,
     max_iterations: int = 100,
     tolerance: float = 1e-8,
-    backend=None,
     iteration_counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched IPF over a ``(T, n, n)`` stack of seed matrices.
@@ -124,28 +122,13 @@ def iterative_proportional_fitting_series(
         Target ingress and egress totals, shape ``(T, n)``.
     max_iterations, tolerance:
         As in :func:`iterative_proportional_fitting`.
-    backend:
-        Array namespace (:mod:`repro.backend`).  A non-NumPy backend accepts
-        host or device arrays, runs the scaling loop on the device with the
-        same per-bin convergence freezing (converged bins are masked out
-        instead of compacted away), and returns a device array.  The default
-        (and explicit ``"numpy"``) is the historical bit-identical path.
     iteration_counts:
         Optional out-array of shape ``(T,)`` (integer dtype); on return,
         entry ``t`` is the number of scaling sweeps bin ``t`` ran before
         convergence froze it (``max_iterations`` if it never converged,
-        0 for zero-total bins).  NumPy backend only; the fitted values are
-        bit-identical with or without it.
+        0 for zero-total bins).  The fitted values are bit-identical with
+        or without it.
     """
-    if backend is not None:
-        be = resolve_backend(backend)
-        if not be.is_numpy:
-            if iteration_counts is not None:
-                raise ValidationError("iteration_counts requires the NumPy backend")
-            return _ipf_series_xp(
-                be, matrices, row_totals, column_totals,
-                max_iterations=max_iterations, tolerance=tolerance,
-            )
     seeds = np.asarray(matrices, dtype=float)
     if seeds.ndim != 3 or seeds.shape[1] != seeds.shape[2]:
         raise ShapeError(f"matrices must have shape (T, n, n), got {seeds.shape}")
@@ -218,79 +201,3 @@ def _max_relative_mismatch_rows(actual: np.ndarray, target: np.ndarray) -> np.nd
     relative = np.where(target > 0, np.abs(actual - target) / scale, 0.0)
     return relative.max(axis=1)
 
-
-# ---------------------------------------------------------------------------
-# namespace-generic batched IPF (repro.backend)
-# ---------------------------------------------------------------------------
-
-def _mismatch_rows_xp(be, actual, target):
-    """Device counterpart of :func:`_max_relative_mismatch_rows`."""
-    xp = be.xp
-    scale = xp.clip(target, 1e-12, None)
-    zeros = xp.zeros(target.shape, dtype=target.dtype)
-    relative = xp.where(target > 0, xp.abs(actual - target) / scale, zeros)
-    return be.max(relative, axis=1)
-
-
-def _ipf_series_xp(be, matrices, row_totals, column_totals, *, max_iterations, tolerance):
-    """Batched IPF on a non-NumPy backend.
-
-    Mirrors the NumPy loop above, with one structural difference: instead of
-    compacting the set of still-active bins with integer indexing (outside
-    the array-API standard), every iteration scales all bins and a boolean
-    ``active`` mask freezes the converged ones — their values are carried
-    through ``where`` untouched, so the per-bin freezing semantics (including
-    the NaN behaviour of the scalar loop's ``max`` comparison) are preserved.
-    """
-    xp = be.xp
-    seeds = be.asarray(matrices)
-    rows = be.asarray(row_totals)
-    cols = be.asarray(column_totals)
-    if len(seeds.shape) != 3 or seeds.shape[1] != seeds.shape[2]:
-        raise ShapeError(f"matrices must have shape (T, n, n), got {tuple(seeds.shape)}")
-    t, n = int(seeds.shape[0]), int(seeds.shape[1])
-    if tuple(rows.shape) != (t, n) or tuple(cols.shape) != (t, n):
-        raise ShapeError(f"row/column totals must have shape (T, n) = ({t}, {n})")
-    if bool(xp.any(seeds < 0)):
-        raise ValidationError("IPF seed matrices must be non-negative")
-    if bool(xp.any(rows < 0)) or bool(xp.any(cols < 0)):
-        raise ValidationError("marginal totals must be non-negative")
-
-    ones_t = xp.ones((t,), dtype=seeds.dtype)
-    ones_tn = xp.ones((t, n), dtype=seeds.dtype)
-    zeros_tn = xp.zeros((t, n), dtype=seeds.dtype)
-
-    grand_rows = xp.sum(rows, axis=1)
-    grand_cols = xp.sum(cols, axis=1)
-    zero_bins = (grand_rows <= 0) | (grand_cols <= 0)
-    grands = 0.5 * (grand_rows + grand_cols)
-    safe_rows = xp.where(grand_rows > 0, grand_rows, ones_t)
-    safe_cols = xp.where(grand_cols > 0, grand_cols, ones_t)
-    rows = rows * (grands / safe_rows)[:, None]
-    cols = cols * (grands / safe_cols)[:, None]
-
-    current = seeds
-    empty_rows = (xp.sum(current, axis=2) <= 0) & (rows > 0)
-    current = xp.where(empty_rows[:, :, None], xp.ones(current.shape, dtype=current.dtype), current)
-    empty_cols = (xp.sum(current, axis=1) <= 0) & (cols > 0)
-    current = xp.where(empty_cols[:, None, :], xp.clip(current, 1.0, None), current)
-
-    active = ~zero_bins
-    for _ in range(max_iterations):
-        if not bool(xp.any(active)):
-            break
-        row_sums = xp.sum(current, axis=2)
-        row_scale = xp.where(row_sums > 0, rows / xp.where(row_sums > 0, row_sums, ones_tn), zeros_tn)
-        updated = current * row_scale[:, :, None]
-        col_sums = xp.sum(updated, axis=1)
-        col_scale = xp.where(col_sums > 0, cols / xp.where(col_sums > 0, col_sums, ones_tn), zeros_tn)
-        updated = updated * col_scale[:, None, :]
-        current = xp.where(active[:, None, None], updated, current)
-        row_error = _mismatch_rows_xp(be, xp.sum(current, axis=2), rows)
-        col_error = _mismatch_rows_xp(be, xp.sum(current, axis=1), cols)
-        # Same NaN semantics as the scalar loop's ``max(row, col) < tolerance``.
-        combined = xp.where(col_error > row_error, col_error, row_error)
-        active = active & ~(combined < tolerance)
-    return xp.where(
-        zero_bins[:, None, None], xp.zeros(current.shape, dtype=current.dtype), current
-    )

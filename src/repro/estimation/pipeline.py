@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.metrics import percent_improvement, rel_l2_temporal_error
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
@@ -97,16 +96,7 @@ class TMEstimator:
         (the default) chooses automatically: sparse for tomogravity on
         networks of :data:`SPARSE_SYSTEM_MIN_NODES` or more PoPs, dense
         otherwise; both run the same rank-reduced kernel.  The entropy
-        method always densifies, and so does any non-NumPy backend
-        (``scipy.sparse`` operators are host-only).
-    backend:
-        Compute backend for the refinement and IPF stages
-        (:mod:`repro.backend`): a name, a ``Backend`` instance, or ``None``
-        to follow the ambient selection (``use_backend`` context /
-        ``REPRO_BACKEND`` environment variable, default ``numpy``).  On a
-        non-NumPy backend the observation system is shipped to the device
-        once per run, priors once per run (or once per chunk when
-        streaming), and only the final estimates return to the host.
+        method always densifies.
     """
 
     def __init__(
@@ -116,7 +106,6 @@ class TMEstimator:
         use_marginals_in_refinement: bool = True,
         ipf_iterations: int = 50,
         use_sparse_system: bool | None = None,
-        backend=None,
     ):
         if method not in ("tomogravity", "entropy"):
             raise ValidationError(f"unknown refinement method {method!r}")
@@ -124,43 +113,36 @@ class TMEstimator:
         self._augment = bool(use_marginals_in_refinement)
         self._ipf_iterations = int(ipf_iterations)
         self._use_sparse = use_sparse_system
-        self._backend = backend
 
-    def _resolve_backend(self):
-        """The backend this run executes on (explicit, else ambient)."""
-        return resolve_backend(self._backend)
-
-    def _resolve_sparse(self, system: LinkLoadSystem, backend=None) -> bool:
+    def _resolve_sparse(self, system: LinkLoadSystem) -> bool:
         """Whether this run uses the sparse stacked operator."""
         if self._method != "tomogravity":
-            return False
-        if backend is not None and not backend.is_numpy:
             return False
         if self._use_sparse is None:
             return system.n_nodes >= SPARSE_SYSTEM_MIN_NODES
         return bool(self._use_sparse)
 
-    def _observation_system(self, system: LinkLoadSystem, backend=None):
+    def _observation_system(self, system: LinkLoadSystem):
         """The ``(B, Z)`` pair the refinement step solves against.
 
-        Tomogravity on NumPy gets ``B`` as the factor cached on the routing
-        matrix (:meth:`~repro.topology.routing.RoutingMatrix.observation_factor`),
+        Tomogravity gets ``B`` as the factor cached on the routing matrix
+        (:meth:`~repro.topology.routing.RoutingMatrix.observation_factor`),
         so every run over one routing memo shares a single factorisation.
         """
-        as_sparse = self._resolve_sparse(system, backend)
+        as_sparse = self._resolve_sparse(system)
         if self._augment:
             matrix, observations = system.augmented_system(as_sparse=as_sparse)
         else:
             matrix = system.routing.sparse if as_sparse else system.routing.matrix
             observations = system.link_loads
-        if self._method == "tomogravity" and (backend is None or backend.is_numpy):
+        if self._method == "tomogravity":
             matrix = system.routing.observation_factor(
                 augmented=self._augment, as_sparse=as_sparse
             )
         return matrix, observations
 
     def _estimate_block(self, prior_vectors, matrix, observations, ingress, egress, n):
-        """Refinement + IPF for one block of bins on NumPy."""
+        """Refinement + IPF for one block of bins."""
         refine = tomogravity_estimate if self._method == "tomogravity" else entropy_estimate
         refined = refine(prior_vectors, matrix, observations)
         return iterative_proportional_fitting_series(
@@ -176,6 +158,10 @@ class TMEstimator:
     ) -> EstimationResult:
         """Run the pipeline over every bin of the measurement series.
 
+        The materialised run is a streamed run over the in-memory cube
+        (:meth:`estimate_stream` with the estimate collected), so both
+        produce the same numbers bit for bit.
+
         Parameters
         ----------
         system:
@@ -186,70 +172,11 @@ class TMEstimator:
             When provided, per-bin errors of both the prior and the estimate
             are computed and stored on the result.
         """
-        if prior.n_timesteps != system.n_timesteps:
-            raise ValidationError(
-                f"prior has {prior.n_timesteps} bins but the measurements have {system.n_timesteps}"
-            )
-        if prior.n_nodes != system.n_nodes:
-            raise ValidationError(
-                f"prior has {prior.n_nodes} nodes but the routing matrix has {system.n_nodes}"
-            )
-        n = system.n_nodes
-        backend = self._resolve_backend()
-        matrix, observations = self._observation_system(system, backend)
-
-        prior_vectors = prior.to_vectors()
-        if backend.is_numpy:
-            estimates = self._estimate_block(
-                prior_vectors, matrix, observations, system.ingress, system.egress, n
-            )
-        else:
-            estimates = self._estimate_on_device(
-                backend,
-                prior_vectors,
-                backend.asarray(matrix),
-                backend.asarray(observations),
-                system.ingress,
-                system.egress,
-                n,
-            )
-        estimate_series = TrafficMatrixSeries(
-            estimates, prior.nodes, bin_seconds=prior.bin_seconds
+        result = self.estimate_stream(
+            system, prior, ground_truth_stream=ground_truth, collect_estimate=True
         )
-        errors = prior_errors = None
-        if ground_truth is not None:
-            errors = rel_l2_temporal_error(ground_truth, estimate_series)
-            prior_errors = rel_l2_temporal_error(ground_truth, prior)
-        return EstimationResult(
-            estimate=estimate_series, prior=prior, errors=errors, prior_errors=prior_errors
-        )
-
-    def _estimate_on_device(
-        self, backend, prior_vectors, device_matrix, device_observations, ingress, egress, n
-    ) -> np.ndarray:
-        """Refinement + IPF for one block of bins on a non-NumPy backend.
-
-        The prior block and marginals are shipped to the device once, every
-        stage runs there through the namespace-generic kernels, and only the
-        final ``(T, n, n)`` estimates come back to the host.
-        """
-        priors = backend.asarray(prior_vectors)
-        if self._method == "tomogravity":
-            refined = tomogravity_estimate(
-                priors, device_matrix, device_observations, backend=backend
-            )
-        else:
-            refined = entropy_estimate(
-                priors, device_matrix, device_observations, backend=backend
-            )
-        estimates = iterative_proportional_fitting_series(
-            backend.xp.reshape(refined, (int(priors.shape[0]), n, n)),
-            backend.asarray(ingress),
-            backend.asarray(egress),
-            max_iterations=self._ipf_iterations,
-            backend=backend,
-        )
-        return backend.to_numpy(estimates)
+        result.prior = prior
+        return result
 
     def estimate_stream(
         self,
@@ -264,9 +191,8 @@ class TMEstimator:
 
         Every stage of the pipeline is per-bin (the batched tomogravity,
         entropy and IPF drivers carry no state across bins), so feeding it
-        ``(T_chunk, n, n)`` blocks produces exactly the numbers of the
-        materialised :meth:`estimate` while holding only one chunk of
-        ``n^2``-sized data.
+        ``(T_chunk, n, n)`` blocks gives every bin the same numbers in any
+        chunking while holding only one chunk of ``n^2``-sized data.
 
         Parameters
         ----------
@@ -300,11 +226,7 @@ class TMEstimator:
             )
         n = system.n_nodes
         t = system.n_timesteps
-        backend = self._resolve_backend()
-        matrix, observations = self._observation_system(system, backend)
-        if not backend.is_numpy:
-            # Ship the (fixed) observation operator once; chunks follow below.
-            device_matrix = backend.asarray(matrix)
+        matrix, observations = self._observation_system(system)
 
         streams = [prior_stream]
         if ground_truth_stream is not None:
@@ -320,25 +242,14 @@ class TMEstimator:
             with tracer.span("estimate_chunk", t0=t0, bins=int(prior_block.shape[0])):
                 stop = t0 + prior_block.shape[0]
                 prior_vectors = prior_block.reshape(prior_block.shape[0], n * n)
-                if not backend.is_numpy:
-                    estimates = self._estimate_on_device(
-                        backend,
-                        prior_vectors,
-                        device_matrix,
-                        backend.asarray(observations[t0:stop]),
-                        system.ingress[t0:stop],
-                        system.egress[t0:stop],
-                        n,
-                    )
-                else:
-                    estimates = self._estimate_block(
-                        prior_vectors,
-                        matrix,
-                        observations[t0:stop],
-                        system.ingress[t0:stop],
-                        system.egress[t0:stop],
-                        n,
-                    )
+                estimates = self._estimate_block(
+                    prior_vectors,
+                    matrix,
+                    observations[t0:stop],
+                    system.ingress[t0:stop],
+                    system.egress[t0:stop],
+                    n,
+                )
                 if collected is not None:
                     collected[t0:stop] = estimates
                 if chunk_sink is not None:

@@ -50,6 +50,9 @@ class RecordBatch:
         shape ``(k,)``.
     volumes:
         Byte volumes, shape ``(k,)``, non-negative.
+
+    Timestamps and volumes must be finite: a ``nan`` or ``inf`` is rejected
+    here, naming the column, before it can reach the binner.
     """
 
     timestamps: np.ndarray
@@ -71,6 +74,11 @@ class RecordBatch:
                 )
         if self.timestamps.ndim != 1:
             raise ValidationError("record batch columns must be one-dimensional")
+        for name in ("timestamps", "volumes"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(
+                    f"record batch column {name!r} must contain only finite values"
+                )
         if self.volumes.size and float(self.volumes.min()) < 0:
             raise ValidationError("record volumes must be non-negative")
 
@@ -120,7 +128,11 @@ def _parse_csv_lines(lines: Iterator[str], path: Path):
         parts = line.split(",")
         if len(parts) != 4:
             raise ValidationError(f"{path}:{lineno}: expected 4 CSV fields, got {len(parts)}")
-        yield float(parts[0]), parts[1].strip(), parts[2].strip(), float(parts[3])
+        try:
+            record = float(parts[0]), parts[1].strip(), parts[2].strip(), float(parts[3])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed CSV flow record: {exc}") from exc
+        yield record
 
 
 def _parse_jsonl_lines(lines: Iterator[str], path: Path):
@@ -130,14 +142,15 @@ def _parse_jsonl_lines(lines: Iterator[str], path: Path):
             continue
         try:
             payload = json.loads(line)
-            yield (
+            record = (
                 float(payload["time"]),
                 str(payload["src"]),
                 str(payload["dst"]),
                 float(payload["bytes"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: malformed JSONL flow record: {exc}") from exc
+        yield record
 
 
 def read_flow_file(

@@ -48,24 +48,13 @@ from repro.estimation.linear_system import LinkLoadSystem
 from repro.estimation.pipeline import SPARSE_SYSTEM_MIN_NODES, TMEstimator
 from repro.ingest.binner import FlowBinner
 from repro.ingest.rolling import PRIOR_MODES, RollingFitManager
-from repro.obs import MetricsRegistry, get_metrics, get_tracer
+from repro.obs import MetricsRegistry, get_metrics, get_tracer, peak_rss_mb
 from repro.streaming import ArrayChunkStream
 from repro.topology.routing import build_routing_matrix
 
 __all__ = ["IngestService", "ServiceStatus", "CHECKPOINT_FORMAT"]
 
 CHECKPOINT_FORMAT = "repro-ingest-checkpoint-v1"
-
-
-def peak_rss_mb() -> float | None:
-    """Peak resident set size of this process in MiB (None if unsupported)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    scale = 1024.0 if sys.platform != "darwin" else 1024.0 * 1024.0
-    return float(peak) / scale
 
 
 @dataclass

@@ -31,6 +31,7 @@ from repro.obs.metrics import (
     MetricsServer,
     NullMetricsRegistry,
     get_metrics,
+    peak_rss_mb,
     set_metrics,
     use_metrics,
 )
@@ -67,4 +68,5 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "use_metrics",
+    "peak_rss_mb",
 ]

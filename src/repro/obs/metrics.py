@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 import threading
 import zlib
 from contextlib import contextmanager
@@ -39,6 +40,7 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "use_metrics",
+    "peak_rss_mb",
 ]
 
 DEFAULT_RESERVOIR = 512
@@ -350,6 +352,20 @@ class MetricsRegistry:
 _NULL_REGISTRY = NullMetricsRegistry()
 _active: NullMetricsRegistry | MetricsRegistry = _NULL_REGISTRY
 _active_lock = threading.Lock()
+
+
+def peak_rss_mb() -> float | None:
+    """Peak resident set size of this process in MiB (None when unavailable)."""
+    try:
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    except (ImportError, ValueError, OSError):  # pragma: no cover - non-POSIX
+        return None
+    # ru_maxrss is kilobytes on Linux, bytes on macOS.
+    if sys.platform == "darwin":  # pragma: no cover - platform-specific
+        peak /= 1024.0
+    return float(peak) / 1024.0
 
 
 def get_metrics():

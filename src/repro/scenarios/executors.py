@@ -520,11 +520,8 @@ def _serve_connection(conn: socket.socket) -> bool:
     plans stay alive (and keep their ids stable, which the shared-state
     keys embed) for exactly one sweep, then everything is dropped.
     """
-    from repro.scenarios.runner import (
-        ScenarioRunner,
-        SweepSharedState,
-        _peak_rss_mb,
-    )
+    from repro.obs import peak_rss_mb
+    from repro.scenarios.runner import ScenarioRunner, SweepSharedState
 
     datasets: dict[tuple, object] = {}
     shared = SweepSharedState()
@@ -574,7 +571,7 @@ def _serve_connection(conn: socket.socket) -> bool:
                     {
                         "ok": True,
                         "outcomes": outcomes,
-                        "peak_rss_mb": _peak_rss_mb(),
+                        "peak_rss_mb": peak_rss_mb(),
                         "trace_events": tracer.drain(),
                     },
                 )

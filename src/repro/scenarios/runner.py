@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import sys
 import tempfile
 import time
 import warnings
@@ -42,7 +41,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro._tables import format_rows
-from repro.backend import use_backend
 from repro.core.metrics import percent_improvement, summarize_improvement
 from repro.core.priors import (
     STREAMING_PRIOR_BUILDERS,
@@ -52,7 +50,14 @@ from repro.core.priors import (
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
 from repro.estimation.linear_system import simulate_link_loads, simulate_link_loads_streaming
-from repro.obs import get_metrics, get_tracer, tracer_from_context, use_tracer, worker_context
+from repro.obs import (
+    get_metrics,
+    get_tracer,
+    peak_rss_mb,
+    tracer_from_context,
+    use_tracer,
+    worker_context,
+)
 from repro.registry import (
     DATASETS,
     ESTIMATORS,
@@ -87,20 +92,6 @@ __all__ = [
 # ``ScenarioRunner(fit_cache_bytes=None)`` for the strictly chunk-bounded
 # pre-cache behaviour.
 FIT_CACHE_BYTES = 64 * 1024 * 1024
-
-
-def _peak_rss_mb() -> float | None:
-    """Peak resident set size of this process in MiB (None when unavailable)."""
-    try:
-        import resource
-
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    except (ImportError, ValueError, OSError):  # pragma: no cover - non-POSIX
-        return None
-    # ru_maxrss is kilobytes on Linux, bytes on macOS.
-    if sys.platform == "darwin":  # pragma: no cover - platform-specific
-        peak /= 1024.0
-    return float(peak) / 1024.0
 
 
 class SweepSharedState:
@@ -240,8 +231,6 @@ class ScenarioResult:
                 ["25th-75th percentile improvement %",
                  f"{summary['p25']:.3g} .. {summary['p75']:.3g}"],
             ]
-        if self.scenario.backend is not None:
-            rows.append(["backend", self.scenario.backend])
         rows.append(["runtime (s)", self.timing.get("total", float("nan"))])
         if self.scenario.stream:
             rows.append(["streamed chunk bins", self.timing.get("chunk_bins", "auto")])
@@ -359,30 +348,23 @@ class ScenarioRunner:
         ``shared`` supplies the per-process :class:`SweepSharedState` the
         sweep scheduler uses to reuse measurement systems and baseline
         estimates across cells; single runs normally leave it ``None``.
-
-        ``scenario.backend`` selects the compute backend for the run: the
-        whole execution happens inside a :func:`repro.backend.use_backend`
-        context, so prior fitting (``fit_stable_fp``) and the estimator's
-        refinement/IPF stages run on that backend while synthesis stays on
-        the host.
         """
         scenario.validate()
         started = time.perf_counter()
-        with use_backend(scenario.backend):
-            if scenario.stream:
-                if dataset is not None and not hasattr(dataset, "week_stream"):
-                    raise ValidationError(
-                        "streaming scenarios regenerate chunks; pass dataset=None "
-                        "or a pre-opened StreamingDataset"
-                    )
-                result = self._run_streaming(scenario, data=dataset, shared=shared)
-            else:
-                if dataset is not None and not hasattr(dataset, "weeks"):
-                    raise ValidationError(
-                        "in-memory scenarios need a materialised SyntheticDataset; "
-                        "got a streaming dataset (set stream=True to use it)"
-                    )
-                result = self._run_in_memory(scenario, dataset=dataset, shared=shared)
+        if scenario.stream:
+            if dataset is not None and not hasattr(dataset, "week_stream"):
+                raise ValidationError(
+                    "streaming scenarios regenerate chunks; pass dataset=None "
+                    "or a pre-opened StreamingDataset"
+                )
+            result = self._run_streaming(scenario, data=dataset, shared=shared)
+        else:
+            if dataset is not None and not hasattr(dataset, "weeks"):
+                raise ValidationError(
+                    "in-memory scenarios need a materialised SyntheticDataset; "
+                    "got a streaming dataset (set stream=True to use it)"
+                )
+            result = self._run_in_memory(scenario, dataset=dataset, shared=shared)
         metrics = get_metrics()
         if metrics.enabled:
             mode = "stream" if scenario.stream else "memory"
@@ -429,7 +411,6 @@ class ScenarioRunner:
             system_key,
             canonical_name(self._baseline),
             scenario.estimator,
-            scenario.backend,
             calibration_week,
             scenario.measured_forward_fraction,
         )
@@ -548,7 +529,7 @@ class ScenarioRunner:
                 "prior": prior_seconds,
                 "estimation": estimation_seconds,
                 "total": total_seconds,
-                "peak_rss_mb": _peak_rss_mb(),
+                "peak_rss_mb": peak_rss_mb(),
             },
         )
 
@@ -656,7 +637,7 @@ class ScenarioRunner:
             # Everything that determines a streamed stable-fP fit beyond the
             # (week, bin-count, cache-budget) suffix the context appends:
             # the pinned plan identity — i.e. the exact traffic — plus the
-            # scale knobs and the backend the reductions run on.
+            # scale knobs.
             fit_key_base = (
                 "fit",
                 scenario.dataset,
@@ -665,7 +646,6 @@ class ScenarioRunner:
                 scenario.full_scale,
                 scenario.dataset_seed,
                 scenario.chunk_bins,
-                scenario.backend,
             )
 
             def fit_memo(suffix, build, _base=fit_key_base):
@@ -753,7 +733,7 @@ class ScenarioRunner:
             "estimation": estimation_seconds,
             "total": total_seconds,
             "chunk_bins": target_stream.chunk_bins,
-            "peak_rss_mb": _peak_rss_mb(),
+            "peak_rss_mb": peak_rss_mb(),
         }
         if spill is not None:
             timing["spill_dir"] = str(spill.directory)
@@ -939,7 +919,7 @@ class ScenarioRunner:
             "cells": len(cells),
             "cells_ok": cells_ok,
             "cells_per_second": len(cells) / wall if wall > 0 else float("nan"),
-            "peak_rss_mb": _peak_rss_mb(),
+            "peak_rss_mb": peak_rss_mb(),
             "worker_peak_rss_mb": max(worker_peaks) if worker_peaks else None,
             "executor": executor_name,
             "streamed": result_sink is not None,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 from repro.errors import ValidationError
 from repro.registry import (
-    BACKENDS,
     DATASETS,
     ESTIMATORS,
     PRIORS,
@@ -84,12 +83,6 @@ class Scenario:
         shards lower the peak memory of shard-at-a-time consumers
         (``repro report``, :meth:`~repro.scenarios.spill.SpilledSeries.iter_blocks`)
         at the cost of more files.
-    backend:
-        Registered compute backend (:mod:`repro.backend`) the run executes
-        on: prior fitting and the estimation stages run against that array
-        namespace (synthesis stays on the host; transfers happen at the
-        chunk boundaries).  ``None`` follows the ambient selection
-        (``REPRO_BACKEND`` environment variable, default ``numpy``).
     name:
         Optional human label; defaults to ``"<dataset>/<prior>"``.
     """
@@ -112,11 +105,10 @@ class Scenario:
     chunk_bins: int | None = None
     spill_dir: str | None = None
     spill_shard_bins: int | None = None
-    backend: str | None = None
     name: str | None = None
 
     def __post_init__(self):
-        for component in ("dataset", "prior", "estimator", "topology", "backend"):
+        for component in ("dataset", "prior", "estimator", "topology"):
             value = getattr(self, component)
             if value is not None:
                 object.__setattr__(self, component, canonical_name(value))
@@ -137,8 +129,6 @@ class Scenario:
         ESTIMATORS.entry(self.estimator)
         if self.topology is not None:
             TOPOLOGIES.entry(self.topology)
-        if self.backend is not None:
-            BACKENDS.entry(self.backend)  # availability is checked at run time
         if self.calibration_week < 0:
             raise ValidationError("calibration_week must be >= 0")
         if self.target_week is not None and self.target_week < 0:

@@ -1,18 +1,20 @@
-"""Tests for the pluggable array-API compute backend (repro.backend).
+"""The compute path: one NumPy kernel per stage, and no backend selection.
 
-Three layers of coverage:
+Every stage (IC series, gravity, stable-fP fit, tomogravity, IPF, the full
+estimator) has exactly one implementation, written against NumPy.  These
+tests pin that contract from three sides:
 
-* registry/selection semantics (registration, env var, context manager,
-  unavailable-backend errors),
-* kernel equivalence, parametrized over backends: the IC series kernels,
-  the stable-fP fit, tomogravity, IPF and the full estimator must agree
-  with the NumPy reference within 1e-10 on every backend, and the NumPy
-  backend itself must be **bit-identical** to calling the kernels without
-  a backend argument,
-* the always-available ``numpy_generic`` conformance stand-in — a NumPy
-  namespace forced down the namespace-generic code paths (einsum fallback
-  included), so the generic kernels are exercised even where
-  ``array-api-strict`` / torch / cupy are not installed.
+* kernel equivalence, parametrized over the *input form*: ``numpy`` passes
+  float ndarrays, ``numpy_generic`` passes the same values as plain nested
+  Python lists.  Both forms must give bit-identical results, and both must
+  agree within 1e-10 with an independent per-bin reference (the per-matrix
+  kernel or the textbook formula),
+* host results: kernels return writable float64 ndarrays and never write to
+  their inputs,
+* no selection surface: there is no ``backend`` registry, keyword,
+  environment variable, Scenario field or CLI flag, and a stale
+  ``ic_series_backend`` record in an old BENCH file compares by wall time
+  alone.
 """
 
 from __future__ import annotations
@@ -20,85 +22,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import (
-    Backend,
-    available_backends,
-    backend_available,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    use_backend,
-)
-from repro.backend.builtins import NumpyBackend
 from repro.core.fitting import fit_stable_fp
-from repro.core.gravity import gravity_series_values
+from repro.core.gravity import gravity_matrix, gravity_series_values
 from repro.core.ic_model import (
+    general_ic_matrix,
     general_ic_series,
+    simplified_ic_matrix,
     simplified_ic_series,
     time_varying_ic_series,
 )
-from repro.errors import BackendError, BackendUnavailableError, ValidationError
-from repro.estimation.ipf import iterative_proportional_fitting_series
+from repro.core.traffic_matrix import TrafficMatrixSeries
+from repro.errors import ValidationError
+from repro.estimation.ipf import (
+    iterative_proportional_fitting,
+    iterative_proportional_fitting_series,
+)
 from repro.estimation.pipeline import TMEstimator
 from repro.estimation.tomogravity import tomogravity_estimate
 
 TOL = 1e-10
 
 
-class NumpyGenericBackend(NumpyBackend):
-    """NumPy namespace routed through the namespace-generic kernel paths.
-
-    ``is_numpy=False`` forces every kernel down the generic implementation
-    and ``has_native_einsum=False`` forces the einsum pattern fallback, so
-    this backend tests exactly the code the gated backends run — with the
-    one namespace that is always installed.
-    """
-
-    name = "numpy_generic"
-    is_numpy = False
-    has_native_einsum = False
-    supports_scipy = False
-
-
-register_backend(
-    "numpy_generic",
-    NumpyGenericBackend,
-    description="test-only: generic kernel paths over the NumPy namespace",
-    overwrite=True,
-)
-
-
-def _backend_params():
-    params = [
-        "numpy",
-        "numpy_generic",
-        pytest.param(
-            "array_api_strict",
-            marks=pytest.mark.skipif(
-                not backend_available("array_api_strict"),
-                reason="array-api-strict is not installed",
-            ),
-        ),
-        pytest.param(
-            "torch",
-            marks=pytest.mark.skipif(
-                not backend_available("torch"), reason="torch is not installed"
-            ),
-        ),
-        pytest.param(
-            "cupy",
-            marks=pytest.mark.skipif(
-                not backend_available("cupy"), reason="cupy is not installed"
-            ),
-        ),
-    ]
-    return params
-
-
-@pytest.fixture(params=_backend_params())
-def backend(request):
-    return get_backend(request.param)
+@pytest.fixture(params=["numpy", "numpy_generic"])
+def form(request):
+    """Converter giving an input in the parametrized form (ndarrays are not copied)."""
+    if request.param == "numpy":
+        return lambda values: np.asarray(values, dtype=float)
+    return lambda values: np.asarray(values, dtype=float).tolist()
 
 
 @pytest.fixture()
@@ -110,172 +60,196 @@ def small_problem():
     return activity, preference
 
 
-# ---------------------------------------------------------------------------
-# registry / selection
-# ---------------------------------------------------------------------------
-
-class TestRegistry:
-    def test_builtins_are_registered(self):
-        names = backend_names()
-        for name in ("numpy", "array_api_strict", "torch", "cupy"):
-            assert name in names
-
-    def test_numpy_is_always_available(self):
-        assert "numpy" in available_backends()
-        assert get_backend("numpy").is_numpy
-
-    def test_default_resolution_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert get_backend().name == "numpy"
-        assert resolve_backend(None).name == "numpy"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy_generic")
-        assert get_backend().name == "numpy_generic"
-
-    def test_context_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        with use_backend("numpy_generic") as inner:
-            assert inner.name == "numpy_generic"
-            assert get_backend().name == "numpy_generic"
-        assert get_backend().name == "numpy"
-
-    def test_explicit_argument_beats_context(self):
-        with use_backend("numpy_generic"):
-            assert resolve_backend("numpy").name == "numpy"
-
-    def test_use_backend_none_is_noop(self):
-        with use_backend(None) as backend:
-            assert backend.name == get_backend().name
-
-    def test_nested_contexts_pop_in_order(self):
-        with use_backend("numpy_generic"):
-            with use_backend("numpy"):
-                assert get_backend().name == "numpy"
-            assert get_backend().name == "numpy_generic"
-
-    def test_backend_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_unavailable_backend_raises_with_hint(self):
-        missing = [
-            name for name in ("torch", "cupy", "array_api_strict")
-            if not backend_available(name)
-        ]
-        if not missing:
-            pytest.skip("every gated backend happens to be installed")
-        with pytest.raises(BackendUnavailableError, match="not installed"):
-            get_backend(missing[0])
-
-    def test_unknown_backend_names_choices(self):
-        from repro.errors import RegistryError
-
-        with pytest.raises(RegistryError, match="registered backends"):
-            get_backend("no_such_backend")
-
-    def test_resolve_accepts_instances(self):
-        instance = NumpyGenericBackend()
-        assert resolve_backend(instance) is instance
-
-    def test_einsum_fallback_rejects_unknown_pattern(self):
-        backend = get_backend("numpy_generic")
-        with pytest.raises(BackendError, match="no fallback"):
-            backend.einsum("abc,cd->abd", np.ones((2, 2, 2)), np.ones((2, 2)))
-
-    def test_describe_fingerprint(self):
-        info = get_backend("numpy").describe()
-        assert info["name"] == "numpy"
-        assert info["module"] == "numpy"
-        assert info["device"] == "cpu"
-
-
-# ---------------------------------------------------------------------------
-# transfers
-# ---------------------------------------------------------------------------
-
-class TestTransfers:
-    def test_asarray_to_numpy_roundtrip(self, backend):
-        host = np.arange(12, dtype=float).reshape(3, 4)
-        device = backend.asarray(host)
-        assert np.array_equal(backend.to_numpy(device), host)
-
-    def test_asarray_is_idempotent(self, backend):
-        device = backend.asarray(np.ones((2, 2)))
-        again = backend.asarray(device)
-        assert np.array_equal(backend.to_numpy(again), np.ones((2, 2)))
-
-    def test_to_numpy_returns_writable_host_array(self, backend):
-        result = backend.to_numpy(backend.asarray(np.zeros(3)))
-        result += 1.0  # must not raise
-
-
-# ---------------------------------------------------------------------------
-# kernel equivalence
-# ---------------------------------------------------------------------------
-
 def _close(reference: np.ndarray, candidate) -> None:
     candidate = np.asarray(candidate)
     scale = max(float(np.max(np.abs(reference))), 1.0)
     assert np.max(np.abs(reference - candidate)) / scale <= TOL
 
 
-class TestKernelEquivalence:
-    def test_simplified_ic_series(self, backend, small_problem):
-        activity, preference = small_problem
-        reference = simplified_ic_series(0.25, activity, preference)
-        device = simplified_ic_series(0.25, activity, preference, backend=backend)
-        _close(reference, backend.to_numpy(device))
+def _kernel_calls(small_problem, form):
+    """The inputs, and ``(name, thunk)`` per series kernel fed them in ``form``."""
+    activity, preference = small_problem
+    n = activity.shape[1]
+    inputs = {
+        "activity": activity,
+        "preference": preference,
+        "forward": np.full((n, n), 0.3),
+        "preference_series": np.tile(preference, (activity.shape[0], 1)),
+        "cols": np.roll(activity, 1, axis=1),
+        "seeds": simplified_ic_series(0.25, activity, preference),
+    }
+    x = {name: form(values) for name, values in inputs.items()}
+    calls = [
+        ("simplified", lambda: simplified_ic_series(0.25, x["activity"], x["preference"])),
+        ("general", lambda: general_ic_series(x["forward"], x["activity"], x["preference"])),
+        ("time_varying", lambda: time_varying_ic_series(
+            0.3, x["activity"], x["preference_series"])),
+        ("gravity", lambda: gravity_series_values(x["activity"], x["cols"])),
+        ("ipf", lambda: iterative_proportional_fitting_series(
+            x["seeds"], x["activity"], x["cols"])),
+    ]
+    return inputs, calls
 
-    def test_general_ic_series(self, backend, small_problem):
+
+# ---------------------------------------------------------------------------
+# no selection surface
+# ---------------------------------------------------------------------------
+
+class TestRegistry:
+    def test_builtins_are_registered(self):
+        from repro.registry import REGISTRIES
+
+        assert sorted(REGISTRIES) == [
+            "datasets", "estimators", "experiments", "models", "priors", "topologies",
+        ]
+
+    def test_unknown_backend_names_choices(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["list", "backends"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'backends'" in err and "priors" in err
+
+    def test_env_var_selects_backend(self, monkeypatch, small_problem):
+        """``REPRO_BACKEND`` is not read: any value leaves every kernel unchanged."""
+        activity, preference = small_problem
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        reference = simplified_ic_series(0.25, activity, preference)
+        monkeypatch.setenv("REPRO_BACKEND", "no_such_backend")
+        assert np.array_equal(simplified_ic_series(0.25, activity, preference), reference)
+
+    def test_explicit_argument_beats_context(self, small_problem):
+        """No kernel takes a ``backend=`` keyword."""
+        activity, preference = small_problem
+        calls = [
+            lambda: simplified_ic_series(0.25, activity, preference, backend="numpy"),
+            lambda: gravity_series_values(activity, activity, backend="numpy"),
+            lambda: fit_stable_fp(simplified_ic_series(0.25, activity, preference),
+                                  backend="numpy"),
+            lambda: TMEstimator(backend="numpy"),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="backend"):
+                call()
+
+    def test_use_backend_none_is_noop(self):
+        """The package exports no backend API and has no backend module."""
+        import repro
+
+        for name in ("use_backend", "get_backend", "register_backend", "available_backends"):
+            assert not hasattr(repro, name)
+            assert name not in repro.__all__
+        with pytest.raises(ImportError):
+            import repro.backend  # noqa: F401
+
+    def test_describe_fingerprint(self):
+        from repro.benchmarking import environment_info
+
+        assert set(environment_info()) == {"python", "numpy", "platform"}
+
+
+# ---------------------------------------------------------------------------
+# host results
+# ---------------------------------------------------------------------------
+
+class TestTransfers:
+    def test_asarray_to_numpy_roundtrip(self, form, small_problem):
+        """A series built from either form holds the same float64 values."""
+        activity, preference = small_problem
+        cube = simplified_ic_series(0.25, activity, preference)
+        series = TrafficMatrixSeries(form(cube))
+        assert series.values.dtype == np.float64
+        assert np.array_equal(series.values, cube)
+        assert np.array_equal(series.to_vectors().reshape(cube.shape), cube)
+
+    def test_asarray_is_idempotent(self, form, small_problem):
+        """Kernels never write to their inputs."""
+        inputs, calls = _kernel_calls(small_problem, form)
+        before = {name: values.copy() for name, values in inputs.items()}
+        for _, call in calls:
+            call()
+        for name, values in inputs.items():
+            assert np.array_equal(values, before[name]), name
+
+    def test_to_numpy_returns_writable_host_array(self, form, small_problem):
+        for name, call in _kernel_calls(small_problem, form)[1]:
+            result = call()
+            assert isinstance(result, np.ndarray), name
+            assert result.dtype == np.float64, name
+            result += 1.0  # must not raise
+
+
+# ---------------------------------------------------------------------------
+# kernel equivalence
+# ---------------------------------------------------------------------------
+
+class TestKernelEquivalence:
+    def test_simplified_ic_series(self, form, small_problem):
+        activity, preference = small_problem
+        reference = np.stack([simplified_ic_matrix(0.25, a, preference) for a in activity])
+        result = simplified_ic_series(0.25, form(activity), form(preference))
+        _close(reference, result)
+        assert np.array_equal(result, simplified_ic_series(0.25, activity, preference))
+
+    def test_general_ic_series(self, form, small_problem):
         activity, preference = small_problem
         rng = np.random.default_rng(11)
         forward = rng.random((activity.shape[1], activity.shape[1]))
-        reference = general_ic_series(forward, activity, preference)
-        device = general_ic_series(forward, activity, preference, backend=backend)
-        _close(reference, backend.to_numpy(device))
+        reference = np.stack([general_ic_matrix(forward, a, preference) for a in activity])
+        result = general_ic_series(form(forward), form(activity), form(preference))
+        _close(reference, result)
+        assert np.array_equal(result, general_ic_series(forward, activity, preference))
 
-    def test_time_varying_ic_series(self, backend, small_problem):
+    def test_time_varying_ic_series(self, form, small_problem):
         activity, _ = small_problem
         rng = np.random.default_rng(13)
         preference_series = rng.random(activity.shape) + 1e-3
         forward_series = rng.random(activity.shape[0])
-        reference = time_varying_ic_series(forward_series, activity, preference_series)
-        device = time_varying_ic_series(
-            forward_series, activity, preference_series, backend=backend
+        reference = np.stack([
+            simplified_ic_matrix(f, a, p)
+            for f, a, p in zip(forward_series, activity, preference_series)
+        ])
+        result = time_varying_ic_series(
+            form(forward_series), form(activity), form(preference_series)
         )
-        _close(reference, backend.to_numpy(device))
+        _close(reference, result)
 
-    def test_time_varying_scalar_f(self, backend, small_problem):
+    def test_time_varying_scalar_f(self, form, small_problem):
         activity, _ = small_problem
         rng = np.random.default_rng(17)
         preference_series = rng.random(activity.shape) + 1e-3
-        reference = time_varying_ic_series(0.3, activity, preference_series)
-        device = time_varying_ic_series(0.3, activity, preference_series, backend=backend)
-        _close(reference, backend.to_numpy(device))
+        reference = np.stack([
+            simplified_ic_matrix(0.3, a, p) for a, p in zip(activity, preference_series)
+        ])
+        result = time_varying_ic_series(0.3, form(activity), form(preference_series))
+        _close(reference, result)
 
-    def test_gravity_series_values(self, backend, small_problem):
+    def test_gravity_series_values(self, form, small_problem):
         activity, _ = small_problem
         rng = np.random.default_rng(19)
         egress = rng.random(activity.shape) * 1e6
         ingress = activity.copy()
         ingress[3] = 0.0  # a zero-traffic bin must come back all-zero
-        reference = gravity_series_values(ingress, egress)
-        device = gravity_series_values(ingress, egress, backend=backend)
-        _close(reference, backend.to_numpy(device))
-        assert np.all(backend.to_numpy(device)[3] == 0.0)
+        reference = np.stack([gravity_matrix(i, e) for i, e in zip(ingress, egress)])
+        result = gravity_series_values(form(ingress), form(egress))
+        _close(reference, result)
+        assert np.all(result[3] == 0.0)
 
-    def test_device_inputs_accepted(self, backend, small_problem):
+    def test_device_inputs_accepted(self, form, small_problem):
+        """A single ``(n,)`` activity vector is one bin of the series."""
         activity, preference = small_problem
-        device = simplified_ic_series(
-            0.25, backend.asarray(activity), backend.asarray(preference), backend=backend
-        )
-        _close(simplified_ic_series(0.25, activity, preference), backend.to_numpy(device))
+        result = simplified_ic_series(0.25, form(activity[0]), form(preference))
+        assert result.shape == (1, activity.shape[1], activity.shape[1])
+        _close(simplified_ic_matrix(0.25, activity[0], preference), result[0])
 
     def test_numpy_backend_is_bit_identical(self, small_problem):
+        """The batched kernel equals stacking the per-bin matrix bit for bit."""
         activity, preference = small_problem
         assert np.array_equal(
-            simplified_ic_series(0.25, activity, preference, backend="numpy"),
             simplified_ic_series(0.25, activity, preference),
+            np.stack([simplified_ic_matrix(0.25, a, preference) for a in activity]),
         )
 
 
@@ -291,24 +265,14 @@ class TestFitEquivalence:
         values *= 1.0 + 0.02 * rng.standard_normal(values.shape)
         return np.clip(values, 0.0, None)
 
-    def test_fit_stable_fp_matches_reference(self, backend, observed):
+    def test_fit_stable_fp_matches_reference(self, form, observed):
         reference = fit_stable_fp(observed)
-        fitted = fit_stable_fp(observed, backend=backend)
-        assert abs(reference.forward_fraction - fitted.forward_fraction) <= TOL
-        assert abs(reference.mean_error - fitted.mean_error) <= TOL
-        _close(reference.preference, fitted.preference)
-        _close(reference.activity, fitted.activity)
-        assert isinstance(fitted.preference, np.ndarray)  # host result
-
-    def test_fit_refine_rejected_off_numpy(self, observed):
-        with pytest.raises(ValidationError, match="refine"):
-            fit_stable_fp(observed, refine=True, backend="numpy_generic")
-
-    def test_fit_resolves_ambient_backend(self, observed):
-        reference = fit_stable_fp(observed)
-        with use_backend("numpy_generic"):
-            ambient = fit_stable_fp(observed)
-        assert abs(reference.mean_error - ambient.mean_error) <= TOL
+        fitted = fit_stable_fp(form(observed))
+        assert fitted.forward_fraction == reference.forward_fraction
+        assert np.array_equal(fitted.preference, reference.preference)
+        assert np.array_equal(fitted.activity, reference.activity)
+        assert abs(fitted.forward_fraction - 0.27) < 0.02
+        assert isinstance(fitted.preference, np.ndarray)
 
 
 class TestEstimationEquivalence:
@@ -323,34 +287,39 @@ class TestEstimationEquivalence:
         system = simulate_link_loads(data.topology, week, noise_std=0.01, seed=0)
         return system, gravity_series(week), week
 
-    def test_tomogravity_matches_reference(self, backend, system_and_prior):
+    @staticmethod
+    def _textbook(priors, matrix, observed):
+        """``x + W Bᵀ (B W Bᵀ)⁺ (z - B x)``, clipped, one bin at a time."""
+        out = np.empty_like(priors)
+        for t, (prior, z) in enumerate(zip(priors, observed)):
+            weights = np.maximum(prior, max(prior.mean() * 1e-3, 1e-9))
+            weighted = matrix * weights
+            gram_pinv = np.linalg.pinv(weighted @ matrix.T, rcond=1e-10)
+            out[t] = np.clip(prior + weighted.T @ (gram_pinv @ (z - matrix @ prior)), 0.0, None)
+        return out
+
+    def test_tomogravity_matches_reference(self, form, system_and_prior):
         system, prior, _ = system_and_prior
         matrix, observations = system.augmented_system()
         vectors = prior.to_vectors()
-        reference = tomogravity_estimate(vectors, matrix, observations)
-        device = tomogravity_estimate(vectors, matrix, observations, backend=backend)
-        _close(reference, backend.to_numpy(device))
+        reference = self._textbook(vectors, matrix, observations)
+        result = tomogravity_estimate(form(vectors), form(matrix), form(observations))
+        _close(reference, result)
+        assert np.array_equal(result, tomogravity_estimate(vectors, matrix, observations))
 
-    def test_tomogravity_rejects_sparse_off_numpy(self, system_and_prior):
-        system, prior, _ = system_and_prior
-        matrix, observations = system.augmented_system(as_sparse=True)
-        with pytest.raises(ValidationError, match="sparse"):
-            tomogravity_estimate(
-                prior.to_vectors(), matrix, observations, backend="numpy_generic"
-            )
-
-    def test_ipf_matches_reference(self, backend, system_and_prior):
+    def test_ipf_matches_reference(self, form, system_and_prior):
         system, prior, _ = system_and_prior
         seeds = np.asarray(prior.values)
-        reference = iterative_proportional_fitting_series(
-            seeds, system.ingress, system.egress
+        reference = np.stack([
+            iterative_proportional_fitting(s, r, c)
+            for s, r, c in zip(seeds, system.ingress, system.egress)
+        ])
+        result = iterative_proportional_fitting_series(
+            form(seeds), form(system.ingress), form(system.egress)
         )
-        device = iterative_proportional_fitting_series(
-            seeds, system.ingress, system.egress, backend=backend
-        )
-        _close(reference, backend.to_numpy(device))
+        assert np.array_equal(result, reference)
 
-    def test_ipf_zero_bins_and_empty_rows(self, backend):
+    def test_ipf_zero_bins_and_empty_rows(self, form):
         seeds = np.zeros((3, 4, 4))
         seeds[0] = np.ones((4, 4))
         seeds[2, 0, :] = 0.0
@@ -358,235 +327,158 @@ class TestEstimationEquivalence:
         cols = np.ones((3, 4)) * 5.0
         rows[1] = 0.0  # zero-traffic bin
         cols[1] = 0.0
-        reference = iterative_proportional_fitting_series(seeds, rows, cols)
-        device = iterative_proportional_fitting_series(seeds, rows, cols, backend=backend)
-        _close(reference, backend.to_numpy(device))
-        assert np.all(backend.to_numpy(device)[1] == 0.0)
+        result = iterative_proportional_fitting_series(form(seeds), form(rows), form(cols))
+        assert np.all(result[1] == 0.0)
+        assert np.all(np.isfinite(result))
+        np.testing.assert_allclose(result[0].sum(axis=1), rows[0], rtol=1e-6)
 
-    def test_estimator_end_to_end(self, backend, system_and_prior):
+    def test_estimator_end_to_end(self, form, system_and_prior):
         system, prior, truth = system_and_prior
         reference = TMEstimator().estimate(system, prior, ground_truth=truth)
-        device = TMEstimator(backend=backend).estimate(system, prior, ground_truth=truth)
-        assert np.max(np.abs(reference.errors - device.errors)) <= TOL
-        assert isinstance(device.estimate.values, np.ndarray)
-
-    def test_estimator_stream_matches_in_memory(self, backend, system_and_prior):
-        system, prior, truth = system_and_prior
-        in_memory = TMEstimator(backend=backend).estimate(system, prior, ground_truth=truth)
-        streamed = TMEstimator(backend=backend).estimate_stream(
-            system, prior, ground_truth_stream=truth
+        result = TMEstimator().estimate(
+            system,
+            TrafficMatrixSeries(form(prior.values), prior.nodes),
+            ground_truth=TrafficMatrixSeries(form(truth.values), truth.nodes),
         )
-        assert np.max(np.abs(in_memory.errors - streamed.errors)) <= TOL
+        assert np.array_equal(reference.errors, result.errors)
+        assert isinstance(result.estimate.values, np.ndarray)
+        assert result.mean_error < float(np.mean(result.prior_errors))
+
+    def test_estimator_stream_matches_in_memory(self, form, system_and_prior):
+        """``estimate`` is the one-chunk stream: same bins in any chunking."""
+        from repro.streaming import ArrayChunkStream
+
+        system, prior, truth = system_and_prior
+        in_memory = TMEstimator().estimate(system, prior, ground_truth=truth)
+        assert in_memory.prior is prior
+        for chunk_bins in (None, 3):
+            streamed = TMEstimator().estimate_stream(
+                system,
+                ArrayChunkStream(form(prior.values), prior.nodes, chunk_bins=chunk_bins),
+                ground_truth_stream=truth,
+                collect_estimate=True,
+            )
+            assert np.array_equal(in_memory.errors, streamed.errors)
+            assert np.array_equal(in_memory.prior_errors, streamed.prior_errors)
+            assert np.array_equal(in_memory.estimate.values, streamed.estimate.values)
 
     def test_entropy_round_trips_through_host(self, system_and_prior):
+        """The entropy method runs the same single path and returns host arrays."""
         system, prior, truth = system_and_prior
-        reference = TMEstimator(method="entropy").estimate(system, prior, ground_truth=truth)
-        device = TMEstimator(method="entropy", backend="numpy_generic").estimate(
-            system, prior, ground_truth=truth
+        estimator = TMEstimator(method="entropy")
+        result = estimator.estimate(system, prior, ground_truth=truth)
+        streamed = estimator.estimate_stream(
+            system, prior, ground_truth_stream=truth, collect_estimate=True
         )
-        assert np.max(np.abs(reference.errors - device.errors)) <= TOL
+        assert isinstance(result.estimate.values, np.ndarray)
+        assert np.array_equal(result.estimate.values, streamed.estimate.values)
+        assert np.array_equal(result.errors, streamed.errors)
 
 
 # ---------------------------------------------------------------------------
-# scenario / CLI threading
+# scenario / CLI surface
 # ---------------------------------------------------------------------------
 
 class TestScenarioThreading:
     def test_scenario_backend_field_round_trips(self):
         from repro.scenarios import Scenario
 
-        scenario = Scenario(dataset="geant", prior="stable_fp", backend="numpy")
+        scenario = Scenario(dataset="geant", prior="stable_fp")
+        assert "backend" not in scenario.to_dict()
         assert Scenario.from_dict(scenario.to_dict()) == scenario
 
     def test_scenario_backend_name_is_canonicalised(self):
         from repro.scenarios import Scenario
 
-        scenario = Scenario(dataset="geant", prior="stable_fp", backend="Array-API-Strict")
-        assert scenario.backend == "array_api_strict"
+        with pytest.raises(TypeError, match="backend"):
+            Scenario(dataset="geant", prior="stable_fp", backend="numpy")
 
     def test_scenario_unknown_backend_rejected(self):
-        from repro.errors import RegistryError
-        from repro.scenarios import Scenario
+        from repro.scenarios import run_scenario, sweep
 
-        with pytest.raises(RegistryError, match="backend"):
-            Scenario(dataset="geant", prior="stable_fp", backend="no_such").validate()
+        spec = {"dataset": "geant", "prior": "gravity", "backend": "numpy"}
+        with pytest.raises(ValidationError, match="unknown Scenario fields"):
+            run_scenario(spec)
+        with pytest.raises(ValidationError, match="unknown Scenario fields"):
+            sweep(priors=["gravity"], datasets=["geant"], base=spec)
 
-    def test_runner_backend_matches_default(self):
+    def test_runner_backend_matches_default(self, monkeypatch):
         from repro.scenarios import Scenario, ScenarioRunner
 
         base = Scenario(dataset="geant", prior="stable_fp", bins_per_week=36, max_bins=4)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         reference = ScenarioRunner().run(base)
-        generic = ScenarioRunner().run(base.replace(backend="numpy_generic"))
-        assert np.max(np.abs(reference.errors - generic.errors)) <= TOL
-        assert "numpy_generic" in generic.format_table()
+        monkeypatch.setenv("REPRO_BACKEND", "no_such_backend")
+        result = ScenarioRunner().run(base)
+        assert np.array_equal(reference.errors, result.errors)
+        assert "backend" not in result.format_table()
 
     def test_cli_backend_flag(self, capsys):
         from repro.cli import main
 
-        exit_code = main(
-            ["estimate", "--prior", "stable_fp", "--dataset", "geant",
-             "--bins-per-week", "36", "--max-bins", "4", "--backend", "numpy"]
-        )
-        assert exit_code == 0
-        assert "backend" in capsys.readouterr().out
+        for command in (
+            ["run", "fig2"],
+            ["estimate", "--prior", "gravity", "--dataset", "geant"],
+            ["sweep", "--priors", "gravity", "--datasets", "geant"],
+            ["serve", "--source", "synthetic"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--backend", "numpy"])
+            assert excinfo.value.code == 2, command
+            assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
 
     def test_cli_unavailable_backend_exits_2(self, capsys):
-        missing = [
-            name for name in ("torch", "cupy", "array_api_strict")
-            if not backend_available(name)
-        ]
-        if not missing:
-            pytest.skip("every gated backend happens to be installed")
         from repro.cli import main
 
-        exit_code = main(
-            ["estimate", "--prior", "stable_fp", "--dataset", "geant",
-             "--bins-per-week", "36", "--max-bins", "4", "--backend", missing[0]]
-        )
-        assert exit_code == 2
-        assert "not installed" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--prior", "stable_fp", "--dataset", "geant",
+                  "--bins-per-week", "36", "--max-bins", "4", "--backend", "torch"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
-# benchmark integration
+# benchmark files
 # ---------------------------------------------------------------------------
+
+def _compare(tmp_path, old, new):
+    from repro.benchmarking import compare_bench_files, write_bench_json
+
+    old_path = write_bench_json(old, path=tmp_path / "old.json", revision="old")
+    new_path = write_bench_json(new, path=tmp_path / "new.json", revision="new")
+    return compare_bench_files(old_path, new_path, threshold=0.25)
+
 
 class TestBenchIntegration:
-    def test_bench_ic_series_backend_records_backends(self):
-        from repro.benchmarking import bench_ic_series_backend
-
-        record = bench_ic_series_backend(n=10, timesteps=16, repeat=1)
-        assert record.name == "ic_series_backend"
-        assert "numpy" in record.extra_info["backends"]
-        assert record.extra_info["devices"]["numpy"] == "cpu"
-
     def test_compare_treats_missing_backends_as_non_regressions(self, tmp_path):
-        from repro.benchmarking import (
-            BenchmarkRecord,
-            compare_bench_files,
-            write_bench_json,
-        )
+        """An old snapshot's ``ic_series_backend`` is listed as only in old."""
+        from repro.benchmarking import BenchmarkRecord
 
-        old = BenchmarkRecord(
-            name="ic_series_backend",
-            wall_seconds=1.0,
-            extra_info={"backends": {"numpy": 1.0, "torch": 0.1}},
-        )
-        new = BenchmarkRecord(
-            name="ic_series_backend",
-            wall_seconds=1.0,
-            extra_info={"backends": {"numpy": 1.05, "cupy": 0.2}},
-        )
-        old_path = write_bench_json([old], path=tmp_path / "old.json", revision="old")
-        new_path = write_bench_json([new], path=tmp_path / "new.json", revision="new")
-        comparison = compare_bench_files(old_path, new_path, threshold=0.25)
-        names = [row[0] for row in comparison.rows]
-        assert "ic_series_backend[numpy]" in names
-        assert "ic_series_backend[torch]" not in names
-        assert "ic_series_backend[cupy]" not in names
+        old = [
+            BenchmarkRecord("ic_series_kernel", 1.0),
+            BenchmarkRecord(
+                "ic_series_backend", 1.0,
+                extra_info={"backends": {"numpy": 1.0, "torch": 0.1}},
+            ),
+        ]
+        comparison = _compare(tmp_path, old, [BenchmarkRecord("ic_series_kernel", 1.0)])
+        assert [row[0] for row in comparison.rows] == ["ic_series_kernel"]
+        assert comparison.only_old == ["ic_series_backend"]
+        assert comparison.only_new == []
         assert not comparison.has_regressions
-        assert "ic_series_backend[torch]" in comparison.only_old
-        assert "ic_series_backend[cupy]" in comparison.only_new
 
     def test_compare_flags_backend_regression(self, tmp_path):
-        from repro.benchmarking import (
-            BenchmarkRecord,
-            compare_bench_files,
-            write_bench_json,
-        )
+        """A record is compared on its wall time alone, never per backend."""
+        from repro.benchmarking import BenchmarkRecord
 
-        old = BenchmarkRecord(
-            name="ic_series_backend", wall_seconds=1.0,
-            extra_info={"backends": {"numpy": 1.0}},
-        )
-        new = BenchmarkRecord(
-            name="ic_series_backend", wall_seconds=1.0,
-            extra_info={"backends": {"numpy": 2.0}},
-        )
-        old_path = write_bench_json([old], path=tmp_path / "old.json", revision="old")
-        new_path = write_bench_json([new], path=tmp_path / "new.json", revision="new")
-        comparison = compare_bench_files(old_path, new_path, threshold=0.25)
-        assert comparison.has_regressions
-        assert comparison.regressions[0][0] == "ic_series_backend[numpy]"
+        def record(wall, numpy_seconds):
+            return BenchmarkRecord(
+                "ic_series_backend", wall, extra_info={"backends": {"numpy": numpy_seconds}}
+            )
 
-
-# ---------------------------------------------------------------------------
-# custom-dataset streaming (satellite)
-# ---------------------------------------------------------------------------
-
-class TestCustomDatasetStreaming:
-    def test_error_lists_streamable_datasets(self):
-        from repro.registry import DATASETS, register_dataset
-        from repro.synthesis import open_dataset_stream
-
-        register_dataset("cube_only", lambda n_weeks=1, **kwargs: None, overwrite=True)
-        try:
-            with pytest.raises(ValidationError) as excinfo:
-                open_dataset_stream("cube_only", n_weeks=1)
-            message = str(excinfo.value)
-            assert "geant" in message and "totem" in message
-            assert "register_dataset_stream" in message
-        finally:
-            DATASETS.unregister("cube_only")
-
-    def test_registered_chunk_factory_streams(self):
-        from repro.registry import DATASETS, register_dataset
-        from repro.streaming import FunctionChunkStream
-        from repro.synthesis import (
-            open_dataset_stream,
-            register_dataset_stream,
-            streamable_dataset_names,
-        )
-        from repro.synthesis.datasets import _STREAM_OPENERS
-
-        register_dataset("toy_stream", lambda n_weeks=1, **kwargs: None, overwrite=True)
-
-        class ToyStreaming:
-            nodes = ("a", "b")
-            n_weeks = 1
-            bin_seconds = 300.0
-
-            def week_stream(self, index, *, chunk_bins=None, max_bins=None):
-                def factory(chunk):
-                    yield 0, np.full((4, 2, 2), float(index + 1))
-
-                return FunctionChunkStream(
-                    factory, n_bins=4, nodes=self.nodes, bin_seconds=self.bin_seconds
-                )
-
-        seen_kwargs = {}
-
-        @register_dataset_stream("toy_stream")
-        def open_toy(**kwargs):
-            seen_kwargs.update(kwargs)
-            return ToyStreaming()
-
-        try:
-            assert "toy_stream" in streamable_dataset_names()
-            data = open_dataset_stream("toy_stream", n_weeks=1, chunk_bins=2)
-            assert seen_kwargs["n_weeks"] == 1 and seen_kwargs["chunk_bins"] == 2
-            week = data.week_stream(0).materialize()
-            assert np.all(week.values == 1.0)
-        finally:
-            DATASETS.unregister("toy_stream")
-            _STREAM_OPENERS.pop("toy_stream", None)
-
-    def test_builtin_opener_cannot_be_replaced(self):
-        from repro.errors import RegistryError
-        from repro.synthesis import register_dataset_stream
-
-        with pytest.raises(RegistryError, match="built-in"):
-            register_dataset_stream("geant", lambda **kwargs: None)
-
-    def test_duplicate_opener_needs_overwrite(self):
-        from repro.errors import RegistryError
-        from repro.synthesis import register_dataset_stream
-        from repro.synthesis.datasets import _STREAM_OPENERS
-
-        register_dataset_stream("dup_stream", lambda **kwargs: None)
-        try:
-            with pytest.raises(RegistryError, match="overwrite"):
-                register_dataset_stream("dup_stream", lambda **kwargs: None)
-            register_dataset_stream("dup_stream", lambda **kwargs: None, overwrite=True)
-        finally:
-            _STREAM_OPENERS.pop("dup_stream", None)
+        steady = _compare(tmp_path, [record(1.0, 1.0)], [record(1.0, 2.0)])
+        assert [row[0] for row in steady.rows] == ["ic_series_backend"]
+        assert not steady.has_regressions
+        slower = _compare(tmp_path, [record(1.0, 1.0)], [record(2.0, 1.0)])
+        assert slower.has_regressions
+        assert slower.regressions[0][0] == "ic_series_backend"

@@ -79,9 +79,7 @@ class TestRecordsAndWriter:
 
     def test_environment_info_keys(self):
         info = environment_info()
-        assert set(info) == {"python", "numpy", "platform", "backends"}
-        assert "numpy" in info["backends"]
-        assert info["backends"]["numpy"]["device"] == "cpu"
+        assert set(info) == {"python", "numpy", "platform"}
 
     def test_format_records_tabulates(self):
         table = format_records([BenchmarkRecord("kernel", 0.25, {"speedup": 3.0})])
@@ -113,7 +111,6 @@ class TestMicroBenchmarks:
         names = [record.name for record in records]
         assert names == [
             "ic_series_kernel",
-            "ic_series_backend",
             "routing_matrix",
             "ipf_series",
             "tomogravity_batch",
@@ -163,9 +160,8 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         assert "ic_series_kernel" in out
         payload = json.loads((tmp_path / "BENCH_test.json").read_text())
-        assert len(payload["benchmarks"]) == 11
+        assert len(payload["benchmarks"]) == 10
         by_name = {bench["name"]: bench for bench in payload["benchmarks"]}
-        assert "numpy" in by_name["ic_series_backend"]["extra_info"]["backends"]
         assert by_name["sweep_grid"]["extra_info"]["matches_serial_bitwise"] is True
         assert payload["obs"]["overhead_pct"] is not None
 

@@ -63,6 +63,13 @@ class TestRecordBatch:
         with pytest.raises(ValidationError, match="non-negative"):
             RecordBatch([0.0], [0], [1], [-1.0])
 
+    @pytest.mark.parametrize("column", ["timestamps", "volumes"])
+    def test_non_finite_values_rejected_naming_the_column(self, column):
+        columns = {"timestamps": [0.0, 1.0], "volumes": [5.0, 5.0]}
+        columns[column] = [0.0, float("nan")]
+        with pytest.raises(ValidationError, match=f"'{column}' must contain only finite"):
+            RecordBatch(columns["timestamps"], [0, 1], [1, 0], columns["volumes"])
+
     def test_from_names_resolves_against_node_ordering(self):
         batch = RecordBatch.from_names([0.0, 1.0], ["b", "a"], ["a", "b"], [1.0, 2.0], ["a", "b"])
         assert batch.src.tolist() == [1, 0]
@@ -90,6 +97,34 @@ class TestFlowFiles:
         path.write_text("when,from,to,size\n0,a,b,1\n")
         with pytest.raises(ValidationError, match="expected CSV header"):
             list(read_flow_file(path, ["a", "b"]))
+
+    def test_csv_non_numeric_field_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,src,dst,bytes\n0,a,b,1\n# comment\n3,b,a,abc\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv:4: malformed CSV flow record"):
+            list(read_flow_file(path, ["a", "b"]))
+
+    def test_jsonl_non_numeric_field_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"time": 0, "src": "a", "dst": "b", "bytes": 1}\n'
+            '{"time": 3, "src": "b", "dst": "a", "bytes": "abc"}\n'
+        )
+        with pytest.raises(ValidationError, match=r"bad\.jsonl:2: malformed JSONL flow record"):
+            list(read_flow_file(path, ["a", "b"]))
+
+    def test_serve_rejects_nan_byte_count_with_exit_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "nan.csv"
+        path.write_text("time,src,dst,bytes\n0,STTL,SNVA,10\n60,SNVA,STTL,nan\n")
+        exit_code = main(
+            ["serve", "--source", str(path), "--topology", "abilene",
+             "--sink", str(tmp_path / "sink")]
+        )
+        assert exit_code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: record batch column 'volumes' must contain only finite values"]
 
     def test_unknown_suffix_rejected(self, tmp_path):
         path = tmp_path / "trace.parquet"

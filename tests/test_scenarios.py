@@ -151,6 +151,10 @@ class TestScenario:
         with pytest.raises(ValidationError, match="unknown Scenario fields"):
             Scenario.from_dict({"dataset": "geant", "prior": "gravity", "bogus": 1})
 
+    def test_from_dict_rejects_removed_backend_field(self):
+        with pytest.raises(ValidationError, match=r"unknown Scenario fields \['backend'\]"):
+            Scenario.from_dict({"dataset": "geant", "prior": "gravity", "backend": "numpy"})
+
     def test_from_dict_requires_dataset_and_prior(self):
         with pytest.raises(ValidationError, match="dataset"):
             Scenario.from_dict({"prior": "gravity"})
