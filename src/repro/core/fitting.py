@@ -18,9 +18,24 @@ optionally polished with a ``scipy.optimize`` step:
 
 Each subproblem is solved in closed form (normal equations) with weights
 ``w_t = 1 / ||X(t)||`` so the objective matches the paper's per-bin relative
-error, then projected onto the constraint set.  The same machinery supports
-the stable-fP model (shared ``f`` and ``P``), the stable-f model (shared ``f``
-only) and the fully time-varying model.
+error, then projected onto the constraint set.  One iteration kernel,
+:func:`_als`, serves the stable-fP model (shared ``f`` and ``P``), the
+stable-f model (shared ``f`` only), the fully time-varying model and the
+chunk-wise streamed fit of :mod:`repro.core.streaming`.
+
+The kernel reads the data only through four per-bin contractions per
+iteration: ``X_t P`` and ``X_t^T P``, then ``r_t = X_t A_t`` and
+``s_t = X_t^T A_t``.  With ``g = 1 - f``,
+
+* activity solves ``((f^2+g^2)|P|^2 I + 2fg P P^T) A_t = f X_t P + g X_t^T P``,
+* preference and ``f`` solve normal equations assembled from ``r_t``, ``s_t``,
+* the score is ``||X_t - X̂_t||^2 = ||X_t||^2 - 2(f A_t.X_t P + g A_t.X_t^T P)
+  + (f^2+g^2)|A_t|^2 |P|^2 + 2fg (A_t.P)^2``, from the ``X_t P``, ``X_t^T P``
+  that the next activity solve needs anyway.
+
+No ``(T, n, n)`` array is built per iteration.  A bin where that expansion
+cancels (a near-exact fit, an all-zero bin) is re-scored exactly from its
+own values, so ``errors`` and ``objective_history`` stay exact.
 """
 
 from __future__ import annotations
@@ -30,15 +45,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from repro._validation import normalized, require_probability
-from repro.core.ic_model import simplified_ic_series
+from repro._validation import require_probability
+from repro.core.ic_model import simplified_ic_series, time_varying_ic_series
 from repro.core.metrics import rel_l2_temporal_error
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import FittingError, ValidationError
+from repro.obs import get_tracer
 
 __all__ = ["FitResult", "fit_stable_fp", "fit_stable_f", "fit_time_varying"]
 
 _EPS = 1e-12
+
+# A bin whose expanded squared error is at most this fraction of ||X_t||^2
+# is re-scored from its values: the expansion's rounding, ~eps * ||X_t||^2,
+# would otherwise exceed 1e-12 of the bin's relative error.
+_RESCORE_FRACTION = 1e-6
 
 
 @dataclass
@@ -114,110 +135,149 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 def _series_values(series) -> tuple[np.ndarray, tuple[str, ...], float]:
-    if isinstance(series, TrafficMatrixSeries):
-        return np.asarray(series.values, dtype=float), series.nodes, series.bin_seconds
-    series = TrafficMatrixSeries(series)
-    return np.asarray(series.values, dtype=float), series.nodes, series.bin_seconds
+    if not isinstance(series, TrafficMatrixSeries):
+        series = TrafficMatrixSeries(series)
+    values = np.asarray(series.values, dtype=float)
+    if values.shape[0] < 1:
+        raise ValidationError("series must contain at least one time bin")
+    return values, series.nodes, series.bin_seconds
 
 
-def _bin_weights(values: np.ndarray) -> np.ndarray:
-    """Weights 1/||X(t)|| so least squares approximates the relative-error objective."""
-    norms = np.sqrt((values**2).sum(axis=(1, 2)))
-    return 1.0 / np.maximum(norms, _EPS)
+def _forward_start(
+    initial_forward_fraction: float, forward_bounds: tuple[float, float]
+) -> tuple[float, tuple[float, float]]:
+    """The validated starting ``f``, clipped into the validated ``forward_bounds``."""
+    f = require_probability(initial_forward_fraction, "initial_forward_fraction")
+    low, high = float(forward_bounds[0]), float(forward_bounds[1])
+    if not 0.0 <= low < high <= 1.0:
+        raise ValidationError(f"forward_bounds must satisfy 0 <= low < high <= 1, got {forward_bounds}")
+    return float(np.clip(f, low, high)), (low, high)
 
 
-def _activity_design_pinv(f: float, preference: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the per-bin activity design matrix for fixed ``(f, P)``.
-
-    The design depends only on ``(f, P)``, so callers that sweep many bins —
-    the batch solver below and the chunk-wise streaming fit — compute it once
-    and apply it to every bin.
-    """
-    n = preference.shape[0]
-    g = 1.0 - f
-    # design[(i, j), k] = f * P_j * delta_ik + (1-f) * P_i * delta_jk
-    design = np.zeros((n * n, n))
-    rows_i, rows_j = np.divmod(np.arange(n * n), n)
-    design[np.arange(n * n), rows_i] += f * preference[rows_j]
-    design[np.arange(n * n), rows_j] += g * preference[rows_i]
-    return np.linalg.pinv(design)
+def _bin_norms(values: np.ndarray) -> np.ndarray:
+    """Per-bin Frobenius norms ``||X(t)||``."""
+    return np.sqrt((values**2).sum(axis=(1, 2)))
 
 
-def _solve_activity(values: np.ndarray, f: float, preference: np.ndarray) -> np.ndarray:
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product along the last axis, broadcasting a shared vector over bins."""
+    return np.sum(a * b, axis=-1)
+
+
+def _contract(block: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X_t v_t`` and ``X_t^T v_t`` per bin; ``vectors`` is ``(n,)`` or ``(T, n)``."""
+    forward = np.matmul(block, vectors[..., np.newaxis])[..., 0]
+    reverse = np.matmul(vectors[..., np.newaxis, :], block)[..., 0, :]
+    return forward, reverse
+
+
+def _activity_update(f, preference: np.ndarray, xp: np.ndarray, xtp: np.ndarray) -> np.ndarray:
     """Least-squares activity per bin for fixed ``(f, P)``; clipped non-negative.
 
-    For a single bin the model is ``X = f A P^T + (1-f) P A^T`` which is linear
-    in ``A``.  Because the design matrix depends only on ``(f, P)``, its
-    pseudo-inverse is computed once and applied to every bin at once.
+    The per-bin normal equations are ``((f^2+g^2)|P|^2 I + 2fg P P^T) A_t =
+    b_t`` with ``b_t = f X_t P + g X_t^T P``.  The matrix has eigenvalue
+    ``|P|^2`` along ``P`` and ``(f^2+g^2)|P|^2`` across it, so it is never
+    singular and its inverse has the closed form applied here.
     """
-    n = preference.shape[0]
-    pinv = _activity_design_pinv(f, preference)
-    flat = values.reshape(values.shape[0], n * n)
-    activity = flat @ pinv.T
-    return np.clip(activity, 0.0, None)
+    f = np.asarray(f, dtype=float)[..., np.newaxis]
+    g = 1.0 - f
+    b = f * xp + g * xtp
+    p_sq = _rowdot(preference, preference)[..., np.newaxis]
+    along = 2.0 * f * g * _rowdot(b, preference)[..., np.newaxis] / p_sq
+    return np.clip((b - along * preference) / ((f * f + g * g) * p_sq), 0.0, None)
 
 
-def _solve_preference(
-    values: np.ndarray, f: float, activity: np.ndarray, weights: np.ndarray
+def _clip_normalize(preference: np.ndarray) -> np.ndarray:
+    """Clip each preference vector to ``>= 0`` and normalise it; an empty one becomes uniform."""
+    preference = np.clip(preference, 0.0, None)
+    empty = preference.sum(axis=-1, keepdims=True) <= 0.0
+    preference = np.where(empty, 1.0 / preference.shape[-1], preference)
+    return preference / preference.sum(axis=-1, keepdims=True)
+
+
+def _shared_preference(
+    activity: np.ndarray, r: np.ndarray, s: np.ndarray, f: float, w2: np.ndarray
 ) -> np.ndarray:
-    """Weighted least-squares preference for fixed ``(f, A(t))``; projected to the simplex.
+    """Weighted least-squares preference shared by all bins, for fixed ``(f, A(t))``.
 
-    The normal equations are assembled analytically (no T*n^2-row design
-    matrix is materialised):
-
-    ``M = sum_t w_t^2 [ (f^2+g^2) ||A(t)||^2 I + 2 f g A(t) A(t)^T ]``
-    ``b_k = sum_t w_t^2 [ f A(t) . X(t)[:, k] + g A(t) . X(t)[k, :] ]``
+    ``M = sum_t w_t^2 [ (f^2+g^2) |A(t)|^2 I + 2 f g A(t) A(t)^T ]`` and
+    ``b = sum_t w_t^2 [ f s_t + g r_t ]``.
     """
     g = 1.0 - f
-    w2 = weights**2
-    norms = (activity**2).sum(axis=1)
     n = activity.shape[1]
-    identity_scale = float(np.sum(w2 * norms)) * (f * f + g * g)
-    outer = np.einsum("t,ti,tj->ij", w2, activity, activity)
-    m = identity_scale * np.eye(n) + 2.0 * f * g * outer
-    b = f * np.einsum("t,ti,tik->k", w2, activity, values) + g * np.einsum(
-        "t,tj,tkj->k", w2, activity, values
-    )
+    identity_scale = float(np.sum(w2 * _rowdot(activity, activity))) * (f * f + g * g)
+    m = identity_scale * np.eye(n) + 2.0 * f * g * ((activity * w2[:, np.newaxis]).T @ activity)
+    b = f * (w2 @ s) + g * (w2 @ r)
     try:
         preference = np.linalg.solve(m + _EPS * np.eye(n), b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise FittingError("preference normal equations are singular") from exc
-    preference = np.clip(preference, 0.0, None)
-    if preference.sum() <= 0.0:
-        preference = np.full(n, 1.0 / n)
-    return normalized(preference, "preference")
+    return _clip_normalize(preference)
 
 
-def _solve_preference_single(values_t: np.ndarray, f: float, activity_t: np.ndarray) -> np.ndarray:
-    """Preference for a single bin (used by the stable-f and time-varying fits)."""
-    return _solve_preference(
-        values_t[np.newaxis], f, activity_t[np.newaxis], np.ones(1)
-    )
+def _bin_preference(activity: np.ndarray, r: np.ndarray, s: np.ndarray, f) -> np.ndarray:
+    """Least-squares preference of each bin for fixed ``(f, A(t))``.
+
+    Each bin solves ``(c I + 2fg A_t A_t^T) P_t = f s_t + g r_t`` with
+    ``c = (f^2+g^2)|A_t|^2 + eps``, inverted in closed form
+    (Sherman-Morrison).
+    """
+    f = np.asarray(f, dtype=float)[..., np.newaxis]
+    g = 1.0 - f
+    b = f * s + g * r
+    a_sq = _rowdot(activity, activity)[..., np.newaxis]
+    c = (f * f + g * g) * a_sq + _EPS
+    along = 2.0 * f * g * _rowdot(b, activity)[..., np.newaxis] / (c + 2.0 * f * g * a_sq)
+    return _clip_normalize((b - along * activity) / c)
 
 
-def _solve_forward_fraction(
-    values: np.ndarray,
+def _forward_terms(
+    activity: np.ndarray, preference: np.ndarray, r: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin numerator and denominator of the least-squares ``f``.
+
+    Writing ``X = f U + V`` with ``U = A P^T - P A^T`` and ``V = P A^T``, the
+    optimum is ``<U, X - V> / <U, U>``, where ``<U_t, X_t> = P.s_t - P.r_t``,
+    ``<U_t, V_t> = (A_t.P)^2 - |A_t|^2 |P|^2`` and
+    ``<U_t, U_t> = 2 (|A_t|^2 |P|^2 - (A_t.P)^2)``.
+    """
+    a_dot_p_sq = _rowdot(activity, preference) ** 2
+    cross = _rowdot(activity, activity) * _rowdot(preference, preference)
+    return _rowdot(s - r, preference) + cross - a_dot_p_sq, 2.0 * (cross - a_dot_p_sq)
+
+
+def _bin_errors(
+    block: np.ndarray,
+    norms: np.ndarray,
+    f,
     activity: np.ndarray,
     preference: np.ndarray,
-    weights: np.ndarray,
-    bounds: tuple[float, float] = (0.0, 1.0),
-) -> float:
-    """Closed-form optimal ``f`` for fixed ``(A(t), P)``, clipped to ``bounds``.
+    xp: np.ndarray,
+    xtp: np.ndarray,
+) -> np.ndarray:
+    """Per-bin relative L2 error of the model, from the ``X_t P`` contractions.
 
-    Writing ``X = f U + V`` with ``U = A P^T - P A^T`` and ``V = P A^T`` (outer
-    products per bin), the weighted least-squares optimum is
-    ``f = sum w^2 <U, X - V> / sum w^2 <U, U>``.
+    Bins where the expansion cancels are re-scored exactly from their values.
     """
-    u = np.einsum("ti,j->tij", activity, preference) - np.einsum(
-        "tj,i->tij", activity, preference
+    g = 1.0 - f
+    sq = (
+        norms**2
+        - 2.0 * (f * _rowdot(activity, xp) + g * _rowdot(activity, xtp))
+        + (f * f + g * g) * _rowdot(activity, activity) * _rowdot(preference, preference)
+        + 2.0 * f * g * _rowdot(activity, preference) ** 2
     )
-    v = np.einsum("tj,i->tij", activity, preference)
-    w2 = weights**2
-    numerator = float(np.einsum("t,tij,tij->", w2, u, values - v))
-    denominator = float(np.einsum("t,tij,tij->", w2, u, u))
-    if denominator <= _EPS:
-        return float(np.clip(0.5, bounds[0], bounds[1]))
-    return float(np.clip(numerator / denominator, bounds[0], bounds[1]))
+    rescore = sq <= _RESCORE_FRACTION * norms**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        errors = np.sqrt(np.maximum(sq, 0.0)) / norms
+    if rescore.any():
+        t = activity.shape[0]
+        predicted = time_varying_ic_series(
+            np.broadcast_to(f, (t,))[rescore],
+            activity[rescore],
+            np.broadcast_to(preference, activity.shape)[rescore],
+        )
+        errors[rescore] = rel_l2_temporal_error(block[rescore], predicted)
+    return errors
 
 
 def _initial_parameters(values: np.ndarray, forward_fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +324,98 @@ def _initial_parameters_from_marginals(
 
 
 # ---------------------------------------------------------------------------
+# the iteration kernel
+# ---------------------------------------------------------------------------
+
+def _als(
+    model: str,
+    chunks,
+    norms: np.ndarray,
+    f,
+    preference: np.ndarray,
+    activity: np.ndarray,
+    bounds: tuple[float, float],
+    max_iterations: int,
+    tolerance: float,
+    nodes: tuple[str, ...],
+) -> FitResult:
+    """Alternating least squares over the bins that ``chunks()`` yields.
+
+    ``chunks`` is called once per pass and yields ``(t0, block)`` pairs
+    covering the series in order: one pair for a cube, many for a stream.
+    ``model`` selects which parameters are shared across bins: ``f`` and
+    ``P`` (``"stable-fP"``), ``f`` only (``"stable-f"``) or neither
+    (``"time-varying"``, where ``f`` is a ``(T,)`` array).
+
+    Pass ``k`` scores iteration ``k - 1`` from the ``X_t P`` contractions
+    and solves iteration ``k``'s activity from the same ones, so ``K``
+    iterations read the data ``K + 1`` times; the solve of the pass that
+    finds convergence is discarded.
+    """
+    shared_preference = model == "stable-fP"
+    shared_forward = model != "time-varying"
+    weights = 1.0 / np.maximum(norms, _EPS)
+    w2 = weights**2
+    n_bins, n = activity.shape
+    errors = np.zeros(n_bins)
+    history: list[float] = []
+    converged = False
+    previous = np.inf
+    tracer = get_tracer()
+    for iteration in range(max_iterations + 1):
+        solve = iteration < max_iterations
+        score = iteration > 0 or not solve
+        with tracer.span("fit_als_pass", iteration=iteration):
+            solved = np.empty((n_bins, n))
+            r = np.empty((n_bins, n))
+            s = np.empty((n_bins, n))
+            for t0, block in chunks():
+                stop = t0 + block.shape[0]
+                p = preference if shared_preference else preference[t0:stop]
+                f_rows = f if shared_forward else f[t0:stop]
+                xp, xtp = _contract(block, p)
+                if score:
+                    errors[t0:stop] = _bin_errors(
+                        block, norms[t0:stop], f_rows, activity[t0:stop], p, xp, xtp
+                    )
+                if solve:
+                    solved[t0:stop] = _activity_update(f_rows, p, xp, xtp)
+                    r[t0:stop], s[t0:stop] = _contract(block, solved[t0:stop])
+        if iteration > 0:
+            objective = float(np.sum(errors))
+            history.append(objective)
+            if previous - objective < tolerance:
+                converged = True
+                break
+            previous = objective
+        if not solve:
+            break
+        activity = solved
+        if shared_preference:
+            preference = _shared_preference(activity, r, s, f, w2)
+        else:
+            preference = _bin_preference(activity, r, s, f)
+        numerator, denominator = _forward_terms(activity, preference, r, s)
+        if shared_forward:
+            numerator, denominator = np.sum(w2 * numerator), np.sum(w2 * denominator)
+        flat = denominator <= _EPS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.clip(np.where(flat, 0.5, numerator / denominator), bounds[0], bounds[1])
+        if shared_forward:
+            f = float(f)
+    return FitResult(
+        model=model,
+        forward_fraction=f,
+        preference=preference,
+        activity=activity,
+        errors=errors,
+        objective_history=history,
+        converged=converged,
+        nodes=nodes,
+    )
+
+
+# ---------------------------------------------------------------------------
 # public fitting entry points
 # ---------------------------------------------------------------------------
 
@@ -303,17 +455,18 @@ def fit_stable_fp(
         lift the restriction.
 
     A :class:`repro.streaming.ChunkStream` is also accepted; it is fitted in
-    bounded memory by :func:`repro.core.streaming.fit_stable_fp_streaming`
-    (which does not support ``refine``).
+    bounded memory chunk by chunk, as
+    :func:`repro.core.streaming.fit_stable_fp_streaming` does (which does not
+    support ``refine``).
     """
     from repro.streaming import ChunkStream
 
     if isinstance(series, ChunkStream):
         if refine:
             raise ValidationError("refine=True is not supported when fitting a chunk stream")
-        from repro.core.streaming import fit_stable_fp_streaming
+        from repro.core.streaming import _fit_stable_fp_stream
 
-        return fit_stable_fp_streaming(
+        return _fit_stable_fp_stream(
             series,
             initial_forward_fraction=initial_forward_fraction,
             max_iterations=max_iterations,
@@ -321,81 +474,42 @@ def fit_stable_fp(
             forward_bounds=forward_bounds,
         )
     values, nodes, _ = _series_values(series)
-    if values.shape[0] < 1:
-        raise ValidationError("series must contain at least one time bin")
-    f = require_probability(initial_forward_fraction, "initial_forward_fraction")
-    low, high = float(forward_bounds[0]), float(forward_bounds[1])
-    if not 0.0 <= low < high <= 1.0:
-        raise ValidationError(f"forward_bounds must satisfy 0 <= low < high <= 1, got {forward_bounds}")
-    f = float(np.clip(f, low, high))
-    weights = _bin_weights(values)
+    f, bounds = _forward_start(initial_forward_fraction, forward_bounds)
     preference, activity = _initial_parameters(values, f)
-
-    history: list[float] = []
-    converged = False
-    previous = np.inf
-    for _ in range(max_iterations):
-        activity = _solve_activity(values, f, preference)
-        preference = _solve_preference(values, f, activity, weights)
-        f = _solve_forward_fraction(values, activity, preference, weights, (low, high))
-        predicted = simplified_ic_series(f, activity, preference)
-        objective = float(np.sum(rel_l2_temporal_error(values, predicted)))
-        history.append(objective)
-        if previous - objective < tolerance:
-            converged = True
-            break
-        previous = objective
-
-    if refine:
-        f, preference, activity, history = _refine_forward_fraction(
-            values, weights, f, history, (low, high)
-        )
-
-    predicted = simplified_ic_series(f, activity, preference)
-    errors = rel_l2_temporal_error(values, predicted)
-    return FitResult(
-        model="stable-fP",
-        forward_fraction=float(f),
-        preference=preference,
-        activity=activity,
-        errors=errors,
-        objective_history=history,
-        converged=converged,
-        nodes=nodes,
+    norms = _bin_norms(values)
+    fit = _als(
+        "stable-fP", lambda: ((0, values),), norms, f, preference, activity,
+        bounds, max_iterations, tolerance, nodes,
     )
+    if refine:
+        fit = _refine_forward_fraction(values, norms, fit, bounds)
+    return fit
 
 
 def _refine_forward_fraction(
-    values: np.ndarray,
-    weights: np.ndarray,
-    f_start: float,
-    history: list[float],
-    bounds: tuple[float, float] = (0.0, 1.0),
-) -> tuple[float, np.ndarray, np.ndarray, list[float]]:
+    values: np.ndarray, norms: np.ndarray, fit: FitResult, bounds: tuple[float, float]
+) -> FitResult:
     """Polish ``f`` with a bounded scalar search, re-solving ``A`` and ``P`` inside."""
 
+    def pinned(f_fixed: float, iterations: int) -> FitResult:
+        # Bounds of (f, f) hold f fixed; a tolerance of -inf runs every iteration.
+        preference, activity = _initial_parameters(values, f_fixed)
+        return _als(
+            "stable-fP", lambda: ((0, values),), norms, f_fixed, preference, activity,
+            (f_fixed, f_fixed), iterations, -np.inf, fit.nodes,
+        )
+
     def objective(f_candidate: float) -> float:
-        f_candidate = float(np.clip(f_candidate, bounds[0], bounds[1]))
-        preference, activity = _initial_parameters(values, f_candidate)
-        for _ in range(10):
-            activity = _solve_activity(values, f_candidate, preference)
-            preference = _solve_preference(values, f_candidate, activity, weights)
-        predicted = simplified_ic_series(f_candidate, activity, preference)
-        return float(np.sum(rel_l2_temporal_error(values, predicted)))
+        return pinned(float(np.clip(f_candidate, bounds[0], bounds[1])), 10).objective
 
     search_low = max(bounds[0], 0.01)
     search_high = min(bounds[1], 0.99)
     result = optimize.minimize_scalar(objective, bounds=(search_low, search_high), method="bounded")
-    f_best = float(result.x) if result.fun <= history[-1] else f_start
-    preference, activity = _initial_parameters(values, f_best)
-    for _ in range(20):
-        activity = _solve_activity(values, f_best, preference)
-        preference = _solve_preference(values, f_best, activity, _bin_weights(values))
-    predicted = simplified_ic_series(f_best, activity, preference)
-    history = history + [float(np.sum(rel_l2_temporal_error(values, predicted)))]
-    return f_best, preference, activity, history
-
-
+    f_best = float(result.x) if result.fun <= fit.objective_history[-1] else fit.forward_fraction
+    polished = pinned(f_best, 20)
+    polished.objective_history = fit.objective_history + [polished.objective]
+    polished.converged = fit.converged
+    return polished
 
 
 def fit_stable_f(
@@ -412,47 +526,12 @@ def fit_stable_f(
     ``preference`` attribute has shape ``(T, n)``.
     """
     values, nodes, _ = _series_values(series)
-    f = require_probability(initial_forward_fraction, "initial_forward_fraction")
-    low, high = float(forward_bounds[0]), float(forward_bounds[1])
-    if not 0.0 <= low < high <= 1.0:
-        raise ValidationError(f"forward_bounds must satisfy 0 <= low < high <= 1, got {forward_bounds}")
-    f = float(np.clip(f, low, high))
-    weights = _bin_weights(values)
-    t, n = values.shape[0], values.shape[1]
+    f, bounds = _forward_start(initial_forward_fraction, forward_bounds)
     shared_preference, activity = _initial_parameters(values, f)
-    preference = np.tile(shared_preference, (t, 1))
-
-    history: list[float] = []
-    converged = False
-    previous = np.inf
-    for _ in range(max_iterations):
-        for step in range(t):
-            activity[step] = _solve_activity(
-                values[step][np.newaxis], f, preference[step]
-            )[0]
-            preference[step] = _solve_preference_single(values[step], f, activity[step])
-        f = float(np.clip(
-            _solve_forward_fraction_per_bin_shared(values, activity, preference, weights), low, high
-        ))
-        predicted = _predict_per_bin(f, activity, preference)
-        objective = float(np.sum(rel_l2_temporal_error(values, predicted)))
-        history.append(objective)
-        if previous - objective < tolerance:
-            converged = True
-            break
-        previous = objective
-
-    predicted = _predict_per_bin(f, activity, preference)
-    errors = rel_l2_temporal_error(values, predicted)
-    return FitResult(
-        model="stable-f",
-        forward_fraction=float(f),
-        preference=preference,
-        activity=activity,
-        errors=errors,
-        objective_history=history,
-        converged=converged,
-        nodes=nodes,
+    preference = np.tile(shared_preference, (values.shape[0], 1))
+    return _als(
+        "stable-f", lambda: ((0, values),), _bin_norms(values), f, preference, activity,
+        bounds, max_iterations, tolerance, nodes,
     )
 
 
@@ -466,81 +545,11 @@ def fit_time_varying(
 ) -> FitResult:
     """Fit the fully time-varying IC model (Eq. 3): per-bin ``f(t)``, ``A(t)``, ``P(t)``."""
     values, nodes, _ = _series_values(series)
-    f0 = require_probability(initial_forward_fraction, "initial_forward_fraction")
-    low, high = float(forward_bounds[0]), float(forward_bounds[1])
-    if not 0.0 <= low < high <= 1.0:
-        raise ValidationError(f"forward_bounds must satisfy 0 <= low < high <= 1, got {forward_bounds}")
-    f0 = float(np.clip(f0, low, high))
-    t, n = values.shape[0], values.shape[1]
-    shared_preference, activity = _initial_parameters(values, f0)
+    f, bounds = _forward_start(initial_forward_fraction, forward_bounds)
+    shared_preference, activity = _initial_parameters(values, f)
+    t = values.shape[0]
     preference = np.tile(shared_preference, (t, 1))
-    forward = np.full(t, f0)
-
-    history: list[float] = []
-    converged = False
-    previous = np.inf
-    for _ in range(max_iterations):
-        for step in range(t):
-            activity[step] = _solve_activity(
-                values[step][np.newaxis], float(forward[step]), preference[step]
-            )[0]
-            preference[step] = _solve_preference_single(
-                values[step], float(forward[step]), activity[step]
-            )
-            forward[step] = _solve_forward_fraction(
-                values[step][np.newaxis],
-                activity[step][np.newaxis],
-                preference[step],
-                np.ones(1),
-                (low, high),
-            )
-        predicted = _predict_per_bin(forward, activity, preference)
-        objective = float(np.sum(rel_l2_temporal_error(values, predicted)))
-        history.append(objective)
-        if previous - objective < tolerance:
-            converged = True
-            break
-        previous = objective
-
-    predicted = _predict_per_bin(forward, activity, preference)
-    errors = rel_l2_temporal_error(values, predicted)
-    return FitResult(
-        model="time-varying",
-        forward_fraction=forward,
-        preference=preference,
-        activity=activity,
-        errors=errors,
-        objective_history=history,
-        converged=converged,
-        nodes=nodes,
+    return _als(
+        "time-varying", lambda: ((0, values),), _bin_norms(values), np.full(t, f), preference,
+        activity, bounds, max_iterations, tolerance, nodes,
     )
-
-
-def _solve_forward_fraction_per_bin_shared(
-    values: np.ndarray, activity: np.ndarray, preference: np.ndarray, weights: np.ndarray
-) -> float:
-    """Optimal shared ``f`` when preference varies per bin (stable-f model)."""
-    u = np.einsum("ti,tj->tij", activity, preference) - np.einsum(
-        "tj,ti->tij", activity, preference
-    )
-    v = np.einsum("tj,ti->tij", activity, preference)
-    w2 = weights**2
-    numerator = float(np.einsum("t,tij,tij->", w2, u, values - v))
-    denominator = float(np.einsum("t,tij,tij->", w2, u, u))
-    if denominator <= _EPS:
-        return 0.5
-    return float(np.clip(numerator / denominator, 0.0, 1.0))
-
-
-def _predict_per_bin(forward, activity: np.ndarray, preference: np.ndarray) -> np.ndarray:
-    """Model prediction when ``f`` and/or ``P`` vary per bin (vectorised)."""
-    t, n = activity.shape
-    forward = np.broadcast_to(np.asarray(forward, dtype=float), (t,)) if np.ndim(forward) else np.full(t, float(forward))
-    pref = preference if preference.ndim == 2 else np.broadcast_to(preference, (t, n))
-    totals = np.maximum(pref.sum(axis=1), _EPS)
-    pref = pref / totals[:, np.newaxis]
-    forward_part = forward[:, np.newaxis, np.newaxis] * np.einsum("ti,tj->tij", activity, pref)
-    reverse_part = (1.0 - forward)[:, np.newaxis, np.newaxis] * np.einsum(
-        "ti,tj->tij", pref, activity
-    )
-    return forward_part + reverse_part

@@ -12,10 +12,10 @@ those statistics chunk by chunk over the :mod:`repro.streaming` protocol, so
   evaluate the paper's error metrics between two streams without
   materialising either, and
 * :func:`fit_stable_fp_streaming` runs the stable-fP alternating least
-  squares of :func:`repro.core.fitting.fit_stable_fp` with every subproblem
-  expressed as a streaming reduction (two passes per ALS iteration: one that
-  solves the per-bin activity and accumulates the preference/forward-fraction
-  normal equations, one that scores the updated parameters).
+  squares kernel of :mod:`repro.core.fitting` chunk by chunk (one pass per
+  ALS iteration, which scores the previous iteration, solves the per-bin
+  activity and accumulates the preference/forward-fraction normal
+  equations).
 
 Peak memory is ``O(chunk * n^2 + T * n)`` throughout — the ``(T, n)`` state
 (activity, marginals, weights) is kept, the ``n^2`` cubes never are.
@@ -29,16 +29,14 @@ import numpy as np
 
 from repro.core.fitting import (
     FitResult,
-    _activity_design_pinv,
+    _als,
+    _forward_start,
     _initial_parameters_from_marginals,
 )
 from repro.core.gravity import gravity_series_values
-from repro.core.ic_model import simplified_ic_series
 from repro.core.metrics import rel_l2_temporal_error
 from repro.errors import ValidationError
-from repro.obs import get_tracer
 from repro.streaming import as_chunk_stream, cache_chunks, zip_chunks
-from repro._validation import require_probability
 
 __all__ = [
     "SeriesAccumulator",
@@ -48,8 +46,6 @@ __all__ = [
     "streaming_gravity_errors",
     "fit_stable_fp_streaming",
 ]
-
-_EPS = 1e-12
 
 
 def sequential_bin_fold(into: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -229,39 +225,6 @@ def streaming_gravity_errors(source, *, chunk_bins: int | None = None) -> np.nda
 # streaming stable-fP fit
 # ---------------------------------------------------------------------------
 
-def _solve_forward_fraction_reduced(
-    activity: np.ndarray,
-    preference: np.ndarray,
-    r: np.ndarray,
-    s: np.ndarray,
-    weights: np.ndarray,
-    bounds: tuple[float, float],
-) -> float:
-    """Closed-form optimal ``f`` from streamed contractions.
-
-    Algebraically identical to ``fitting._solve_forward_fraction`` with
-    ``U = A P^T - P A^T`` and ``V = P A^T``, but evaluated from the per-bin
-    contractions ``r_t = X_t A_t`` and ``s_t = X_t^T A_t`` instead of the
-    ``(T, n, n)`` outer-product cubes:
-
-    ``<U_t, X_t> = P . s_t - P . r_t``,
-    ``<U_t, V_t> = (A_t . P)^2 - |P|^2 |A_t|^2``,
-    ``<U_t, U_t> = 2 (|A_t|^2 |P|^2 - (A_t . P)^2)``.
-    """
-    w2 = weights**2
-    a_dot_p = activity @ preference
-    a_sq = (activity**2).sum(axis=1)
-    p_sq = float(preference @ preference)
-    u_dot_x = s @ preference - r @ preference
-    u_dot_v = a_dot_p**2 - p_sq * a_sq
-    u_dot_u = 2.0 * (a_sq * p_sq - a_dot_p**2)
-    numerator = float(np.sum(w2 * (u_dot_x - u_dot_v)))
-    denominator = float(np.sum(w2 * u_dot_u))
-    if denominator <= _EPS:
-        return float(np.clip(0.5, bounds[0], bounds[1]))
-    return float(np.clip(numerator / denominator, bounds[0], bounds[1]))
-
-
 def fit_stable_fp_streaming(
     source,
     *,
@@ -275,22 +238,21 @@ def fit_stable_fp_streaming(
 ) -> FitResult:
     """Fit the stable-fP IC model over a chunk stream in bounded memory.
 
-    Runs the same alternating least squares as
-    :func:`repro.core.fitting.fit_stable_fp` — activity per bin, preference
-    from its normal equations, closed-form ``f``, objective-based stopping —
-    but every subproblem is a streaming reduction: each ALS iteration makes
-    one pass that solves the per-bin activity (applying one cached design
-    pseudo-inverse) while accumulating the value contractions the preference
-    and ``f`` updates need, and one pass that scores the updated parameters.
-    The stream must therefore be re-iterable (synthesis streams regenerate
-    chunks from cached RNG state; array streams yield views).
+    Runs the alternating least-squares kernel of
+    :func:`repro.core.fitting.fit_stable_fp` chunk by chunk: one pass
+    accumulates the per-bin norms and marginals that initialise the fit,
+    then each ALS iteration makes one pass that scores the previous
+    iteration and solves the next one's per-bin activity, accumulating the
+    contractions the preference and ``f`` updates need.  A fit of ``K``
+    iterations reads the stream at most ``K + 2`` times, so it must be
+    re-iterable (synthesis streams regenerate chunks from cached RNG state;
+    array streams yield views).
 
     ``cache_bytes`` bounds an optional replay cache
     (:func:`repro.streaming.cache_chunks`) in front of generative streams:
-    the ALS makes ``2 * iterations + 1`` passes, and with a budget large
-    enough for the series the chunks are regenerated once instead of once
-    per pass — same values, a fraction of the synthesis cost.  ``None``
-    keeps the strictly chunk-bounded behaviour.
+    with a budget large enough for the series the chunks are regenerated
+    once instead of once per pass — same values, a fraction of the
+    synthesis cost.  ``None`` keeps the strictly chunk-bounded behaviour.
 
     ``initial_preference`` warm-starts the ALS from a previous fit's
     preference vector instead of the marginal-derived initialisation —
@@ -298,24 +260,34 @@ def fit_stable_fp_streaming(
     path of :mod:`repro.ingest`, where consecutive windows share most of
     their bins and the previous optimum is an excellent starting point.
 
-    Results agree with the in-memory fit to floating-point reduction order
-    (the accumulated sums are mathematically identical but associate
-    differently); exact bit-identity is not guaranteed.
+    Every update is per bin or sums over per-bin terms, so the result does
+    not depend on the chunking and matches the in-memory fit.
     """
     stream = as_chunk_stream(source, chunk_bins=chunk_bins)
-    stream = cache_chunks(stream, budget_bytes=cache_bytes)
-    n = stream.n_nodes
-    f = require_probability(initial_forward_fraction, "initial_forward_fraction")
-    low, high = float(forward_bounds[0]), float(forward_bounds[1])
-    if not 0.0 <= low < high <= 1.0:
-        raise ValidationError(
-            f"forward_bounds must satisfy 0 <= low < high <= 1, got {forward_bounds}"
-        )
-    f = float(np.clip(f, low, high))
+    return _fit_stable_fp_stream(
+        cache_chunks(stream, budget_bytes=cache_bytes),
+        initial_forward_fraction=initial_forward_fraction,
+        initial_preference=initial_preference,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        forward_bounds=forward_bounds,
+    )
 
-    # Pass 0: per-bin weights and marginals -> initial (P, A).
+
+def _fit_stable_fp_stream(
+    stream,
+    *,
+    initial_forward_fraction: float,
+    max_iterations: int,
+    tolerance: float,
+    forward_bounds: tuple[float, float],
+    initial_preference=None,
+) -> FitResult:
+    """The streamed stable-fP fit, shared by both public entry points."""
+    n = stream.n_nodes
+    f, bounds = _forward_start(initial_forward_fraction, forward_bounds)
+    # Pass 0: per-bin norms and marginals -> initial (P, A).
     base = SeriesAccumulator.from_source(stream)
-    weights = 1.0 / np.maximum(base.bin_norms, _EPS)
     preference, activity = _initial_parameters_from_marginals(base.ingress, base.egress, f)
     if initial_preference is not None:
         warm = np.asarray(initial_preference, dtype=float)
@@ -328,86 +300,7 @@ def fit_stable_fp_streaming(
                 "initial_preference must be finite, non-negative and sum to > 0"
             )
         preference = warm / warm.sum()
-    t_bins = stream.n_bins
-
-    history: list[float] = []
-    errors = np.zeros(t_bins)
-    converged = False
-    previous = np.inf
-    tracer = get_tracer()
-    for iteration in range(max_iterations):
-        # Pass 1: solve activity per bin with the current (f, P), and
-        # accumulate the contractions r_t = X_t A_t, s_t = X_t^T A_t that the
-        # preference and forward-fraction updates need.
-        with tracer.span("fit_als_pass", iteration=iteration, phase="solve"):
-            pinv_t = _activity_design_pinv(f, preference).T
-            activity = np.empty((t_bins, n))
-            r = np.empty((t_bins, n))
-            s = np.empty((t_bins, n))
-            for t0, block in stream.chunks():
-                stop = t0 + block.shape[0]
-                flat = block.reshape(block.shape[0], n * n)
-                chunk_activity = np.clip(flat @ pinv_t, 0.0, None)
-                activity[t0:stop] = chunk_activity
-                r[t0:stop] = np.einsum("tij,tj->ti", block, chunk_activity)
-                s[t0:stop] = np.einsum("tij,ti->tj", block, chunk_activity)
-            w2 = weights**2
-            b = f * np.einsum("t,ti->i", w2, s) + (1.0 - f) * np.einsum("t,ti->i", w2, r)
-            preference = _solve_preference_from_normal(activity, weights, f, b)
-            f = _solve_forward_fraction_reduced(activity, preference, r, s, weights, (low, high))
-
-        # Pass 2: score the updated parameters (per-bin errors are exact).
-        with tracer.span("fit_als_pass", iteration=iteration, phase="score"):
-            for t0, block in stream.chunks():
-                stop = t0 + block.shape[0]
-                predicted = simplified_ic_series(f, activity[t0:stop], preference)
-                errors[t0:stop] = rel_l2_temporal_error(block, predicted)
-            objective = float(np.sum(errors))
-        history.append(objective)
-        if previous - objective < tolerance:
-            converged = True
-            break
-        previous = objective
-
-    if not history:
-        # The loop never ran (max_iterations=0): score the initial
-        # parameters, as the in-memory fit's post-loop recompute does.
-        for t0, block in stream.chunks():
-            stop = t0 + block.shape[0]
-            predicted = simplified_ic_series(f, activity[t0:stop], preference)
-            errors[t0:stop] = rel_l2_temporal_error(block, predicted)
-
-    return FitResult(
-        model="stable-fP",
-        forward_fraction=float(f),
-        preference=preference,
-        activity=activity,
-        errors=errors,
-        objective_history=history,
-        converged=converged,
-        nodes=stream.nodes,
+    return _als(
+        "stable-fP", stream.chunks, base.bin_norms, f, preference, activity,
+        bounds, max_iterations, tolerance, stream.nodes,
     )
-
-
-def _solve_preference_from_normal(
-    activity: np.ndarray, weights: np.ndarray, f: float, b: np.ndarray
-) -> np.ndarray:
-    """Preference update from the streamed right-hand side ``b``.
-
-    The normal matrix ``M`` depends only on the (materialised, ``O(T n)``)
-    activity series, so it is assembled exactly as the in-memory solver does;
-    only ``b`` — the part that touches the ``(T, n, n)`` values — comes from
-    the streaming contractions.
-    """
-    g = 1.0 - f
-    w2 = weights**2
-    norms = (activity**2).sum(axis=1)
-    n = activity.shape[1]
-    identity_scale = float(np.sum(w2 * norms)) * (f * f + g * g)
-    outer = np.einsum("t,ti,tj->ij", w2, activity, activity)
-    m = identity_scale * np.eye(n) + 2.0 * f * g * outer
-    preference = np.linalg.solve(m + _EPS * np.eye(n), b)
-    preference = np.clip(preference, 0.0, None)
-    if preference.sum() <= 0.0:
-        preference = np.full(n, 1.0 / n)
-    return preference / preference.sum()

@@ -85,7 +85,7 @@ __all__ = [
 ]
 
 # Default replay-cache budget for multi-pass streaming fits (the stable-fP
-# ALS makes 2 passes per iteration): chunks of the calibration series are
+# ALS makes one pass per iteration, plus two): chunks of the calibration series are
 # regenerated once instead of once per pass, within this many bytes.  A
 # full-scale Geant week is ~8 MiB, so paper-scale fits cache whole weeks
 # while the budget still bounds the worst case.  Pass

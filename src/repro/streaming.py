@@ -219,7 +219,7 @@ class FunctionChunkStream(ChunkStream):
 class CachedChunkStream(ChunkStream):
     """A budget-bounded replay cache in front of a generative stream.
 
-    Multi-pass consumers (the streaming ALS fit makes two passes per
+    Multi-pass consumers (the streaming ALS fit makes one pass per
     iteration) otherwise regenerate every chunk on every pass.  This wrapper
     stores the blocks of the first pass — verbatim, so replayed passes are
     bit-identical — until ``budget_bytes`` is reached; blocks beyond the

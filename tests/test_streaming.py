@@ -336,6 +336,25 @@ class TestStreamingReductions:
         np.testing.assert_allclose(fit_str.preference, fit_mem.preference, atol=1e-10)
         np.testing.assert_allclose(fit_str.errors, fit_mem.errors, atol=1e-10)
 
+    @pytest.mark.parametrize("max_iterations, tolerance", [(4, -np.inf), (60, 1e-6)])
+    def test_streaming_fit_reads_at_most_iterations_plus_two_passes(
+        self, week_and_stream, max_iterations, tolerance
+    ):
+        week, _ = week_and_stream
+
+        class CountingStream(ArrayChunkStream):
+            passes = 0
+
+            def chunks(self):
+                self.passes += 1
+                return super().chunks()
+
+        stream = CountingStream(week, chunk_bins=7)
+        fit = fit_stable_fp_streaming(stream, max_iterations=max_iterations, tolerance=tolerance)
+        iterations = len(fit.objective_history)
+        assert iterations == max_iterations or fit.converged
+        assert stream.passes == iterations + 2
+
     def test_fit_stable_fp_accepts_streams_via_adapter(self, week_and_stream):
         _, stream = week_and_stream
         fit = fit_stable_fp(stream)
