@@ -17,6 +17,12 @@ Four priors are provided, ordered by how much side information they assume:
   ``{P_i}`` are recovered per bin from the marginals via the closed forms of
   Eqs. 11-12.
 * :class:`GravityPrior` — the gravity baseline used for comparison.
+
+Each prior has one registered builder in :data:`repro.registry.PRIORS`: a
+callable taking a :class:`PriorContext` and returning the prior as a
+:class:`repro.streaming.ChunkStream` whose chunks mirror the target week's.
+The same builder serves materialised runs (chunks are views over the
+in-memory week) and streamed runs (chunks are regenerated on demand).
 """
 
 from __future__ import annotations
@@ -43,8 +49,6 @@ __all__ = [
     "StableFPPrior",
     "StableFPrior",
     "PriorContext",
-    "StreamingPriorContext",
-    "STREAMING_PRIOR_BUILDERS",
     "ic_design_matrix",
     "marginal_operators",
     "estimate_activity_from_marginals",
@@ -109,24 +113,7 @@ def estimate_activity_from_marginals(
     clips the result to be non-negative.  Accepts either single-bin vectors of
     length ``n`` or ``(T, n)`` series; the return shape mirrors the input.
     """
-    ingress = np.asarray(ingress, dtype=float)
-    egress = np.asarray(egress, dtype=float)
-    single = ingress.ndim == 1
-    ingress = np.atleast_2d(ingress)
-    egress = np.atleast_2d(egress)
-    if ingress.shape != egress.shape:
-        raise ShapeError(
-            f"ingress and egress must have the same shape, got {ingress.shape} vs {egress.shape}"
-        )
-    p = as_1d_array(preference, "preference", length=ingress.shape[1])
-    phi = ic_design_matrix(forward_fraction, p)
-    _, _, q = marginal_operators(p.shape[0])
-    q_phi = q @ phi
-    pinv = np.linalg.pinv(q_phi)
-    marginals = np.concatenate([ingress, egress], axis=1)  # (T, 2n)
-    activity = marginals @ pinv.T
-    activity = np.clip(activity, 0.0, None)
-    return activity[0] if single else activity
+    return StableFPPrior(forward_fraction, preference).estimate_activity(ingress, egress)
 
 
 def stable_f_closed_form(forward_fraction: float, ingress, egress) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +209,9 @@ class StableFPPrior:
     """Section 6.2 prior: ``f`` and ``P`` from a calibration week, ``A(t)`` inferred.
 
     The activity series of the target week is recovered from its ingress and
-    egress counts using the pseudo-inverse construction of Eqs. 7-9.
+    egress counts using the pseudo-inverse construction of Eqs. 7-9; the
+    operator ``pinv(QΦ)ᵀ`` is built once, at construction, and every chunk
+    of marginals is one product with it.
     """
 
     name = "ic-stable-fP"
@@ -231,6 +220,9 @@ class StableFPPrior:
         self._forward = require_probability(forward_fraction, "forward_fraction")
         p = require_nonnegative(as_1d_array(preference, "preference"), "preference")
         self._preference = normalized(p, "preference")
+        phi = ic_design_matrix(self._forward, self._preference)
+        _, _, q = marginal_operators(self._preference.shape[0])
+        self._pinv_t = np.linalg.pinv(q @ phi).T
 
     @classmethod
     def from_fit(cls, fit) -> "StableFPPrior":
@@ -249,51 +241,29 @@ class StableFPPrior:
 
     def estimate_activity(self, ingress, egress) -> np.ndarray:
         """Recover the activity series from the target week's marginals (Eq. 8)."""
-        return estimate_activity_from_marginals(self._forward, self._preference, ingress, egress)
+        ingress = np.asarray(ingress, dtype=float)
+        egress = np.asarray(egress, dtype=float)
+        if ingress.shape != egress.shape:
+            raise ShapeError(
+                f"ingress and egress must have the same shape, got {ingress.shape} vs {egress.shape}"
+            )
+        if ingress.shape[-1] != self._preference.shape[0]:
+            raise ShapeError(
+                f"marginals have {ingress.shape[-1]} nodes but the preference has "
+                f"{self._preference.shape[0]}"
+            )
+        marginals = np.concatenate([np.atleast_2d(ingress), np.atleast_2d(egress)], axis=1)
+        activity = np.clip(marginals @ self._pinv_t, 0.0, None)
+        return activity[0] if ingress.ndim == 1 else activity
+
+    def values(self, ingress, egress) -> np.ndarray:
+        """``(T, n, n)`` prior values for one chunk of ``(T, n)`` marginals (Eq. 9)."""
+        activity = np.atleast_2d(self.estimate_activity(ingress, egress))
+        return simplified_ic_series(self._forward, activity, self._preference)
 
     def series(self, ingress, egress, *, nodes=None, bin_seconds: float = 300.0) -> TrafficMatrixSeries:
         """Prior series for a target week given its ``(T, n)`` marginal counts (Eq. 9)."""
-        activity = self.estimate_activity(ingress, egress)
-        activity = np.atleast_2d(activity)
-        matrices = simplified_ic_series(self._forward, activity, self._preference)
-        return TrafficMatrixSeries(matrices, nodes, bin_seconds=bin_seconds)
-
-
-@dataclass(frozen=True)
-class PriorContext:
-    """Everything a registered prior strategy may draw on to build its series.
-
-    Attributes
-    ----------
-    dataset:
-        The :class:`repro.synthesis.datasets.SyntheticDataset` the scenario
-        runs on (supplies calibration weeks and generating ground truth).
-    target:
-        Ground-truth traffic of the week being estimated, already trimmed to
-        the scenario's bin budget.
-    system:
-        The simulated measurements (:class:`repro.estimation.linear_system.LinkLoadSystem`):
-        link loads plus ingress/egress marginals — the only observables an
-        operator would have.
-    calibration_week, target_week:
-        Week indices into ``dataset``.
-    measured_forward_fraction:
-        Optional externally measured ``f`` (e.g. from a Figure 4 trace
-        study); strategies that only need ``f`` prefer it over the dataset's
-        generating value.
-    """
-
-    dataset: object
-    target: TrafficMatrixSeries
-    system: object
-    calibration_week: int
-    target_week: int
-    measured_forward_fraction: float | None = None
-
-    @property
-    def calibration(self) -> TrafficMatrixSeries:
-        """The full (untrimmed) calibration week of traffic."""
-        return self.dataset.week(self.calibration_week)
+        return TrafficMatrixSeries(self.values(ingress, egress), nodes, bin_seconds=bin_seconds)
 
 
 class StableFPrior:
@@ -314,145 +284,77 @@ class StableFPrior:
         """Per-bin activity and preference estimates (Eqs. 11-12)."""
         return stable_f_closed_form(self._forward, ingress, egress)
 
+    def values(self, ingress, egress) -> np.ndarray:
+        """``(T, n, n)`` prior values for one chunk of ``(T, n)`` marginals.
+
+        Every bin has a usable preference: :func:`stable_f_closed_form`
+        falls back to a uniform one where the clipped estimate is empty, so
+        an all-zero bin yields an all-zero matrix.
+        """
+        activity, preference = stable_f_closed_form(
+            self._forward,
+            np.atleast_2d(np.asarray(ingress, dtype=float)),
+            np.atleast_2d(np.asarray(egress, dtype=float)),
+        )
+        return time_varying_ic_series(self._forward, activity, preference)
+
     def series(self, ingress, egress, *, nodes=None, bin_seconds: float = 300.0) -> TrafficMatrixSeries:
         """Prior series built from the marginal counts (vectorised over bins)."""
-        ingress = np.atleast_2d(np.asarray(ingress, dtype=float))
-        egress = np.atleast_2d(np.asarray(egress, dtype=float))
-        activity, preference = stable_f_closed_form(self._forward, ingress, egress)
-        activity = np.atleast_2d(activity)
-        preference = np.atleast_2d(preference)
-        usable = preference.sum(axis=1) > 0
-        t, n = ingress.shape
-        if np.all(usable):
-            matrices = time_varying_ic_series(self._forward, activity, preference)
-        else:
-            matrices = np.zeros((t, n, n))
-            if np.any(usable):
-                matrices[usable] = time_varying_ic_series(
-                    self._forward, activity[usable], preference[usable]
-                )
-        return TrafficMatrixSeries(matrices, nodes, bin_seconds=bin_seconds)
+        return TrafficMatrixSeries(self.values(ingress, egress), nodes, bin_seconds=bin_seconds)
 
 
 # ---------------------------------------------------------------------------
-# registered prior strategies (the Scenario API surface)
-# ---------------------------------------------------------------------------
-#
-# Each strategy is a callable ``context -> TrafficMatrixSeries`` registered
-# under the prior's public name.  The ``week_mode`` metadata tells the
-# scenario runner how to resolve a missing ``target_week``: ``"same"``
-# estimates the calibration week itself, ``"next"`` the following week, and
-# ``"gap"`` the dataset-specific calibration gap (which must be non-zero).
-
-@register_prior(
-    "gravity",
-    description="Gravity baseline prior built from the per-bin ingress/egress marginals",
-    metadata={"display": "gravity", "week_mode": "same", "side_information": "none"},
-)
-def build_gravity_prior(context: PriorContext) -> TrafficMatrixSeries:
-    """Gravity prior from the measured marginals (the Section 6 baseline)."""
-    return GravityPrior().series(
-        context.system.ingress,
-        context.system.egress,
-        nodes=context.target.nodes,
-        bin_seconds=context.target.bin_seconds,
-    )
-
-
-@register_prior(
-    "measured",
-    description="All IC parameters measured on the target week (Section 6.1 thought experiment)",
-    metadata={"display": "measured", "week_mode": "same", "side_information": "f, P, A(t)"},
-)
-def build_measured_prior(context: PriorContext) -> TrafficMatrixSeries:
-    """Fit stable-fP parameters to the target week itself and compose the prior."""
-    from repro.core.fitting import fit_stable_fp
-
-    fit = fit_stable_fp(context.target)
-    prior = MeasuredParameterPrior.from_fit(fit)
-    return prior.series(nodes=context.target.nodes, bin_seconds=context.target.bin_seconds)
-
-
-@register_prior(
-    "stable_fp",
-    description="f and P fitted to a previous calibration week; A(t) recovered from marginals (Section 6.2)",
-    metadata={"display": "stable-fP", "week_mode": "gap", "side_information": "f, P"},
-)
-def build_stable_fp_prior(context: PriorContext) -> TrafficMatrixSeries:
-    """Calibrate ``f``/``P`` on an earlier week, infer activity via Eqs. 7-9."""
-    from repro.core.fitting import fit_stable_fp
-
-    fit = fit_stable_fp(context.calibration)
-    prior = StableFPPrior.from_fit(fit)
-    return prior.series(
-        context.system.ingress,
-        context.system.egress,
-        nodes=context.target.nodes,
-        bin_seconds=context.target.bin_seconds,
-    )
-
-
-@register_prior(
-    "stable_f",
-    description="Only f is known; A and P recovered per bin from the marginals (Section 6.3)",
-    metadata={"display": "stable-f", "week_mode": "next", "side_information": "f"},
-)
-def build_stable_f_prior(context: PriorContext) -> TrafficMatrixSeries:
-    """Use a trace-measured ``f`` and the closed forms of Eqs. 11-12."""
-    forward = context.measured_forward_fraction
-    if forward is None:
-        truth = context.dataset.ground_truths[context.calibration_week]
-        forward = float(truth.forward_fraction)
-    prior = StableFPrior(float(forward))
-    return prior.series(
-        context.system.ingress,
-        context.system.egress,
-        nodes=context.target.nodes,
-        bin_seconds=context.target.bin_seconds,
-    )
-
-
-# ---------------------------------------------------------------------------
-# streaming prior builders (the bounded-memory Scenario API surface)
+# registered prior builders (the Scenario API surface)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StreamingPriorContext:
-    """What a streaming prior builder may draw on — no materialised cubes.
+class PriorContext:
+    """Everything a registered prior builder may draw on.
+
+    Materialised and streamed scenarios hand builders the same context; only
+    where the chunks of ``target`` (and of the dataset's weeks) come from
+    differs — views over an in-memory week, or blocks regenerated on demand.
 
     Attributes
     ----------
     dataset:
-        The :class:`repro.synthesis.datasets.StreamingDataset` the scenario
-        runs on (week streams regenerate chunks on demand).
-    target_stream:
-        Re-iterable ground-truth stream of the (trimmed) target week; only
-        the ``measured`` prior reads it (its Section 6.1 thought experiment
-        fits the target week itself).
+        The dataset the scenario runs on: a materialised
+        :class:`repro.synthesis.datasets.SyntheticDataset` or a
+        :class:`repro.synthesis.datasets.StreamingDataset`.  Both expose
+        ``week_stream(index)`` and ``ground_truths``.
+    target:
+        Re-iterable ground-truth :class:`repro.streaming.ChunkStream` of the
+        week being estimated, already trimmed to the scenario's bin budget.
+        Only the ``measured`` prior reads it (its Section 6.1 thought
+        experiment fits the target week itself).
     system:
-        The simulated measurements: link loads plus ingress/egress marginals
-        (``O(T (n_links + n))`` arrays — the only per-bin state kept).
+        The simulated measurements
+        (:class:`repro.estimation.linear_system.LinkLoadSystem`): link loads
+        plus ingress/egress marginals — the only observables an operator
+        would have.
     calibration_week, target_week:
         Week indices into ``dataset``.
     measured_forward_fraction:
-        Optional externally measured ``f``.
+        Optional externally measured ``f`` (e.g. from a Figure 4 trace
+        study); builders that only need ``f`` prefer it over the dataset's
+        generating value.
     fit_cache_bytes:
         Replay-cache budget handed to multi-pass fits
         (:func:`repro.core.streaming.fit_stable_fp_streaming`): the ALS
-        passes of the ``stable_fp``/``measured`` priors regenerate their
-        calibration chunks once instead of once per pass, within this many
-        bytes.  ``None`` keeps fits strictly chunk-bounded.
+        passes of the ``stable_fp``/``measured`` priors regenerate a
+        generative stream's chunks once instead of once per pass, within
+        this many bytes.  ``None`` keeps fits strictly chunk-bounded.
     fit_memo:
         Optional ``memo(suffix, build)`` callable the sweep scheduler
         installs (closing over its
         :class:`~repro.scenarios.runner.SweepSharedState` and the pinned
-        plan identity): :meth:`fit_streamed` routes streamed stable-fP fits
+        dataset identity): :meth:`fit_streamed` routes stable-fP fits
         through it so cells sharing a fitted window reuse one fit.  ``None``
         (single runs) fits unconditionally.
     """
 
     dataset: object
-    target_stream: object
+    target: object
     system: object
     calibration_week: int
     target_week: int
@@ -461,14 +363,14 @@ class StreamingPriorContext:
     fit_memo: object = None
 
     def fit_streamed(self, source, *, week: int):
-        """Streamed stable-fP fit of ``source``, memoised across sweep cells.
+        """Chunk-wise stable-fP fit of ``source``, memoised across sweep cells.
 
         The fit is deterministic in (the chunks of) ``source`` and the fit
-        knobs, so two cells fitting the same week of the same pinned plan at
+        knobs, so two cells fitting the same week of the same dataset at
         the same bin count receive the identical
-        :class:`~repro.core.streaming.FitResult` — reuse is bit-identical to
+        :class:`~repro.core.fitting.FitResult` — reuse is bit-identical to
         re-fitting.  The ``(week, n_bins, cache_budget)`` suffix completes
-        the scheduler's plan/scale key: it separates a full
+        the scheduler's dataset/scale key: it separates a full
         calibration week from the same week trimmed by ``max_bins``, and
         different replay-cache budgets (which cannot change the result, but
         keeping them distinct makes the key a pure function of the call).
@@ -482,23 +384,21 @@ class StreamingPriorContext:
             return build()
         return self.fit_memo((int(week), int(source.n_bins), self.fit_cache_bytes), build)
 
-    def marginal_chunk_stream(self, chunk_values) -> object:
-        """A prior stream computed chunk-wise from the system marginals.
+    def bin_chunk_stream(self, range_values):
+        """A prior stream whose chunks mirror the target stream's.
 
-        ``chunk_values(ingress_chunk, egress_chunk)`` maps one chunk's noisy
-        marginals to that chunk's ``(T_chunk, n, n)`` prior values; chunk
-        boundaries mirror the target stream's so the estimation pass can zip
-        them.
+        ``range_values(start, stop)`` returns the ``(stop - start, n, n)``
+        prior values of bins ``[start, stop)``; chunk boundaries follow the
+        target stream's so the estimation pass can zip the two.
         """
         from repro.streaming import FunctionChunkStream
 
-        target = self.target_stream
-        ingress, egress = self.system.ingress, self.system.egress
+        target = self.target
 
         def factory(resolved_chunk: int):
             for start in range(0, target.n_bins, resolved_chunk):
                 stop = min(start + resolved_chunk, target.n_bins)
-                yield start, chunk_values(ingress[start:stop], egress[start:stop])
+                yield start, range_values(start, stop)
 
         return FunctionChunkStream(
             factory,
@@ -508,90 +408,76 @@ class StreamingPriorContext:
             chunk_bins=target.chunk_bins,
         )
 
+    def marginal_chunk_stream(self, chunk_values):
+        """A prior stream computed chunk-wise from the system marginals.
 
-# Prior name (as registered in PRIORS) -> builder(StreamingPriorContext) ->
-# ChunkStream.  Kept separate from the registry because a streaming builder
-# must produce chunks, not a materialised series; the scenario runner falls
-# back with a clear error for priors that only exist in materialised form.
-STREAMING_PRIOR_BUILDERS: dict[str, object] = {}
-
-
-def _streaming_prior(name: str):
-    def register(builder):
-        STREAMING_PRIOR_BUILDERS[name] = builder
-        return builder
-
-    return register
+        ``chunk_values(ingress_chunk, egress_chunk)`` maps one chunk's noisy
+        marginals to that chunk's ``(T_chunk, n, n)`` prior values.
+        """
+        ingress, egress = self.system.ingress, self.system.egress
+        return self.bin_chunk_stream(
+            lambda start, stop: chunk_values(ingress[start:stop], egress[start:stop])
+        )
 
 
-@_streaming_prior("gravity")
-def build_gravity_prior_stream(context: StreamingPriorContext):
-    """Gravity prior, one chunk of marginals at a time (matches the cube path)."""
+# Each builder is a callable ``context -> ChunkStream`` registered under the
+# prior's public name.  The ``week_mode`` metadata tells the scenario runner
+# how to resolve a missing ``target_week``: ``"same"`` estimates the
+# calibration week itself, ``"next"`` the following week, and ``"gap"`` the
+# dataset-specific calibration gap (which must be non-zero).
+
+@register_prior(
+    "gravity",
+    description="Gravity baseline prior built from the per-bin ingress/egress marginals",
+    metadata={"display": "gravity", "week_mode": "same", "side_information": "none"},
+)
+def build_gravity_prior(context: PriorContext):
+    """Gravity prior from the measured marginals (the Section 6 baseline)."""
     return context.marginal_chunk_stream(gravity_series_values)
 
 
-@_streaming_prior("stable_f")
-def build_stable_f_prior_stream(context: StreamingPriorContext):
-    """Section 6.3 prior from per-bin closed forms, evaluated chunk-wise."""
+@register_prior(
+    "measured",
+    description="All IC parameters measured on the target week (Section 6.1 thought experiment)",
+    metadata={"display": "measured", "week_mode": "same", "side_information": "f, P, A(t)"},
+)
+def build_measured_prior(context: PriorContext):
+    """Fit stable-fP parameters to the target week itself and compose the prior."""
+    fit = context.fit_streamed(context.target, week=context.target_week)
+    forward = float(fit.forward_fraction)
+    preference = normalized(np.clip(fit.preference, 0.0, None), "preference")
+    activity = fit.activity
+    return context.bin_chunk_stream(
+        lambda start, stop: simplified_ic_series(forward, activity[start:stop], preference)
+    )
+
+
+@register_prior(
+    "stable_fp",
+    description="f and P fitted to a previous calibration week; A(t) recovered from marginals (Section 6.2)",
+    metadata={"display": "stable-fP", "week_mode": "gap", "side_information": "f, P"},
+)
+def build_stable_fp_prior(context: PriorContext):
+    """Calibrate ``f``/``P`` on an earlier week, infer activity via Eqs. 7-9.
+
+    Inside a sweep the calibration fit goes through
+    :meth:`PriorContext.fit_streamed`, so overlapping-window grids pay each
+    calibration-week fit once per worker.
+    """
+    calibration = context.dataset.week_stream(context.calibration_week)
+    fit = context.fit_streamed(calibration, week=context.calibration_week)
+    return context.marginal_chunk_stream(StableFPPrior.from_fit(fit).values)
+
+
+@register_prior(
+    "stable_f",
+    description="Only f is known; A and P recovered per bin from the marginals (Section 6.3)",
+    metadata={"display": "stable-f", "week_mode": "next", "side_information": "f"},
+)
+def build_stable_f_prior(context: PriorContext):
+    """Use a trace-measured ``f`` and the closed forms of Eqs. 11-12."""
     forward = context.measured_forward_fraction
     if forward is None:
         truth = context.dataset.ground_truths[context.calibration_week]
         forward = float(truth.forward_fraction)
-    prior = StableFPrior(float(forward))
-
-    def chunk_values(ingress, egress):
-        return prior.series(ingress, egress).values
-
-    return context.marginal_chunk_stream(chunk_values)
-
-
-@_streaming_prior("stable_fp")
-def build_stable_fp_prior_stream(context: StreamingPriorContext):
-    """Section 6.2 prior: streaming ALS fit of the calibration week, then Eq. 9.
-
-    The calibration week is fitted in bounded memory (chunk-wise ALS
-    reductions) and the target week's activity is recovered chunk by chunk
-    from the noisy marginals with one precomputed ``pinv(QΦ)``.  Inside a
-    sweep the fit goes through :meth:`StreamingPriorContext.fit_streamed`,
-    so overlapping-window grids pay each calibration-week fit once per
-    worker.
-    """
-    calibration = context.dataset.week_stream(context.calibration_week)
-    fit = context.fit_streamed(calibration, week=context.calibration_week)
-    forward = float(fit.forward_fraction)
-    preference = normalized(np.clip(fit.preference, 0.0, None), "preference")
-    phi = ic_design_matrix(forward, preference)
-    _, _, q = marginal_operators(preference.shape[0])
-    pinv_t = np.linalg.pinv(q @ phi).T
-
-    def chunk_values(ingress, egress):
-        marginals = np.concatenate([ingress, egress], axis=1)
-        activity = np.clip(marginals @ pinv_t, 0.0, None)
-        return simplified_ic_series(forward, activity, preference)
-
-    return context.marginal_chunk_stream(chunk_values)
-
-
-@_streaming_prior("measured")
-def build_measured_prior_stream(context: StreamingPriorContext):
-    """Section 6.1 thought experiment: streaming fit of the target week itself."""
-    from repro.streaming import FunctionChunkStream
-
-    fit = context.fit_streamed(context.target_stream, week=context.target_week)
-    forward = float(fit.forward_fraction)
-    preference = normalized(np.clip(fit.preference, 0.0, None), "preference")
-    activity = fit.activity
-    target = context.target_stream
-
-    def factory(resolved_chunk: int):
-        for start in range(0, target.n_bins, resolved_chunk):
-            stop = min(start + resolved_chunk, target.n_bins)
-            yield start, simplified_ic_series(forward, activity[start:stop], preference)
-
-    return FunctionChunkStream(
-        factory,
-        n_bins=target.n_bins,
-        nodes=target.nodes,
-        bin_seconds=target.bin_seconds,
-        chunk_bins=target.chunk_bins,
-    )
+    return context.marginal_chunk_stream(StableFPrior(float(forward)).values)

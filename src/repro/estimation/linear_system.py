@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
 from repro.streaming import as_chunk_stream
 from repro.topology.routing import RoutingMatrix, build_routing_matrix
@@ -90,7 +89,7 @@ class LinkLoadSystem:
 
 def simulate_link_loads(
     topology: Topology,
-    series: TrafficMatrixSeries,
+    series,
     *,
     ecmp: bool = True,
     noise_std: float = 0.0,
@@ -98,12 +97,20 @@ def simulate_link_loads(
 ) -> LinkLoadSystem:
     """Produce the measurements an operator would see for a ground-truth series.
 
+    One pass over the ``(T_chunk, n, n)`` blocks of ``series`` assembles the
+    link, ingress and egress counter series — all ``O(T (n_links + n))``,
+    never more than one chunk of the ``O(T n^2)`` traffic — then applies the
+    measurement noise.  Each bin's counters depend only on that bin's
+    matrix, so the system does not depend on the chunking.
+
     Parameters
     ----------
     topology:
         The network carrying the traffic; its node order must match the series.
     series:
-        Ground-truth traffic matrices.
+        Ground-truth traffic matrices: a
+        :class:`~repro.core.traffic_matrix.TrafficMatrixSeries`, a
+        ``(T, n, n)`` array or a :class:`~repro.streaming.ChunkStream`.
     ecmp:
         Whether shortest-path ties are split (passed to the routing build).
     noise_std:
@@ -112,61 +119,7 @@ def simulate_link_loads(
     seed:
         Seed for the measurement-noise generator.
     """
-    if topology.nodes != series.nodes:
-        raise ValidationError(
-            "topology and series must agree on node names and order; "
-            f"got {topology.nodes[:3]}... vs {series.nodes[:3]}..."
-        )
-    if noise_std < 0:
-        raise ValidationError("noise_std must be non-negative")
-    routing = build_routing_matrix(topology, ecmp=ecmp)
-    vectors = series.to_vectors()
-    link_loads = vectors @ routing.matrix.T
-    ingress = series.ingress.copy()
-    egress = series.egress.copy()
-    link_loads, ingress, egress = _apply_measurement_noise(
-        link_loads, ingress, egress, noise_std, seed
-    )
-    return LinkLoadSystem(routing=routing, link_loads=link_loads, ingress=ingress, egress=egress)
-
-
-def _apply_measurement_noise(
-    link_loads: np.ndarray,
-    ingress: np.ndarray,
-    egress: np.ndarray,
-    noise_std: float,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multiplicative SNMP noise on the three counter arrays (shared draw order)."""
-    if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        link_loads = link_loads * rng.normal(1.0, noise_std, size=link_loads.shape)
-        ingress = ingress * rng.normal(1.0, noise_std, size=ingress.shape)
-        egress = egress * rng.normal(1.0, noise_std, size=egress.shape)
-        link_loads = np.clip(link_loads, 0.0, None)
-        ingress = np.clip(ingress, 0.0, None)
-        egress = np.clip(egress, 0.0, None)
-    return link_loads, ingress, egress
-
-
-def simulate_link_loads_streaming(
-    topology: Topology,
-    source,
-    *,
-    ecmp: bool = True,
-    noise_std: float = 0.0,
-    seed: int = 0,
-) -> LinkLoadSystem:
-    """Measurements for a chunked ground-truth stream, in bounded memory.
-
-    One pass over the ``(T_chunk, n, n)`` blocks assembles the link, ingress
-    and egress counter series — all ``O(T (n_links + n))``, never the
-    ``O(T n^2)`` traffic — then applies the same measurement-noise draws as
-    :func:`simulate_link_loads`.  For the same traffic and seed the resulting
-    system equals the materialised one (each bin's counters depend only on
-    that bin's matrix).
-    """
-    stream = as_chunk_stream(source)
+    stream = as_chunk_stream(series)
     if topology.nodes != stream.nodes:
         raise ValidationError(
             "topology and series must agree on node names and order; "
@@ -185,7 +138,17 @@ def simulate_link_loads_streaming(
         link_loads[t0:stop] = block.reshape(block.shape[0], n * n) @ dense_routing_t
         ingress[t0:stop] = block.sum(axis=2)
         egress[t0:stop] = block.sum(axis=1)
-    link_loads, ingress, egress = _apply_measurement_noise(
-        link_loads, ingress, egress, noise_std, seed
-    )
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        link_loads = link_loads * rng.normal(1.0, noise_std, size=link_loads.shape)
+        ingress = ingress * rng.normal(1.0, noise_std, size=ingress.shape)
+        egress = egress * rng.normal(1.0, noise_std, size=egress.shape)
+        link_loads = np.clip(link_loads, 0.0, None)
+        ingress = np.clip(ingress, 0.0, None)
+        egress = np.clip(egress, 0.0, None)
     return LinkLoadSystem(routing=routing, link_loads=link_loads, ingress=ingress, egress=egress)
+
+
+def simulate_link_loads_streaming(topology: Topology, source, **kwargs) -> LinkLoadSystem:
+    """:func:`simulate_link_loads` under the name chunk-stream callers use."""
+    return simulate_link_loads(topology, source, **kwargs)

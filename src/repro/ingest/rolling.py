@@ -20,8 +20,9 @@ classes implement that here:
 
 Prior modes mirror the batch registry: ``gravity`` (no parameters),
 ``stable_f`` (pinned ``f``, per-bin closed form) and ``stable_fp`` (fitted
-``f`` and ``P``, activity recovered per bin from the marginals through one
-precomputed ``pinv(QΦ)``).  With ``refit_every=0`` the manager never fits —
+``f`` and ``P``, activity recovered per bin from the marginals through the
+``pinv(QΦ)`` operator a :class:`~repro.core.priors.StableFPPrior` builds
+once per fit).  With ``refit_every=0`` the manager never fits —
 the pinned-prior mode the service-equals-batch equivalence proof uses.
 """
 
@@ -33,11 +34,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.gravity import gravity_series_values
-from repro.core.ic_model import simplified_ic_series
-from repro.core.priors import StableFPrior, ic_design_matrix, marginal_operators
+from repro.core.priors import StableFPPrior, StableFPrior
 from repro.errors import ValidationError
 from repro.streaming import FunctionChunkStream
-from repro._validation import normalized
 
 __all__ = ["RollingWindow", "RollingFitManager", "ActivePrior", "PRIOR_MODES"]
 
@@ -213,9 +212,12 @@ class ActivePrior:
         The effective prior recipe: ``gravity``, ``stable_f`` or
         ``stable_fp``.  A ``stable_fp`` manager reports ``gravity`` here
         until its first window fit lands.
-    forward_fraction, preference, pinv_t:
-        IC parameters; ``preference``/``pinv_t`` are only set once a
-        stable-fP fit produced them.
+    forward_fraction, preference:
+        IC parameters; ``preference`` is only set once a stable-fP fit
+        produced it.
+    stable_fp:
+        The :class:`~repro.core.priors.StableFPPrior` built from that fit
+        (its Eq. 8 operator is computed once, when the fit is installed).
     version:
         Increments on every swap (0 = the pre-fit fallback).
     fitted_at_bin:
@@ -225,7 +227,7 @@ class ActivePrior:
     mode: str
     forward_fraction: float | None = None
     preference: np.ndarray | None = None
-    pinv_t: np.ndarray | None = None
+    stable_fp: StableFPPrior | None = None
     version: int = 0
     fitted_at_bin: int | None = None
 
@@ -234,10 +236,8 @@ class ActivePrior:
         if self.mode == "gravity":
             return gravity_series_values(ingress, egress)
         if self.mode == "stable_f":
-            return StableFPrior(float(self.forward_fraction)).series(ingress, egress).values
-        marginals = np.concatenate([ingress, egress], axis=1)
-        activity = np.clip(marginals @ self.pinv_t, 0.0, None)
-        return simplified_ic_series(float(self.forward_fraction), activity, self.preference)
+            return StableFPrior(float(self.forward_fraction)).values(ingress, egress)
+        return self.stable_fp.values(ingress, egress)
 
 
 class RollingFitManager:
@@ -326,16 +326,13 @@ class RollingFitManager:
         self._install_fit(float(forward_fraction), np.asarray(preference, dtype=float), None)
 
     def _install_fit(self, forward: float, preference: np.ndarray, fitted_at: int | None):
-        preference = normalized(np.clip(preference, 0.0, None), "preference")
-        phi = ic_design_matrix(forward, preference)
-        _, _, q = marginal_operators(preference.shape[0])
-        pinv_t = np.linalg.pinv(q @ phi).T
+        prior = StableFPPrior(forward, np.clip(preference, 0.0, None))
         # One assignment: readers see the old prior or the new one, whole.
         self._active = ActivePrior(
             mode="stable_fp",
             forward_fraction=forward,
-            preference=preference,
-            pinv_t=pinv_t,
+            preference=prior.preference,
+            stable_fp=prior,
             version=self._active.version + 1,
             fitted_at_bin=fitted_at,
         )

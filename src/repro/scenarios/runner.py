@@ -13,12 +13,21 @@ combination:
 5. record per-bin errors, the per-bin improvement over the baseline, and
    per-stage timing.
 
+There is one execution path.  A materialised run is a chunk stream over the
+in-memory week (:meth:`SyntheticDataset.week_stream
+<repro.synthesis.datasets.SyntheticDataset.week_stream>` yields views, so
+nothing is copied); a streamed run (``Scenario.stream``) regenerates the
+week's chunks on demand instead.  Both measure, build priors — one
+registered builder per prior, returning a chunk stream — and estimate
+(``estimate_stream``) through the same code; the mode only decides where the
+chunks come from and whether the estimate is collected, spilled or dropped.
+
 Grid sweeps run on a shared-plan scheduler: every dataset column is
 synthesized (or, for streaming cells, *planned* — spatial draws, activity
 series and eagerly checkpointed noise-RNG states) exactly once in the
 parent and shipped to the workers; cells are grouped by dataset column so
 each worker's :class:`SweepSharedState` reuses the column's measurement
-systems, gravity-baseline estimates and memoised streamed stable-fP fits
+systems, gravity-baseline estimates and memoised stable-fP fits
 across the cells it runs.  *Where* the workers live is an executor choice
 (:mod:`repro.scenarios.executors`): in this process, a local
 ``ProcessPoolExecutor`` fed over shared memory, or ``repro sweep-worker``
@@ -42,14 +51,10 @@ import numpy as np
 
 from repro._tables import format_rows
 from repro.core.metrics import percent_improvement, summarize_improvement
-from repro.core.priors import (
-    STREAMING_PRIOR_BUILDERS,
-    PriorContext,
-    StreamingPriorContext,
-)
+from repro.core.priors import PriorContext
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
-from repro.estimation.linear_system import simulate_link_loads, simulate_link_loads_streaming
+from repro.estimation.linear_system import simulate_link_loads
 from repro.obs import (
     get_metrics,
     get_tracer,
@@ -68,6 +73,7 @@ from repro.registry import (
 )
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.spill import SPILL_AUTO_MIN_BINS, SpillStore
+from repro.streaming import as_chunk_stream
 from repro.synthesis.datasets import (
     load_dataset,
     open_dataset_stream,
@@ -102,12 +108,12 @@ class SweepSharedState:
     against the same baseline prior re-derives the *same* baseline estimate.
     This object memoises both — keyed by the full value tuple that
     determines them — so a worker (or the serial path) computes each once
-    per column instead of once per cell.  It also memoises streamed
-    stable-fP fits (:meth:`fit`): overlapping-window grids, where many
-    cells calibrate against the same week of the same plan, pay each
+    per column instead of once per cell.  It also memoises stable-fP fits
+    (:meth:`fit`): overlapping-window grids, where many cells calibrate
+    against the same week of the same dataset column, pay each
     distinct ALS fit once per worker instead of once per cell.  Reuse
     returns the identical arrays a fresh computation would produce — the
-    streamed fit is deterministic in its inputs — so results are
+    chunk-wise fit is deterministic in its inputs — so results are
     bit-identical to the unshared path; the ``*_builds`` counters exist so
     tests can prove the sharing actually happens.
     """
@@ -256,8 +262,8 @@ class ScenarioRunner:
         strictly chunk-bounded, regenerating their chunks on every ALS pass
         (the pre-cache behaviour, used as the benchmark baseline).
     fit_memo:
-        Memoise streamed stable-fP fits in the sweep's
-        :class:`SweepSharedState`, keyed by the pinned plan identity, the
+        Memoise stable-fP fits in the sweep's
+        :class:`SweepSharedState`, keyed by the pinned dataset identity, the
         fitted week and bin count, and the fit knobs, so overlapping-window
         grids pay each distinct fit once per worker instead of once per
         cell.  The fit is deterministic in those inputs, so reuse is
@@ -334,46 +340,6 @@ class ScenarioRunner:
     def _weeks_to_synthesize(scenario: Scenario, calibration_week: int, target_week: int) -> int:
         return max(max(calibration_week, target_week) + 1, scenario.n_weeks or 0)
 
-    def run(self, scenario: Scenario, *, dataset=None, shared: SweepSharedState | None = None) -> ScenarioResult:
-        """Execute one scenario and return its :class:`ScenarioResult`.
-
-        ``dataset`` optionally supplies a pre-built dataset covering the
-        scenario's weeks: a materialised
-        :class:`~repro.synthesis.datasets.SyntheticDataset` for in-memory
-        runs, or a :class:`~repro.synthesis.datasets.StreamingDataset`
-        (typically rebuilt from a shipped generation plan) for streaming
-        runs; by default the shared :func:`load_dataset` /
-        :func:`open_dataset_stream` caches are used.
-
-        ``shared`` supplies the per-process :class:`SweepSharedState` the
-        sweep scheduler uses to reuse measurement systems and baseline
-        estimates across cells; single runs normally leave it ``None``.
-        """
-        scenario.validate()
-        started = time.perf_counter()
-        if scenario.stream:
-            if dataset is not None and not hasattr(dataset, "week_stream"):
-                raise ValidationError(
-                    "streaming scenarios regenerate chunks; pass dataset=None "
-                    "or a pre-opened StreamingDataset"
-                )
-            result = self._run_streaming(scenario, data=dataset, shared=shared)
-        else:
-            if dataset is not None and not hasattr(dataset, "weeks"):
-                raise ValidationError(
-                    "in-memory scenarios need a materialised SyntheticDataset; "
-                    "got a streaming dataset (set stream=True to use it)"
-                )
-            result = self._run_in_memory(scenario, dataset=dataset, shared=shared)
-        metrics = get_metrics()
-        if metrics.enabled:
-            mode = "stream" if scenario.stream else "memory"
-            metrics.counter("repro_scenario_runs_total", mode=mode).inc()
-            metrics.histogram("repro_scenario_run_seconds", mode=mode).observe(
-                time.perf_counter() - started
-            )
-        return result
-
     # -- shared-state keys ---------------------------------------------------
 
     @staticmethod
@@ -415,124 +381,6 @@ class ScenarioRunner:
             scenario.measured_forward_fraction,
         )
 
-    def _run_in_memory(self, scenario: Scenario, *, dataset=None, shared=None) -> ScenarioResult:
-        """The materialised (non-streaming) execution path of :meth:`run`."""
-        prior_entry = PRIORS.entry(scenario.prior)
-        estimator_factory = ESTIMATORS.get(scenario.estimator)
-        calibration_week, target_week = self.resolve_weeks(scenario)
-
-        tracer = get_tracer()
-        started = time.perf_counter()
-        weeks_needed = self._weeks_to_synthesize(scenario, calibration_week, target_week)
-        with tracer.span("synthesize", dataset=scenario.dataset, weeks=weeks_needed):
-            if dataset is not None:
-                if dataset.n_weeks < weeks_needed:
-                    raise ValidationError(
-                        f"pre-synthesized dataset has {dataset.n_weeks} weeks but the "
-                        f"scenario needs {weeks_needed}"
-                    )
-                data = dataset
-            else:
-                data = load_dataset(
-                    scenario.dataset,
-                    n_weeks=weeks_needed,
-                    bins_per_week=scenario.bins_per_week,
-                    full_scale=scenario.full_scale,
-                    seed=scenario.dataset_seed,
-                )
-            topology = self._resolve_topology(scenario, data)
-        dataset_seconds = time.perf_counter() - started
-
-        target = data.week(target_week)
-        if scenario.max_bins is not None and target.n_timesteps > scenario.max_bins:
-            target = target[: scenario.max_bins]
-        if shared is not None:
-            shared.pin(data)
-        system_key = self._system_key(scenario, target_week, data)
-
-        def build_system():
-            return simulate_link_loads(
-                topology, target, noise_std=scenario.measurement_noise, seed=scenario.seed
-            )
-
-        system = shared.system(system_key, build_system) if shared is not None else build_system()
-        context = PriorContext(
-            dataset=data,
-            target=target,
-            system=system,
-            calibration_week=calibration_week,
-            target_week=target_week,
-            measured_forward_fraction=scenario.measured_forward_fraction,
-        )
-
-        prior_started = time.perf_counter()
-        estimator = estimator_factory()
-        sharing_main = shared is not None and self._is_baseline_prior(scenario)
-        with tracer.span("build_prior", prior=scenario.prior):
-            prior = None if sharing_main else prior_entry.obj(context)
-        prior_seconds = time.perf_counter() - prior_started
-
-        estimation_started = time.perf_counter()
-        with tracer.span("estimate", estimator=scenario.estimator):
-            baseline_entry: RegistryEntry | None = None
-            baseline = None
-            if self._baseline is not None and scenario.prior != canonical_name(self._baseline):
-                baseline_entry = PRIORS.entry(self._baseline)
-
-                def build_baseline():
-                    return estimator.estimate(
-                        system, baseline_entry.obj(context), ground_truth=target
-                    )
-
-                if shared is not None:
-                    baseline = shared.baseline(
-                        self._baseline_key(system_key, scenario, calibration_week), build_baseline
-                    )
-                else:
-                    baseline = build_baseline()
-
-            def build_main():
-                main_prior = prior if prior is not None else prior_entry.obj(context)
-                return estimator.estimate(system, main_prior, ground_truth=target)
-
-            if sharing_main:
-                # A cell whose scenario prior *is* the sweep baseline computes
-                # exactly the estimate its sibling cells use as their baseline;
-                # share one computation through the same memo.
-                main = shared.baseline(
-                    self._baseline_key(system_key, scenario, calibration_week), build_main
-                )
-            else:
-                main = build_main()
-        estimation_seconds = time.perf_counter() - estimation_started
-
-        improvement = None
-        if baseline is not None:
-            improvement = percent_improvement(baseline.errors, main.errors)
-        total_seconds = time.perf_counter() - started
-        return ScenarioResult(
-            scenario=scenario,
-            prior_label=prior_entry.metadata.get("display", prior_entry.name),
-            baseline_label=(
-                baseline_entry.metadata.get("display", baseline_entry.name)
-                if baseline_entry is not None
-                else None
-            ),
-            estimate=main.estimate,
-            errors=main.errors,
-            prior_errors=main.prior_errors,
-            baseline_errors=baseline.errors if baseline is not None else None,
-            baseline_prior_errors=baseline.prior_errors if baseline is not None else None,
-            improvement=improvement,
-            timing={
-                "dataset": dataset_seconds,
-                "prior": prior_seconds,
-                "estimation": estimation_seconds,
-                "total": total_seconds,
-                "peak_rss_mb": peak_rss_mb(),
-            },
-        )
-
     @staticmethod
     def _resolve_spill(scenario: Scenario, n_bins: int) -> tuple[SpillStore | None, bool]:
         """The ``(store, spill_estimate)`` spill decision of a streaming run.
@@ -562,54 +410,68 @@ class ScenarioRunner:
             )
         return None, False
 
-    def _run_streaming(self, scenario: Scenario, *, data=None, shared=None) -> ScenarioResult:
-        """Execute a scenario through the chunked streaming pipeline.
+    def run(self, scenario: Scenario, *, dataset=None, shared: SweepSharedState | None = None) -> ScenarioResult:
+        """Execute one scenario and return its :class:`ScenarioResult`.
 
-        Mirrors :meth:`run` stage by stage, but nothing ``(T, n, n)``-sized is
-        ever materialised: synthesis yields chunks from deterministic RNG
-        state, measurements are accumulated chunk-wise, priors are built as
-        chunk streams, and the estimator consumes them via
-        ``TMEstimator.estimate_stream``.  Peak memory is bounded by the chunk
-        size (plus the ``O(T (n_links + n))`` marginal series and any
-        fit-cache/spill buffers), not by the series length — the regime
-        month-scale full-mesh runs need.
+        Every run goes through one chunked body: the target week is a
+        :class:`~repro.streaming.ChunkStream`, measurements accumulate
+        chunk-wise, priors are built as chunk streams and the estimator
+        consumes them via ``estimate_stream``.  ``scenario.stream`` decides
+        only where the weeks come from — a materialised
+        :class:`~repro.synthesis.datasets.SyntheticDataset` whose week
+        streams are views over the cube, or a
+        :class:`~repro.synthesis.datasets.StreamingDataset` regenerating
+        chunks on demand, so nothing ``(T, n, n)``-sized is materialised —
+        and what happens to the estimate: materialised runs collect it on
+        the result, streamed runs spill it (explicit ``spill_dir``) or drop
+        it.
 
-        ``data`` optionally supplies a pre-opened
-        :class:`~repro.synthesis.datasets.StreamingDataset` (the sweep
-        scheduler rebuilds one per worker from the parent's shipped
-        generation plan, so workers never re-plan or re-pay the noise-RNG
-        prefix); ``shared`` enables measurement-system and baseline reuse
-        across the cells of a sweep.
+        ``dataset`` optionally supplies a pre-built dataset of the matching
+        kind covering the scenario's weeks (the sweep scheduler ships one
+        per column); by default the shared :func:`load_dataset` /
+        :func:`open_dataset_stream` caches are used.  ``shared`` supplies
+        the per-process :class:`SweepSharedState` the sweep scheduler uses
+        to reuse measurement systems, baseline estimates and stable-fP fits
+        across cells; single runs normally leave it ``None``.
         """
+        scenario.validate()
+        if dataset is not None:
+            if scenario.stream and (hasattr(dataset, "weeks") or not hasattr(dataset, "week_stream")):
+                raise ValidationError(
+                    "streaming scenarios regenerate chunks; pass dataset=None "
+                    "or a pre-opened StreamingDataset"
+                )
+            if not scenario.stream and not hasattr(dataset, "weeks"):
+                raise ValidationError(
+                    "in-memory scenarios need a materialised SyntheticDataset; "
+                    "got a streaming dataset (set stream=True to use it)"
+                )
         prior_entry = PRIORS.entry(scenario.prior)
-        estimator_factory = ESTIMATORS.get(scenario.estimator)
-        calibration_week, target_week = self.resolve_weeks(scenario)
-        # Fail fast on missing streaming support — before paying the
-        # (potentially month-scale) synthesis and calibration passes.
-        scenario_builder = self._streaming_prior(prior_entry.name)
         baseline_entry: RegistryEntry | None = None
-        baseline_builder = None
         if self._baseline is not None and scenario.prior != canonical_name(self._baseline):
             baseline_entry = PRIORS.entry(self._baseline)
-            baseline_builder = self._streaming_prior(baseline_entry.name)
-        estimator = estimator_factory()
+        estimator = ESTIMATORS.get(scenario.estimator)()
         if not hasattr(estimator, "estimate_stream"):
             raise ValidationError(
-                f"estimator {scenario.estimator!r} does not support streaming "
-                "(it lacks an estimate_stream method); run without stream"
+                f"estimator {scenario.estimator!r} lacks an estimate_stream method; "
+                "the scenario runner feeds estimators chunk streams"
             )
+        calibration_week, target_week = self.resolve_weeks(scenario)
 
         tracer = get_tracer()
         started = time.perf_counter()
         weeks_needed = self._weeks_to_synthesize(scenario, calibration_week, target_week)
-        with tracer.span("synthesize", dataset=scenario.dataset, weeks=weeks_needed, stream=True):
+        with tracer.span(
+            "synthesize", dataset=scenario.dataset, weeks=weeks_needed, stream=scenario.stream
+        ):
+            data = dataset
             if data is not None:
                 if data.n_weeks < weeks_needed:
                     raise ValidationError(
-                        f"pre-opened streaming dataset has {data.n_weeks} weeks but "
+                        f"pre-built dataset has {data.n_weeks} weeks but "
                         f"the scenario needs {weeks_needed}"
                     )
-            else:
+            elif scenario.stream:
                 data = open_dataset_stream(
                     scenario.dataset,
                     n_weeks=weeks_needed,
@@ -618,8 +480,16 @@ class ScenarioRunner:
                     seed=scenario.dataset_seed,
                     chunk_bins=scenario.chunk_bins,
                 )
+            else:
+                data = load_dataset(
+                    scenario.dataset,
+                    n_weeks=weeks_needed,
+                    bins_per_week=scenario.bins_per_week,
+                    full_scale=scenario.full_scale,
+                    seed=scenario.dataset_seed,
+                )
             topology = self._resolve_topology(scenario, data)
-            target_stream = data.week_stream(target_week, max_bins=scenario.max_bins)
+            target = data.week_stream(target_week, max_bins=scenario.max_bins)
         dataset_seconds = time.perf_counter() - started
 
         if shared is not None:
@@ -627,17 +497,17 @@ class ScenarioRunner:
         system_key = self._system_key(scenario, target_week, data)
 
         def build_system():
-            return simulate_link_loads_streaming(
-                topology, target_stream, noise_std=scenario.measurement_noise, seed=scenario.seed
+            return simulate_link_loads(
+                topology, target, noise_std=scenario.measurement_noise, seed=scenario.seed
             )
 
         system = shared.system(system_key, build_system) if shared is not None else build_system()
         fit_memo = None
         if shared is not None and self._fit_memo:
-            # Everything that determines a streamed stable-fP fit beyond the
+            # Everything that determines a stable-fP fit beyond the
             # (week, bin-count, cache-budget) suffix the context appends:
-            # the pinned plan identity — i.e. the exact traffic — plus the
-            # scale knobs.
+            # the pinned dataset identity — i.e. the exact traffic — plus
+            # the scale knobs.
             fit_key_base = (
                 "fit",
                 scenario.dataset,
@@ -651,9 +521,9 @@ class ScenarioRunner:
             def fit_memo(suffix, build, _base=fit_key_base):
                 return shared.fit(_base + tuple(suffix), build)
 
-        context = StreamingPriorContext(
+        context = PriorContext(
             dataset=data,
-            target_stream=target_stream,
+            target=target,
             system=system,
             calibration_week=calibration_week,
             target_week=target_week,
@@ -661,21 +531,33 @@ class ScenarioRunner:
             fit_cache_bytes=self._fit_cache_bytes,
             fit_memo=fit_memo,
         )
-        spill, spill_estimate = self._resolve_spill(scenario, target_stream.n_bins)
+        spill, spill_estimate = (
+            self._resolve_spill(scenario, target.n_bins) if scenario.stream else (None, False)
+        )
+        collect = not scenario.stream
+
+        def build_prior(entry: RegistryEntry):
+            # A user builder may still return a series or an array.
+            return as_chunk_stream(
+                entry.obj(context), chunk_bins=target.chunk_bins, bin_seconds=target.bin_seconds
+            )
 
         prior_started = time.perf_counter()
-        with tracer.span("build_prior", prior=scenario.prior, stream=True):
-            prior_stream = scenario_builder(context)
+        with tracer.span("build_prior", prior=scenario.prior, stream=scenario.stream):
+            prior_stream = build_prior(prior_entry)
         prior_seconds = time.perf_counter() - prior_started
 
         estimation_started = time.perf_counter()
-        with tracer.span("estimate", estimator=scenario.estimator, stream=True):
+        with tracer.span("estimate", estimator=scenario.estimator, stream=scenario.stream):
             baseline = None
-            if baseline_builder is not None:
+            if baseline_entry is not None:
 
                 def build_baseline():
                     return estimator.estimate_stream(
-                        system, baseline_builder(context), ground_truth_stream=target_stream
+                        system,
+                        build_prior(baseline_entry),
+                        ground_truth_stream=target,
+                        collect_estimate=collect,
                     )
 
                 if shared is not None:
@@ -692,7 +574,8 @@ class ScenarioRunner:
                 return estimator.estimate_stream(
                     system,
                     prior_stream,
-                    ground_truth_stream=target_stream,
+                    ground_truth_stream=target,
+                    collect_estimate=collect,
                     chunk_sink=estimate_writer,
                 )
 
@@ -732,11 +615,19 @@ class ScenarioRunner:
             "prior": prior_seconds,
             "estimation": estimation_seconds,
             "total": total_seconds,
-            "chunk_bins": target_stream.chunk_bins,
             "peak_rss_mb": peak_rss_mb(),
         }
+        if scenario.stream:
+            timing["chunk_bins"] = target.chunk_bins
         if spill is not None:
             timing["spill_dir"] = str(spill.directory)
+        metrics = get_metrics()
+        if metrics.enabled:
+            mode = "stream" if scenario.stream else "memory"
+            metrics.counter("repro_scenario_runs_total", mode=mode).inc()
+            metrics.histogram("repro_scenario_run_seconds", mode=mode).observe(
+                time.perf_counter() - started
+            )
         return ScenarioResult(
             scenario=scenario,
             prior_label=prior_entry.metadata.get("display", prior_entry.name),
@@ -745,7 +636,7 @@ class ScenarioRunner:
                 if baseline_entry is not None
                 else None
             ),
-            estimate=None,
+            estimate=main.estimate,
             errors=series["errors"],
             prior_errors=series["prior_errors"],
             baseline_errors=series["baseline_errors"],
@@ -754,17 +645,6 @@ class ScenarioRunner:
             spilled=spilled,
             timing=timing,
         )
-
-    @staticmethod
-    def _streaming_prior(name: str):
-        """The streaming builder registered for a prior, with a clear error."""
-        builder = STREAMING_PRIOR_BUILDERS.get(canonical_name(name))
-        if builder is None:
-            raise ValidationError(
-                f"prior {name!r} has no streaming builder; priors with streaming "
-                f"support: {sorted(STREAMING_PRIOR_BUILDERS)} (run without stream)"
-            )
-        return builder
 
     def run_batch(self, scenarios: Iterable[Scenario]) -> list[ScenarioResult]:
         """Run several scenarios in order, sharing the dataset cache."""
@@ -885,7 +765,7 @@ class ScenarioRunner:
                 calibration, target = self.resolve_weeks(cell)
             except Exception:  # noqa: BLE001 - leave the failure to the cell run below
                 continue
-            needed = max(max(calibration, target) + 1, cell.n_weeks or 0)
+            needed = self._weeks_to_synthesize(cell, calibration, target)
             weeks_needed[cell.dataset] = max(weeks_needed.get(cell.dataset, 0), needed)
         cells = [
             cell.replace(n_weeks=weeks_needed[cell.dataset])

@@ -62,11 +62,15 @@ class Scenario:
     measured_forward_fraction:
         Optional externally measured ``f`` for priors that use one.
     stream:
-        Execute through the chunked streaming pipeline: the dataset is opened
-        as a :class:`repro.synthesis.datasets.StreamingDataset` and synthesis,
-        priors and estimation all run one ``(T_chunk, n, n)`` block at a
-        time, bounding peak memory by the chunk size instead of the series
-        length.  Same-seed synthesis is bit-identical to the in-memory path.
+        Where the weeks come from, not which code runs them: every scenario
+        runs through the same chunked pipeline.  ``False`` materialises the
+        dataset (:func:`repro.synthesis.datasets.load_dataset`) and streams
+        views over the in-memory week; the result carries the estimate.
+        ``True`` opens a :class:`repro.synthesis.datasets.StreamingDataset`
+        that regenerates each ``(T_chunk, n, n)`` block on demand, bounding
+        peak memory by the chunk size instead of the series length; the
+        estimate is spilled (explicit ``spill_dir``) or dropped.  Same-seed
+        synthesis is bit-identical either way.
     chunk_bins:
         Chunk length (in bins) for streaming runs; ``None`` picks a size
         whose block fits a small fixed budget.

@@ -39,7 +39,12 @@ import numpy as np
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import RegistryError, ValidationError
 from repro.registry import DATASETS, canonical_name, register_dataset
-from repro.streaming import ChunkStream, FunctionChunkStream, default_chunk_bins
+from repro.streaming import (
+    ArrayChunkStream,
+    ChunkStream,
+    FunctionChunkStream,
+    default_chunk_bins,
+)
 from repro.synthesis.generator import (
     GenerationPlan,
     GroundTruth,
@@ -103,12 +108,40 @@ class SyntheticDataset:
         """The ``index``-th week of traffic."""
         return self.weeks[index]
 
+    def week_stream(
+        self,
+        index: int,
+        *,
+        chunk_bins: int | None = None,
+        max_bins: int | None = None,
+    ) -> ChunkStream:
+        """Week ``index`` as a chunk stream of views (no copy), optionally trimmed.
+
+        The same access path :meth:`StreamingDataset.week_stream` offers, so
+        the scenario runner drives materialised and streamed datasets
+        through one body.
+        """
+        week = self.weeks[index]
+        n_bins = _trimmed_bins(week.n_timesteps, max_bins)
+        return ArrayChunkStream(
+            week.values[:n_bins], week.nodes, bin_seconds=week.bin_seconds, chunk_bins=chunk_bins
+        )
+
     def full_series(self) -> TrafficMatrixSeries:
         """All weeks concatenated into one series."""
         series = self.weeks[0]
         for week in self.weeks[1:]:
             series = series.concatenate(week)
         return series
+
+
+def _trimmed_bins(n_bins: int, max_bins: int | None) -> int:
+    """A week's bin count after the ``max_bins`` cap of ``week_stream``."""
+    if max_bins is None:
+        return n_bins
+    if max_bins < 1:
+        raise ValidationError("max_bins must be >= 1")
+    return min(n_bins, int(max_bins))
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +517,7 @@ class StreamingDataset:
         """
         index = self._check_week(index)
         start = index * self._bins_per_week
-        n_bins = self._bins_per_week
-        if max_bins is not None:
-            if max_bins < 1:
-                raise ValidationError("max_bins must be >= 1")
-            n_bins = min(n_bins, int(max_bins))
+        n_bins = _trimmed_bins(self._bins_per_week, max_bins)
         stop = start + n_bins
         events = self._anomalies[index]
         generator, plan = self._generator, self._plan

@@ -147,6 +147,19 @@ class TestPriors:
         result = prior.series(series.ingress, series.egress)
         np.testing.assert_allclose(result.values, series.values, rtol=1e-6)
 
+    def test_stable_f_prior_zero_marginal_bin_is_all_zero(self, stable_fp_world):
+        # A bin with no traffic at all falls back to a uniform preference and
+        # zero activity, so its prior is a finite all-zero matrix, while a
+        # normal bin next to it keeps its exact in-model prior.
+        forward, _, _, series = stable_fp_world
+        n = series.n_nodes
+        ingress = np.vstack([np.zeros(n), series.ingress[0]])
+        egress = np.vstack([np.zeros(n), series.egress[0]])
+        result = StableFPrior(forward).series(ingress, egress).values
+        assert np.all(np.isfinite(result))
+        assert np.array_equal(result[0], np.zeros((n, n)))
+        np.testing.assert_allclose(result[1], series.values[0], rtol=1e-6)
+
     def test_stable_f_prior_rejects_half(self):
         with pytest.raises(ValidationError):
             StableFPrior(0.5)

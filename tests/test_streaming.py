@@ -370,12 +370,19 @@ class TestStreamingReductions:
 class TestStreamingScenarios:
     # The fig11/12/13 scenario shapes: measured (6.1), stable_fp (6.2),
     # stable_f (6.3), each against the gravity baseline.
+    @pytest.mark.parametrize("chunk_bins", [7, None])
     @pytest.mark.parametrize("prior", ["measured", "stable_fp", "stable_f"])
-    def test_streamed_errors_match_in_memory_within_1e12(self, prior):
+    def test_streamed_errors_match_in_memory_within_1e12(self, prior, chunk_bins):
         base = Scenario(dataset="totem", prior=prior, bins_per_week=40, max_bins=20)
         runner = ScenarioRunner()
         in_memory = runner.run(base)
-        streamed = runner.run(base.replace(stream=True, chunk_bins=7))
+        streamed = runner.run(base.replace(stream=True, chunk_bins=chunk_bins))
+        names = ("errors", "prior_errors", "baseline_errors", "improvement")
+        if chunk_bins is None:
+            # Default chunking: both runs cut the week into the same chunks,
+            # so every series agrees bit for bit.
+            for name in names:
+                assert np.array_equal(getattr(streamed, name), getattr(in_memory, name)), name
         np.testing.assert_allclose(streamed.errors, in_memory.errors, atol=1e-12)
         np.testing.assert_allclose(
             streamed.prior_errors, in_memory.prior_errors, atol=1e-12
@@ -387,7 +394,36 @@ class TestStreamingScenarios:
             streamed.improvement, in_memory.improvement, atol=1e-8
         )
         assert streamed.estimate is None
-        assert streamed.timing["chunk_bins"] == 7
+        assert in_memory.estimate is not None
+        assert streamed.timing["chunk_bins"] == (chunk_bins or 20)
+
+    @pytest.mark.parametrize("prior", ["gravity", "measured", "stable_fp", "stable_f"])
+    def test_materialised_estimate_equals_estimator_on_same_inputs(self, prior):
+        from repro.core.priors import PriorContext
+        from repro.registry import PRIORS
+
+        scenario = Scenario(dataset="geant", prior=prior, bins_per_week=36, max_bins=12)
+        result = ScenarioRunner(baseline_prior=None).run(scenario)
+        calibration_week, target_week = ScenarioRunner.resolve_weeks(scenario)
+        data = load_dataset(
+            "geant", n_weeks=max(calibration_week, target_week) + 1, bins_per_week=36
+        )
+        target = data.week(target_week)[:12]
+        system = simulate_link_loads(
+            data.topology, target, noise_std=scenario.measurement_noise, seed=scenario.seed
+        )
+        context = PriorContext(
+            dataset=data,
+            target=data.week_stream(target_week, max_bins=12),
+            system=system,
+            calibration_week=calibration_week,
+            target_week=target_week,
+        )
+        prior_series = PRIORS.get(prior)(context).materialize()
+        reference = TMEstimator().estimate(system, prior_series, ground_truth=target)
+        assert np.array_equal(result.estimate.values, reference.estimate.values)
+        assert np.array_equal(result.errors, reference.errors)
+        assert np.array_equal(result.prior_errors, reference.prior_errors)
 
     def test_streamed_gravity_scenario_without_baseline(self):
         scenario = Scenario(
@@ -400,18 +436,30 @@ class TestStreamingScenarios:
         np.testing.assert_allclose(result.errors, reference.errors, atol=1e-12)
         assert result.improvement is None
 
-    def test_streaming_rejects_unstreamable_prior(self, monkeypatch):
+    def test_streaming_rejects_unstreamable_prior(self):
+        # Every prior now has one builder for both modes, and the runner
+        # coerces whatever it returns into a chunk stream: a test-only prior
+        # handing back the ground-truth target (as the stream itself, or
+        # materialised into a series) runs either way.
         from repro.registry import PRIORS
 
-        if "cube_only" not in PRIORS:
-            PRIORS.register(
-                "cube_only", lambda context: context.target, description="test-only prior"
-            )
-        scenario = Scenario(
-            dataset="geant", prior="cube_only", bins_per_week=36, max_bins=6, stream=True
-        )
-        with pytest.raises(ValidationError, match="no streaming builder"):
-            ScenarioRunner(baseline_prior=None).run(scenario)
+        builders = (lambda context: context.target, lambda context: context.target.materialize())
+        try:
+            for builder in builders:
+                PRIORS.register(
+                    "cube_only", builder, description="test-only prior", overwrite=True
+                )
+                for stream in (False, True):
+                    scenario = Scenario(
+                        dataset="geant", prior="cube_only", bins_per_week=36, max_bins=6,
+                        stream=stream, chunk_bins=4 if stream else None,
+                    )
+                    result = ScenarioRunner(baseline_prior=None).run(scenario)
+                    assert result.errors.shape == (6,)
+                    assert np.all(result.prior_errors == 0.0)
+        finally:
+            PRIORS.unregister("cube_only")
+        assert "cube_only" not in PRIORS
 
     def test_streaming_rejects_shipped_dataset(self):
         scenario = Scenario(dataset="geant", prior="gravity", stream=True)

@@ -321,13 +321,13 @@ class TestRemoteLoopback:
             )
 
 
-def _overlapping_cells(n_targets=3):
+def _overlapping_cells(n_targets=3, *, stream=True):
     """Overlapping-window grid: one calibration week, ``n_targets`` targets."""
     return [
         Scenario(
             dataset="geant",
             prior="stable_fp",
-            stream=True,
+            stream=stream,
             calibration_week=0,
             target_week=week,
             n_weeks=n_targets + 1,
@@ -369,6 +369,23 @@ class TestFitMemoisation:
         assert not result.failures
         # All three cells calibrate on week 0 of the same plan: one fit.
         assert len(fit_calls) == 1
+
+    def test_materialised_overlapping_windows_share_the_memo(self, fit_calls):
+        # Materialised cells run the same body, so they share fits too; the
+        # memoised results equal a fresh per-cell fit bit for bit.
+        cells = _overlapping_cells(3, stream=False)
+        memoised = ScenarioRunner(fit_memo=True).run_cells(
+            cells, executor=InProcessExecutor()
+        )
+        assert not memoised.failures
+        assert len(fit_calls) == 1
+        fresh = ScenarioRunner(fit_memo=False).run_cells(
+            cells, executor=InProcessExecutor()
+        )
+        assert len(fit_calls) == 1 + 3
+        for left, right in zip(memoised.results, fresh.results):
+            np.testing.assert_array_equal(left.errors, right.errors)
+            np.testing.assert_array_equal(left.estimate.values, right.estimate.values)
 
     def test_overlapping_windows_refit_when_memo_disabled(self, fit_calls):
         cells = _overlapping_cells(3)
