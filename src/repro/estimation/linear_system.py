@@ -91,7 +91,6 @@ def simulate_link_loads(
     topology: Topology,
     series,
     *,
-    ecmp: bool = True,
     noise_std: float = 0.0,
     seed: int = 0,
 ) -> LinkLoadSystem:
@@ -111,8 +110,6 @@ def simulate_link_loads(
         Ground-truth traffic matrices: a
         :class:`~repro.core.traffic_matrix.TrafficMatrixSeries`, a
         ``(T, n, n)`` array or a :class:`~repro.streaming.ChunkStream`.
-    ecmp:
-        Whether shortest-path ties are split (passed to the routing build).
     noise_std:
         Relative standard deviation of multiplicative Gaussian measurement
         noise applied to link, ingress and egress counters (0 disables noise).
@@ -127,7 +124,7 @@ def simulate_link_loads(
         )
     if noise_std < 0:
         raise ValidationError("noise_std must be non-negative")
-    routing = build_routing_matrix(topology, ecmp=ecmp)
+    routing = build_routing_matrix(topology)
     t, n = stream.n_bins, stream.n_nodes
     link_loads = np.empty((t, routing.n_links))
     ingress = np.empty((t, n))

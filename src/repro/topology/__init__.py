@@ -7,15 +7,15 @@ provides:
 
 * :class:`repro.topology.topology.Topology` — a validated PoP-level topology
   (nodes, weighted directed links, capacities),
-* :mod:`repro.topology.routing` — shortest-path / ECMP routing and
-  routing-matrix construction,
+* :mod:`repro.topology.routing` — the routing matrix of shortest-path
+  routing with equal-cost splitting, built on ``scipy.sparse.csgraph``,
 * :mod:`repro.topology.library` — ready-made topologies standing in for the
   networks used in the paper (Geant 22 PoPs, Totem 23 PoPs, Abilene 11 PoPs)
   plus synthetic topology generators.
 """
 
 from repro.topology.topology import Link, Topology
-from repro.topology.routing import RoutingMatrix, build_routing_matrix, shortest_paths
+from repro.topology.routing import RoutingMatrix, build_routing_matrix
 from repro.topology.library import (
     abilene_topology,
     geant_topology,
@@ -28,7 +28,6 @@ __all__ = [
     "Topology",
     "RoutingMatrix",
     "build_routing_matrix",
-    "shortest_paths",
     "geant_topology",
     "totem_topology",
     "abilene_topology",

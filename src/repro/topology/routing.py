@@ -7,11 +7,13 @@ counts and ``R`` the routing matrix: ``R[r, s]`` is the fraction of OD pair
 ``s`` that traverses link ``r`` (1 for single shortest paths, fractional under
 equal-cost multipath splitting).
 
-Routing is computed from IGP link weights with Dijkstra's algorithm
-(via networkx).  Intra-PoP traffic (``i == j``) never touches a backbone link,
-so its routing-matrix column is zero — exactly why TM estimation is
-under-constrained and why the augmented system also carries the ingress and
-egress counts.
+Routing follows IGP link weights: one ``scipy.sparse.csgraph`` Dijkstra
+gives the all-pairs distances, and each OD pair is split evenly over its
+shortest paths, counted per origin over the shortest-path DAG (see
+:func:`_build_routing_matrix`).  Intra-PoP traffic (``i == j``) never
+touches a backbone link, so its routing-matrix column is zero — exactly why
+TM estimation is under-constrained and why the augmented system also carries
+the ingress and egress counts.
 
 A routing matrix has only ``O(n^2 * path_length)`` non-zeros out of
 ``n_links * n^2`` entries, so :class:`RoutingMatrix` stores a
@@ -21,61 +23,19 @@ caches it) for the callers that need dense linear algebra.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_triangular
+from scipy.sparse import csgraph
 
 from repro.errors import ShapeError, TopologyError
 from repro.topology.topology import Topology
 
 __all__ = [
     "RoutingMatrix",
-    "shortest_paths",
     "build_routing_matrix",
     "clear_routing_cache",
 ]
-
-
-def shortest_paths(topology: Topology, *, all_paths: bool = False) -> dict[tuple[str, str], list[list[str]]]:
-    """All shortest paths between every ordered PoP pair.
-
-    Parameters
-    ----------
-    topology:
-        The network.
-    all_paths:
-        When true, return *every* equal-cost shortest path (for ECMP
-        splitting); otherwise a single deterministic shortest path per pair.
-
-    Returns
-    -------
-    dict
-        Maps ``(origin, destination)`` to a list of node paths.  The
-        diagonal pairs map to the single-node path ``[origin]``.
-    """
-    topology.validate_connected()
-    graph = topology.to_networkx()
-    result: dict[tuple[str, str], list[list[str]]] = {}
-    for origin in topology.nodes:
-        if all_paths:
-            for destination in topology.nodes:
-                if origin == destination:
-                    result[(origin, destination)] = [[origin]]
-                else:
-                    paths = list(
-                        nx.all_shortest_paths(graph, origin, destination, weight="weight")
-                    )
-                    result[(origin, destination)] = paths
-        else:
-            lengths, paths = nx.single_source_dijkstra(graph, origin, weight="weight")
-            for destination in topology.nodes:
-                if origin == destination:
-                    result[(origin, destination)] = [[origin]]
-                elif destination in paths:
-                    result[(origin, destination)] = [paths[destination]]
-                else:  # pragma: no cover - unreachable once connectivity validated
-                    raise TopologyError(f"no path from {origin} to {destination}")
-    return result
 
 
 class RoutingMatrix:
@@ -258,18 +218,17 @@ class RoutingMatrix:
         )
 
 
-# Routing matrices memoised by topology content: Dijkstra plus matrix
-# assembly is pure in (nodes, links, ecmp), and a sweep's cells all route
-# over the same few topologies — sharing the instance also shares its lazily
-# cached dense/CSC forms, the stacked augmented operator and its tomogravity
-# factors.
+# Routing matrices memoised by topology content: the build is pure in
+# (nodes, links), and a sweep's cells all route over the same few
+# topologies — sharing the instance also shares its lazily cached dense/CSC
+# forms, the stacked augmented operator and its tomogravity factors.
 _ROUTING_CACHE: dict[tuple, RoutingMatrix] = {}
 _ROUTING_CACHE_MAX = 8
 
 
-def _topology_fingerprint(topology: Topology, ecmp: bool) -> tuple:
+def _topology_fingerprint(topology: Topology) -> tuple:
     """A value key identifying a topology's routing problem exactly."""
-    return (tuple(topology.nodes), tuple(topology.links), bool(ecmp))
+    return (tuple(topology.nodes), tuple(topology.links))
 
 
 def clear_routing_cache() -> None:
@@ -277,63 +236,67 @@ def clear_routing_cache() -> None:
     _ROUTING_CACHE.clear()
 
 
-def build_routing_matrix(topology: Topology, *, ecmp: bool = True) -> RoutingMatrix:
+def build_routing_matrix(topology: Topology) -> RoutingMatrix:
     """Build (or fetch the memoised) routing matrix of ``topology``.
 
-    The build is pure in the topology's nodes, links and weights, so results
-    are memoised by content: every measurement simulation over the same
-    network — each cell of a grid sweep, every prior of a scenario — shares
-    one :class:`RoutingMatrix` instance instead of re-running Dijkstra and
-    re-assembling the matrix per call.
-
-    The matrix is assembled as sparse COO triplets from the per-origin
-    shortest-path traversal and stored as CSR; equal-cost shares accumulate
-    exactly as the former dense ``+=`` loop did, so the dense
-    materialisation is bit-identical to the historical dense build.
+    Traffic of each OD pair is split equally across all of its equal-cost
+    shortest paths under the IGP weights, so entries are fractional where
+    paths tie.  The build is pure in the topology's nodes, links and
+    weights, so results are memoised by content: every measurement
+    simulation over the same network — each cell of a grid sweep, every
+    prior of a scenario — shares one :class:`RoutingMatrix` instance.
 
     Parameters
     ----------
     topology:
         The network; must be strongly connected.
-    ecmp:
-        When true, traffic of an OD pair is split equally across all
-        equal-cost shortest paths (fractional routing-matrix entries); when
-        false a single shortest path carries all of it.
     """
-    key = _topology_fingerprint(topology, ecmp)
+    key = _topology_fingerprint(topology)
     cached = _ROUTING_CACHE.get(key)
     if cached is not None:
         return cached
-    routing = _build_routing_matrix(topology, ecmp=ecmp)
+    routing = _build_routing_matrix(topology)
     if len(_ROUTING_CACHE) >= _ROUTING_CACHE_MAX:
         _ROUTING_CACHE.pop(next(iter(_ROUTING_CACHE)))
     _ROUTING_CACHE[key] = routing
     return routing
 
 
-def _build_routing_matrix(topology: Topology, *, ecmp: bool = True) -> RoutingMatrix:
-    """The uncached routing build (see :func:`build_routing_matrix`)."""
-    paths = shortest_paths(topology, all_paths=ecmp)
-    links = topology.links
-    link_index = {link.key: r for r, link in enumerate(links)}
-    nodes = topology.nodes
-    node_index = {node: i for i, node in enumerate(nodes)}
+def _build_routing_matrix(topology: Topology) -> RoutingMatrix:
+    """The uncached routing build (see :func:`build_routing_matrix`).
+
+    For each origin ``s`` the shortest-path DAG holds the links ``u -> v``
+    with ``D[s,u] + w == D[s,v]`` — the exact-float relaxation test of
+    Dijkstra itself.  Ordering the nodes by ``D[s,·]`` makes the DAG strictly
+    upper triangular, so one unit-triangular solve of ``(I - DAG) N = I``
+    counts the DAG paths ``N[v,t]`` from every node to every other, exactly
+    in floating point while the counts stay below 2**53.  Link ``u -> v``
+    then carries ``N[s,u] N[v,t] / N[s,t]`` of OD pair ``(s, t)``: the share
+    of its equal-cost paths through that link, correctly rounded.
+    """
+    topology.validate_connected()
+    nodes, links = topology.nodes, topology.links
     n = len(nodes)
-    entries: dict[tuple[int, int], float] = {}
-    for (origin, destination), node_paths in paths.items():
-        if origin == destination:
-            continue
-        column = node_index[origin] * n + node_index[destination]
-        share = 1.0 / len(node_paths)
-        for node_path in node_paths:
-            for hop_source, hop_target in zip(node_path[:-1], node_path[1:]):
-                key = (link_index[(hop_source, hop_target)], column)
-                entries[key] = entries.get(key, 0.0) + share
-    if entries:
-        rows, cols = (np.asarray(axis, dtype=np.int64) for axis in zip(*entries))
-        data = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    else:  # pragma: no cover - single-node topology
-        rows = cols = np.zeros(0, dtype=np.int64)
-        data = np.zeros(0)
-    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(len(links), n * n))
-    return RoutingMatrix(matrix=matrix, links=tuple(links), nodes=nodes)
+    source = np.array([topology.node_index(link.source) for link in links], dtype=np.int64)
+    target = np.array([topology.node_index(link.target) for link in links], dtype=np.int64)
+    weight = np.array([link.weight for link in links], dtype=float)
+    distances = csgraph.dijkstra(topology.adjacency(), directed=True)
+    identity = np.eye(n)
+    rows, cols, data = [], [], []
+    for origin, distance in enumerate(distances):
+        tight = np.flatnonzero(distance[source] + weight == distance[target])
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(distance, kind="stable")] = np.arange(n)
+        unit_upper = identity.copy()
+        unit_upper[rank[source[tight]], rank[target[tight]]] = -1.0
+        counts = solve_triangular(unit_upper, identity, unit_diagonal=True)[np.ix_(rank, rank)]
+        through = counts[origin, source[tight], np.newaxis] * counts[target[tight]]
+        link_at, destination = np.nonzero(through)
+        rows.append(tight[link_at])
+        cols.append(origin * n + destination)
+        data.append(through[link_at, destination] / counts[origin, destination])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(links), n * n),
+    )
+    return RoutingMatrix(matrix=matrix, links=links, nodes=nodes)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.errors import TopologyError
 
@@ -154,19 +155,20 @@ class Topology:
 
     # -- graph views -----------------------------------------------------------
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A :class:`networkx.DiGraph` view with ``weight`` and ``capacity`` attributes."""
-        graph = nx.DiGraph(name=self._name)
-        graph.add_nodes_from(self._nodes)
-        for link in self._links.values():
-            graph.add_edge(link.source, link.target, weight=link.weight, capacity=link.capacity)
-        return graph
+    def adjacency(self) -> sparse.csr_matrix:
+        """The ``(n, n)`` CSR matrix of IGP weights: ``[i, j]`` is link ``i -> j``'s weight."""
+        links = self._links.values()
+        rows = [self._index[link.source] for link in links]
+        cols = [self._index[link.target] for link in links]
+        weights = [link.weight for link in links]
+        return sparse.csr_matrix((weights, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
 
     def is_strongly_connected(self) -> bool:
         """Whether every PoP can reach every other PoP over directed links."""
-        if self.n_nodes == 1:
-            return True
-        return nx.is_strongly_connected(self.to_networkx())
+        n_components, _ = csgraph.connected_components(
+            self.adjacency(), directed=True, connection="strong"
+        )
+        return n_components == 1
 
     def validate_connected(self) -> None:
         """Raise :class:`TopologyError` unless the topology is strongly connected."""

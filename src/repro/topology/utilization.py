@@ -80,7 +80,6 @@ def compute_link_utilization(
     series: TrafficMatrixSeries,
     *,
     routing: RoutingMatrix | None = None,
-    ecmp: bool = True,
 ) -> LinkUtilization:
     """Route a traffic-matrix series over a topology and report link utilization.
 
@@ -93,16 +92,13 @@ def compute_link_utilization(
     routing:
         Optional pre-built routing matrix (must belong to ``topology``);
         rebuilt from IGP weights when omitted.
-    ecmp:
-        Whether equal-cost paths split traffic (only used when building the
-        routing matrix here).
     """
     if topology.nodes != series.nodes:
         raise ValidationError(
             "topology and series must agree on node names and order for utilization analysis"
         )
     if routing is None:
-        routing = build_routing_matrix(topology, ecmp=ecmp)
+        routing = build_routing_matrix(topology)
     elif routing.nodes != topology.nodes:
         raise ValidationError("the supplied routing matrix belongs to a different topology")
     loads_bytes = series.to_vectors() @ routing.matrix.T

@@ -9,6 +9,8 @@ way the seed code computed things, using ``np.array_equal`` (no tolerance).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,23 +276,38 @@ def test_ipf_series_freezes_converged_bins_like_the_loop(measurement_setup):
 # -- routing equivalence (sparse vs dense reference build) -------------------
 
 
-def _dense_reference_routing(topology, *, ecmp: bool):
-    """The seed-era dense triple-loop routing-matrix build."""
-    from repro.topology.routing import shortest_paths
+def _dense_reference_routing(topology):
+    """Brute-force ECMP routing: enumerate every simple path, keep the cheapest.
 
-    paths = shortest_paths(topology, all_paths=ecmp)
+    Each OD column puts ``c/m`` on a link that ``c`` of the pair's ``m``
+    minimum-weight paths use, built as the correctly rounded fraction.
+    """
     links = topology.links
     link_index = {link.key: r for r, link in enumerate(links)}
     n = topology.n_nodes
     matrix = np.zeros((len(links), n * n))
-    for (origin, destination), node_paths in paths.items():
-        if origin == destination:
-            continue
-        column = topology.node_index(origin) * n + topology.node_index(destination)
-        share = 1.0 / len(node_paths)
-        for node_path in node_paths:
-            for hop_source, hop_target in zip(node_path[:-1], node_path[1:]):
-                matrix[link_index[(hop_source, hop_target)], column] += share
+
+    def walk(path, cost, found):
+        *_, here = path
+        for link in links:
+            if link.source == here and link.target not in path:
+                step = path + [link.target]
+                found.setdefault(link.target, []).append((cost + link.weight, step))
+                walk(step, cost + link.weight, found)
+
+    for origin in topology.nodes:
+        found: dict[str, list] = {}
+        walk([origin], 0.0, found)
+        for destination, candidates in found.items():
+            best = min(cost for cost, _ in candidates)
+            cheapest = [path for cost, path in candidates if cost == best]
+            uses: dict[int, int] = {}
+            for path in cheapest:
+                for hop in zip(path[:-1], path[1:]):
+                    uses[link_index[hop]] = uses.get(link_index[hop], 0) + 1
+            column = topology.node_index(origin) * n + topology.node_index(destination)
+            for row, count in uses.items():
+                matrix[row, column] = float(Fraction(count, len(cheapest)))
     return matrix
 
 
@@ -298,11 +315,10 @@ def _dense_reference_routing(topology, *, ecmp: bool):
     st.integers(min_value=2, max_value=9),
     st.integers(min_value=0, max_value=10_000),
     st.booleans(),
-    st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_sparse_routing_matches_dense_reference(n_nodes, seed, ecmp, unit_weights):
-    """Sparse CSR build equals the dense loop build exactly, incl. ECMP shares."""
+def test_sparse_routing_matches_dense_reference(n_nodes, seed, unit_weights):
+    """The CSR build equals a brute-force path enumeration exactly, incl. ECMP shares."""
     from repro.topology.routing import build_routing_matrix
     from repro.topology.topology import Topology
 
@@ -316,7 +332,7 @@ def test_sparse_routing_matches_dense_reference(n_nodes, seed, ecmp, unit_weight
                     type(link)(link.source, link.target, weight=1.0, capacity=link.capacity)
                 )
         topology = flattened
-    routing = build_routing_matrix(topology, ecmp=ecmp)
-    reference = _dense_reference_routing(topology, ecmp=ecmp)
+    routing = build_routing_matrix(topology)
+    reference = _dense_reference_routing(topology)
     assert np.array_equal(routing.matrix, reference)
     assert np.array_equal(routing.sparse.toarray(), reference)

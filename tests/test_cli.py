@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,14 @@ from repro.experiments import EXPERIMENTS
 from repro.registry import DATASETS, PRIORS
 
 SMALL = ["--bins-per-week", "36", "--max-bins", "6"]
+
+
+def test_cli_import_needs_no_networkx():
+    """A fresh interpreter imports the CLI without pulling in networkx."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import repro.cli, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 class TestParser:

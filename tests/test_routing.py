@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from test_tomogravity_kernel import ring_with_chords
 
-from repro.topology.library import abilene_topology, geant_topology
-from repro.topology.routing import build_routing_matrix, shortest_paths
+from repro.topology.library import (
+    abilene_topology,
+    geant_topology,
+    random_topology,
+    totem_topology,
+)
+from repro.topology.routing import build_routing_matrix
 from repro.topology.topology import Topology
 
 
@@ -26,23 +37,31 @@ def make_square() -> Topology:
     return topology
 
 
+def used_links(routing, origin: str, destination: str) -> dict[tuple[str, str], float]:
+    """The links carrying OD pair ``origin -> destination`` and their shares."""
+    column = routing.column(origin, destination)
+    return {routing.links[r].key: float(column[r]) for r in np.flatnonzero(column)}
+
+
 class TestShortestPaths:
     def test_line_path(self):
-        paths = shortest_paths(make_line())
-        assert paths[("a", "c")] == [["a", "b", "c"]]
-        assert paths[("a", "a")] == [["a"]]
+        routing = build_routing_matrix(make_line())
+        assert used_links(routing, "a", "c") == {("a", "b"): 1.0, ("b", "c"): 1.0}
+        assert used_links(routing, "a", "a") == {}
 
     def test_all_paths_mode_finds_both_ecmp_paths(self):
-        paths = shortest_paths(make_square(), all_paths=True)
-        assert len(paths[("a", "c")]) == 2
+        routing = build_routing_matrix(make_square())
+        assert used_links(routing, "a", "c") == {
+            ("a", "b"): 0.5, ("b", "c"): 0.5, ("a", "d"): 0.5, ("d", "c"): 0.5,
+        }
 
     def test_respects_weights(self):
         topology = Topology("w", ["a", "b", "c"])
         topology.add_bidirectional_link("a", "b", weight=10.0)
         topology.add_bidirectional_link("b", "c", weight=10.0)
         topology.add_bidirectional_link("a", "c", weight=50.0)
-        paths = shortest_paths(topology)
-        assert paths[("a", "c")] == [["a", "b", "c"]]
+        routing = build_routing_matrix(topology)
+        assert used_links(routing, "a", "c") == {("a", "b"): 1.0, ("b", "c"): 1.0}
 
 
 class TestRoutingMatrix:
@@ -59,28 +78,22 @@ class TestRoutingMatrix:
             np.testing.assert_allclose(routing.column(node, node), 0.0)
 
     def test_ecmp_splits_traffic(self):
-        routing = build_routing_matrix(make_square(), ecmp=True)
+        routing = build_routing_matrix(make_square())
         column = routing.column("a", "c")
         nonzero = column[np.nonzero(column)]
         np.testing.assert_allclose(nonzero, 0.5)
         assert nonzero.size == 4  # two 2-hop paths
 
-    def test_no_ecmp_uses_single_path(self):
-        routing = build_routing_matrix(make_square(), ecmp=False)
-        column = routing.column("a", "c")
-        assert np.count_nonzero(column) == 2
-        np.testing.assert_allclose(column[np.nonzero(column)], 1.0)
-
     def test_column_sums_equal_path_hop_counts(self):
         """Each OD column sums to its (expected) path length in hops."""
-        topology = make_line()
-        routing = build_routing_matrix(topology)
-        paths = shortest_paths(topology)
-        n = topology.n_nodes
-        for (origin, destination), node_paths in paths.items():
-            column = routing.column(origin, destination)
-            expected = np.mean([len(p) - 1 for p in node_paths])
-            assert column.sum() == pytest.approx(expected)
+        line_hops = lambda i, j: abs(i - j)  # noqa: E731
+        cycle_hops = lambda i, j: min(abs(i - j), 4 - abs(i - j))  # noqa: E731
+        for topology, hops in ((make_line(), line_hops), (make_square(), cycle_hops)):
+            routing = build_routing_matrix(topology)
+            for i, origin in enumerate(topology.nodes):
+                for j, destination in enumerate(topology.nodes):
+                    column = routing.column(origin, destination)
+                    assert column.sum() == pytest.approx(hops(i, j))
 
     def test_link_loads_shapes(self):
         routing = build_routing_matrix(make_line())
@@ -163,3 +176,59 @@ class TestRoutingMatrix:
         for i, node in enumerate(topology.nodes):
             outgoing = [r for r, link in enumerate(routing.links) if link.source == node]
             assert loads[outgoing].sum() >= tm[i].sum() - 1e-9
+
+
+def assert_unit_flows(routing) -> None:
+    """Every OD column is a unit flow from its origin to its destination."""
+    n, matrix = routing.n_nodes, routing.sparse
+    heads = np.array([routing.node_index(link.source) for link in routing.links])
+    tails = np.array([routing.node_index(link.target) for link in routing.links])
+    signs = np.r_[np.ones(routing.n_links), -np.ones(routing.n_links)]
+    incidence = sparse.csr_matrix(
+        (signs, (np.r_[heads, tails], np.tile(np.arange(routing.n_links), 2))),
+        shape=(n, routing.n_links),
+    )
+    origin, destination = np.divmod(np.arange(n * n), n)
+    od = np.flatnonzero(origin != destination)
+    signs = np.r_[np.ones(od.size), -np.ones(od.size)]
+    expected = sparse.csr_matrix(
+        (signs, (np.r_[origin[od], destination[od]], np.tile(od, 2))), shape=(n, n * n)
+    )
+    assert abs(incidence @ matrix - expected).max() <= 1e-12
+    assert np.all(matrix.data > 0.0) and np.all(matrix.data <= 1.0)
+
+
+class TestRoutingKernel:
+    @pytest.mark.parametrize("factory", [geant_topology, totem_topology, abilene_topology])
+    def test_paper_topology_columns_are_unit_flows(self, factory):
+        assert_unit_flows(build_routing_matrix(factory()))
+
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_random_topology_columns_are_unit_flows(self, n_nodes, seed):
+        assert_unit_flows(build_routing_matrix(random_topology(n_nodes, seed=seed)))
+
+    def test_large_ring_columns_are_unit_flows(self):
+        assert_unit_flows(build_routing_matrix(ring_with_chords(200)))
+
+    # sha256 over the CSR (data, indices, indptr) of each paper topology's
+    # routing matrix, recorded from the per-pair path-enumeration build.
+    PINNED = {
+        "geant": "d204a1b9e5f89874c5577663b723539b42450c7dcb81f6ad281cb9aa9cbb01c7",
+        "totem": "6beeb7d01b277e7ab37cf68481d80145721c0e45ead91ed60cf2bed20bcc1f19",
+        "abilene": "5b3e63e0391b741f673a281fecc47af29be678f758b8c47c37460ddfd917fe83",
+    }
+
+    @pytest.mark.parametrize("factory", [geant_topology, totem_topology, abilene_topology])
+    def test_paper_topology_matrices_are_pinned(self, factory):
+        topology = factory()
+        matrix = build_routing_matrix(topology).sparse
+        digest = hashlib.sha256()
+        for part in (matrix.data, matrix.indices, matrix.indptr):
+            digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == self.PINNED[topology.name]
+
+    def test_single_node_routes_to_empty_matrix(self):
+        routing = build_routing_matrix(Topology("solo", ["a"]))
+        assert routing.sparse.shape == (0, 1)
+        assert routing.matrix.shape == (0, 1)

@@ -413,6 +413,7 @@ class TestFitMemoisation:
         # draw pattern (replayed spans per read) has to stay identical, or
         # the determinism contract between executors breaks.
         from repro.synthesis import generator as generator_module
+        from repro.synthesis.datasets import _open_stream_core
 
         spans: list[tuple[int, int]] = []
         original = generator_module.GenerationPlan._replay_span
@@ -424,9 +425,13 @@ class TestFitMemoisation:
         monkeypatch.setattr(generator_module.GenerationPlan, "_replay_span", counting)
 
         cells = _overlapping_cells(1)  # one cell: memo on/off do identical work
+        # Both runs start cold: a cached generation plan would otherwise let
+        # the second run skip replays the first had to make.
+        _open_stream_core.cache_clear()
         ScenarioRunner(fit_memo=True).run_cells(cells, executor=InProcessExecutor())
         memo_spans = list(spans)
         spans.clear()
+        _open_stream_core.cache_clear()
         ScenarioRunner(fit_memo=False).run_cells(cells, executor=InProcessExecutor())
         assert spans == memo_spans
 

@@ -178,9 +178,9 @@ class TestOperatorReuse:
         builds: list[str] = []
         original = routing_module._build_routing_matrix
 
-        def counting(topology, *, ecmp=True):
+        def counting(topology):
             builds.append(topology.name)
-            return original(topology, ecmp=ecmp)
+            return original(topology)
 
         monkeypatch.setattr(routing_module, "_build_routing_matrix", counting)
         ScenarioRunner().sweep(

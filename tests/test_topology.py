@@ -91,12 +91,6 @@ class TestTopology:
         with pytest.raises(TopologyError):
             disconnected.validate_connected()
 
-    def test_to_networkx(self):
-        graph = self.make_triangle().to_networkx()
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 6
-        assert graph["a"]["b"]["weight"] == 1.0
-
 
 class TestLibrary:
     def test_geant_dimensions(self):
