@@ -17,7 +17,7 @@ Operability:
 
 * a **status snapshot** (JSON) is rewritten after every published chunk:
   ingestion counters, bins published, active fit (mode/f/version/age),
-  cumulative per-stage latency, per-stage p50/p99 chunk latency, peak RSS
+  cumulative seconds and p50/p99 latency per stage, peak RSS
   and **back-pressure** — how many watermark-closed bins the estimator has
   not yet published (``bins_behind_watermark``) and how many closed bins
   sit queued for the next chunk (``queue_depth``), the numbers that grow
@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import json
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.estimation.linear_system import LinkLoadSystem
 from repro.estimation.pipeline import SPARSE_SYSTEM_MIN_NODES, TMEstimator
 from repro.ingest.binner import FlowBinner
 from repro.ingest.rolling import PRIOR_MODES, RollingFitManager
-from repro.obs import MetricsRegistry, get_metrics, get_tracer, peak_rss_mb
+from repro.obs import MetricsRegistry, get_metrics, get_tracer, peak_rss_mb, stage
 from repro.streaming import ArrayChunkStream
 from repro.topology.routing import build_routing_matrix
 
@@ -68,9 +67,11 @@ class ServiceStatus:
     keeps up with the feed and grow monotonically when it falls behind a
     paced replay.  ``feed_lag_seconds`` restates the watermark lag in feed
     time (``bins_behind_watermark * bin_seconds``) so alert thresholds can
-    be written in seconds instead of bin counts.  ``stage_latency`` holds
-    per-chunk p50/p99 seconds for each pipeline stage (over a bounded
-    reservoir of recent chunks), where ``stage_seconds`` is cumulative.
+    be written in seconds instead of bin counts.  :meth:`to_dict` renders
+    ``stage_seconds`` (exact cumulative sums) and ``stage_latency_seconds``
+    (p50/p99 of a uniform 512-sample reservoir over every observation since
+    start) from the stage histograms; ``bin`` is timed per source batch,
+    every other stage per chunk.
     """
 
     bins_published: int = 0
@@ -88,12 +89,12 @@ class ServiceStatus:
     fit_forward_fraction: float | None = None
     fit_age_bins: int | None = None
     refits: int = 0
-    stage_seconds: dict = field(default_factory=dict)
-    stage_latency: dict = field(default_factory=dict)
     peak_rss_mb: float | None = None
     stopped_by_signal: bool = False
 
-    def to_dict(self) -> dict:
+    def to_dict(self, stages: dict | None = None) -> dict:
+        """JSON-ready snapshot; ``stages`` maps stage label to its histogram."""
+        snapshots = {label: h.snapshot() for label, h in (stages or {}).items() if h.count}
         return {
             "bins_published": self.bins_published,
             "next_bin": self.next_bin,
@@ -114,11 +115,11 @@ class ServiceStatus:
                 "age_bins": self.fit_age_bins,
                 "refits": self.refits,
             },
-            "stage_seconds": {k: round(v, 6) for k, v in self.stage_seconds.items()},
+            "stage_seconds": {label: round(snap["sum"], 6) for label, snap in snapshots.items()},
             "stage_latency_seconds": {
-                stage: {key: round(value, 6) if key != "samples" else value
-                        for key, value in quantiles.items()}
-                for stage, quantiles in self.stage_latency.items()
+                label: {"p50": round(snap["p50"], 6), "p99": round(snap["p99"], 6),
+                        "samples": snap["count"]}
+                for label, snap in snapshots.items()
             },
             "peak_rss_mb": None if self.peak_rss_mb is None else round(self.peak_rss_mb, 1),
             "stopped_by_signal": self.stopped_by_signal,
@@ -301,7 +302,10 @@ class IngestService:
         self.metrics = metrics if metrics is not None else (
             ambient if ambient.enabled else MetricsRegistry()
         )
-        self._stage_names: list[str] = []
+        self._stages = {
+            label: self.metrics.histogram("repro_serve_stage_latency_seconds", stage=label)
+            for label in ("bin", "measure", "prior", "estimate", "publish", "fit")
+        }
 
     # -- control -------------------------------------------------------------
 
@@ -360,28 +364,6 @@ class IngestService:
 
     # -- status --------------------------------------------------------------
 
-    def _record_stage(self, stage: str, seconds: float) -> None:
-        """Accumulate one stage timing: cumulative total plus the quantile reservoir."""
-        timings = self.status.stage_seconds
-        timings[stage] = timings.get(stage, 0.0) + seconds
-        if stage not in self._stage_names:
-            self._stage_names.append(stage)
-        self.metrics.histogram("repro_serve_stage_latency_seconds", stage=stage).observe(seconds)
-
-    def _stage_latency(self) -> dict:
-        latency = {}
-        for stage in self._stage_names:
-            snap = self.metrics.histogram(
-                "repro_serve_stage_latency_seconds", stage=stage
-            ).snapshot()
-            if snap["count"]:
-                latency[stage] = {
-                    "p50": snap["p50"],
-                    "p99": snap["p99"],
-                    "samples": snap["count"],
-                }
-        return latency
-
     def _write_status(self, binner: FlowBinner, *, queue_depth: int = 0) -> None:
         counters = binner.counters()
         status = self.status
@@ -406,13 +388,12 @@ class IngestService:
         status.fit_forward_fraction = active.forward_fraction
         status.fit_age_bins = self._fits.fit_age_bins()
         status.refits = self._fits.refits
-        status.stage_latency = self._stage_latency()
         status.peak_rss_mb = peak_rss_mb()
         self._sync_metrics(status, counters)
         if self._status_path is not None:
             self._status_path.parent.mkdir(parents=True, exist_ok=True)
             tmp = self._status_path.with_suffix(self._status_path.suffix + ".tmp")
-            tmp.write_text(json.dumps(status.to_dict(), indent=2))
+            tmp.write_text(json.dumps(status.to_dict(self._stages), indent=2))
             tmp.replace(self._status_path)
 
     def _sync_metrics(self, status: ServiceStatus, counters: dict) -> None:
@@ -453,10 +434,8 @@ class IngestService:
         n = len(self._topology.nodes)
         block = np.stack(matrices)
         t_chunk = block.shape[0]
-        tracer = get_tracer()
 
-        with tracer.span("measure", start_bin=start_bin, bins=t_chunk):
-            started = time.perf_counter()
+        with stage("measure", self._stages["measure"], start_bin=start_bin, bins=t_chunk):
             link_loads = block.reshape(t_chunk, n * n) @ self._routing_t
             ingress = block.sum(axis=2)
             egress = block.sum(axis=1)
@@ -468,10 +447,8 @@ class IngestService:
             system = LinkLoadSystem(
                 routing=self._routing, link_loads=link_loads, ingress=ingress, egress=egress
             )
-            self._record_stage("measure", time.perf_counter() - started)
 
-        with tracer.span("prior", start_bin=start_bin):
-            started = time.perf_counter()
+        with stage("prior", self._stages["prior"], start_bin=start_bin):
             active = self._fits.active
             prior_block = self._fits.prior_values(ingress, egress)
             prior_stream = ArrayChunkStream(
@@ -480,15 +457,11 @@ class IngestService:
                 bin_seconds=self._bin_seconds,
                 chunk_bins=t_chunk,
             )
-            self._record_stage("prior", time.perf_counter() - started)
 
-        with tracer.span("estimate", start_bin=start_bin, bins=t_chunk):
-            started = time.perf_counter()
+        with stage("estimate", self._stages["estimate"], start_bin=start_bin, bins=t_chunk):
             result = self._estimator.estimate_stream(system, prior_stream, collect_estimate=True)
-            self._record_stage("estimate", time.perf_counter() - started)
 
-        with tracer.span("bin_publish", start_bin=start_bin, bins=t_chunk):
-            started = time.perf_counter()
+        with stage("bin_publish", self._stages["publish"], start_bin=start_bin, bins=t_chunk):
             estimates = result.estimate.values
             for offset in range(t_chunk):
                 index = start_bin + offset
@@ -506,14 +479,11 @@ class IngestService:
                 self._estimate_writer(start_bin, estimates)
             self.status.bins_published += t_chunk
             self.status.next_bin = start_bin + t_chunk
-            self._record_stage("publish", time.perf_counter() - started)
 
         # Observe *after* publishing: a re-fit triggered by these bins swaps
         # the active prior atomically for subsequent chunks only.
-        with tracer.span("fit_observe", start_bin=start_bin):
-            started = time.perf_counter()
+        with stage("fit_observe", self._stages["fit"], start_bin=start_bin):
             self._fits.observe(start_bin, block)
-            self._record_stage("fit", time.perf_counter() - started)
 
     def run(self) -> ServiceStatus:
         """Drive the feed to completion (or stop/max-bins) and return status."""
@@ -562,9 +532,8 @@ class IngestService:
             with get_tracer().span("serve", start_bin=self._start_bin) as span:
                 interrupted = False
                 for batch in self._source.batches():
-                    started = time.perf_counter()
-                    closed = binner.push(batch)
-                    self._record_stage("bin", time.perf_counter() - started)
+                    with stage("bin", self._stages["bin"], records=len(batch)):
+                        closed = binner.push(batch)
                     if not drain(closed, final=False):
                         break
                     if self._stop_requested:

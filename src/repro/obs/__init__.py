@@ -16,6 +16,20 @@ around two primitives:
   exposed as Prometheus text format, over stdlib HTTP
   (``repro serve --metrics-port``) or to a file (``--metrics-out``).
 
+:func:`stage` joins the two for pipeline stages: ``with stage(name,
+histogram, **attrs) as timed:`` opens the ambient span, reads the clock
+once and, on success, observes the elapsed seconds into ``histogram`` and
+``timed.seconds`` (an exception closes the span with ``error=`` and
+records nothing).  ``ScenarioRunner.run`` fills ``ScenarioResult.timing``
+from its ``synthesize``/``build_prior``/``estimate`` stages; ``repro
+serve`` times one source batch (``bin``) or one chunk (the rest) into
+``repro_serve_stage_latency_seconds{stage=...}``:
+
+===============  =====  =======  =====  ========  =============  ===========
+serve span       bin    measure  prior  estimate  bin_publish    fit_observe
+stage label      bin    measure  prior  estimate  publish        fit
+===============  =====  =======  =====  ========  =============  ===========
+
 Both primitives have no-op twins (:class:`NullTracer`,
 :class:`NullMetricsRegistry`) installed as the ambient default, so
 instrumented hot paths pay ~nothing until a user opts in with
@@ -42,6 +56,7 @@ from repro.obs.trace import (
     Tracer,
     get_tracer,
     set_tracer,
+    stage,
     start_tracing,
     tracer_from_context,
     use_tracer,
@@ -59,6 +74,7 @@ __all__ = [
     "start_tracing",
     "worker_context",
     "tracer_from_context",
+    "stage",
     "Counter",
     "Gauge",
     "Histogram",

@@ -103,7 +103,7 @@ class Gauge:
 
 
 class Histogram:
-    """Bounded-reservoir histogram with exact count/sum/min/max.
+    """Bounded-reservoir histogram with exact count/sum/min/max in :meth:`snapshot`.
 
     The reservoir (Vitter's algorithm R) keeps a uniform sample of every
     observation ever made, in ``O(reservoir)`` memory regardless of
@@ -149,37 +149,15 @@ class Histogram:
         return self._count
 
     @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def min(self) -> float:
-        return self._min if self._count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self._count else 0.0
-
-    @property
     def sample_size(self) -> int:
         """Values held in memory — never exceeds the reservoir bound."""
         return len(self._samples)
-
-    def quantile(self, q: float) -> float:
-        with self._lock:
-            ordered = sorted(self._samples)
-        if not ordered:
-            return 0.0
-        position = (len(ordered) - 1) * float(q)
-        low = int(math.floor(position))
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
     def snapshot(self) -> dict:
         with self._lock:
             ordered = sorted(self._samples)
             count, total = self._count, self._sum
+            minimum, maximum = (self._min, self._max) if count else (0.0, 0.0)
         quantiles = {}
         for q in QUANTILES:
             if not ordered:
@@ -193,8 +171,8 @@ class Histogram:
         return {
             "count": count,
             "sum": total,
-            "min": self.min,
-            "max": self.max,
+            "min": minimum,
+            "max": maximum,
             "p50": quantiles[0.5],
             "p95": quantiles[0.95],
             "p99": quantiles[0.99],
@@ -231,9 +209,6 @@ class _NullInstrument:
     __slots__ = ()
     value = 0.0
     count = 0
-    sum = 0.0
-    min = 0.0
-    max = 0.0
     sample_size = 0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -247,9 +222,6 @@ class _NullInstrument:
 
     def observe(self, value: float) -> None:
         pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
 
     def snapshot(self) -> dict:
         return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}

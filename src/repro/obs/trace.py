@@ -28,6 +28,10 @@ The ambient tracer (:func:`get_tracer`) defaults to the shared
 :class:`NullTracer`, whose ``span()`` hands back a single reusable no-op
 span — the disabled hot path is two attribute lookups and an empty
 ``with``, which is what keeps ``bench_obs_overhead`` under budget.
+
+A pipeline stage that also feeds a latency histogram is one
+``with stage(name, histogram, **attrs) as timed:`` block instead of a
+span plus its own clock (:class:`stage`).
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "start_tracing",
     "worker_context",
     "tracer_from_context",
+    "stage",
 ]
 
 # Environment opt-in: REPRO_TRACE=<path> traces any repro command.
@@ -314,3 +319,33 @@ def tracer_from_context(context: dict | None, *, worker: str):
     if context is None:
         return _NULL_TRACER
     return Tracer(worker=worker, context=context)
+
+
+class stage:  # noqa: N801 - a context manager, named like contextlib.suppress
+    """Time a block as the ambient tracer's span ``name`` with ``attrs``.
+
+    On success the elapsed seconds (one ``perf_counter`` pair) land in
+    ``.seconds`` and, when given, in ``histogram.observe``.  An exception
+    closes the span with ``error=``, records nothing and propagates.
+    """
+
+    __slots__ = ("_span", "_histogram", "_t0", "seconds")
+
+    def __init__(self, name: str, histogram=None, **attrs):
+        self._span = _active.span(name, **attrs)
+        self._histogram = histogram
+        self.seconds: float | None = None
+
+    def __enter__(self) -> "stage":
+        self._span.__enter__()
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed = time.perf_counter() - self._t0
+        self._span.__exit__(exc_type, exc, tb)
+        if exc_type is None:
+            self.seconds = elapsed
+            if self._histogram is not None:
+                self._histogram.observe(elapsed)
+        return False

@@ -59,6 +59,7 @@ from repro.obs import (
     get_metrics,
     get_tracer,
     peak_rss_mb,
+    stage,
     tracer_from_context,
     use_tracer,
     worker_context,
@@ -186,10 +187,12 @@ class ScenarioResult:
         ``spill_dir``, the chunk-sharded ``(T, n, n)`` ``"estimate"`` cube
         (auto-spilled runs keep only the small error series on disk).
     timing:
-        Seconds spent per stage: ``dataset``, ``prior``, ``estimation`` and
-        ``total``, plus ``peak_rss_mb`` — the process's high-water resident
-        set size after the run (the number the streaming pipeline bounds) —
-        and ``spill_dir`` when the run spilled.
+        Seconds spent per stage: ``dataset``, ``prior`` and ``estimation``
+        (the ``synthesize``, ``build_prior`` and ``estimate`` stages) and
+        ``total`` (also observed into ``repro_scenario_run_seconds``), plus
+        ``peak_rss_mb`` — the process's high-water resident set size after
+        the run (the number the streaming pipeline bounds) — and
+        ``spill_dir`` when the run spilled.
     """
 
     scenario: Scenario
@@ -458,12 +461,11 @@ class ScenarioRunner:
             )
         calibration_week, target_week = self.resolve_weeks(scenario)
 
-        tracer = get_tracer()
         started = time.perf_counter()
         weeks_needed = self._weeks_to_synthesize(scenario, calibration_week, target_week)
-        with tracer.span(
+        with stage(
             "synthesize", dataset=scenario.dataset, weeks=weeks_needed, stream=scenario.stream
-        ):
+        ) as synthesized:
             data = dataset
             if data is not None:
                 if data.n_weeks < weeks_needed:
@@ -490,7 +492,6 @@ class ScenarioRunner:
                 )
             topology = self._resolve_topology(scenario, data)
             target = data.week_stream(target_week, max_bins=scenario.max_bins)
-        dataset_seconds = time.perf_counter() - started
 
         if shared is not None:
             shared.pin(data)
@@ -542,13 +543,10 @@ class ScenarioRunner:
                 entry.obj(context), chunk_bins=target.chunk_bins, bin_seconds=target.bin_seconds
             )
 
-        prior_started = time.perf_counter()
-        with tracer.span("build_prior", prior=scenario.prior, stream=scenario.stream):
+        with stage("build_prior", prior=scenario.prior, stream=scenario.stream) as prior_built:
             prior_stream = build_prior(prior_entry)
-        prior_seconds = time.perf_counter() - prior_started
 
-        estimation_started = time.perf_counter()
-        with tracer.span("estimate", estimator=scenario.estimator, stream=scenario.stream):
+        with stage("estimate", estimator=scenario.estimator, stream=scenario.stream) as estimated:
             baseline = None
             if baseline_entry is not None:
 
@@ -589,7 +587,6 @@ class ScenarioRunner:
                 )
             else:
                 main = build_main()
-        estimation_seconds = time.perf_counter() - estimation_started
 
         improvement = None
         if baseline is not None:
@@ -611,9 +608,9 @@ class ScenarioRunner:
                 spilled["estimate"] = estimate_writer.finish()
         total_seconds = time.perf_counter() - started
         timing = {
-            "dataset": dataset_seconds,
-            "prior": prior_seconds,
-            "estimation": estimation_seconds,
+            "dataset": synthesized.seconds,
+            "prior": prior_built.seconds,
+            "estimation": estimated.seconds,
             "total": total_seconds,
             "peak_rss_mb": peak_rss_mb(),
         }
@@ -625,9 +622,7 @@ class ScenarioRunner:
         if metrics.enabled:
             mode = "stream" if scenario.stream else "memory"
             metrics.counter("repro_scenario_runs_total", mode=mode).inc()
-            metrics.histogram("repro_scenario_run_seconds", mode=mode).observe(
-                time.perf_counter() - started
-            )
+            metrics.histogram("repro_scenario_run_seconds", mode=mode).observe(total_seconds)
         return ScenarioResult(
             scenario=scenario,
             prior_label=prior_entry.metadata.get("display", prior_entry.name),

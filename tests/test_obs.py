@@ -17,8 +17,11 @@ Covers:
 * executor failure telemetry: unreachable workers and mid-batch deaths
   close their spans with ``error=`` attributes and increment the failure
   counter,
+* :func:`~repro.obs.stage`: one span, one clock reading, one histogram
+  observation per block, and nothing recorded when the block raises,
 * the serve satellites: ``feed_lag_seconds`` under a paced feed that
-  outruns the fit loop, and flat-memory stage-latency reservoirs.
+  outruns the fit loop, flat-memory stage-latency reservoirs, and a
+  status.json whose stage numbers are the histograms' own.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.obs import (
     Tracer,
     get_metrics,
     get_tracer,
+    stage,
     tracer_from_context,
     use_metrics,
     use_tracer,
@@ -132,6 +136,42 @@ class TestTracer:
         with use_tracer(tracer):
             assert get_tracer() is tracer
         assert get_tracer() is before
+
+
+class TestStage:
+    def test_null_tracer_still_times_and_observes(self):
+        histogram = MetricsRegistry().histogram("stage_seconds")
+        with stage("work", histogram, size=3) as timed:
+            time.sleep(0.001)
+        assert timed.seconds > 0
+        snap = histogram.snapshot()
+        assert snap["count"] == 1
+        assert snap["sum"] == timed.seconds
+
+    def test_span_carries_name_attrs_and_parent(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with tracer.span("outer"):
+                with stage("inner", size=3, kind="x") as timed:
+                    pass
+        inner, outer = _spans(tracer.drain())
+        assert inner["name"] == "inner"
+        assert inner["attrs"] == {"size": 3, "kind": "x"}
+        assert inner["parent"] == outer["span"]
+        assert timed.seconds >= 0
+
+    def test_exception_propagates_and_records_nothing(self):
+        tracer = Tracer()
+        histogram = MetricsRegistry().histogram("stage_seconds")
+        with use_tracer(tracer):
+            with pytest.raises(RuntimeError, match="kaboom"):
+                with stage("doomed", histogram) as timed:
+                    raise RuntimeError("kaboom")
+        (span,) = _spans(tracer.drain())
+        assert span["name"] == "doomed"
+        assert span["attrs"]["error"] == "RuntimeError: kaboom"
+        assert histogram.snapshot()["count"] == 0
+        assert timed.seconds is None
 
 
 class TestMetrics:
@@ -575,12 +615,13 @@ class TestServeTelemetry:
         assert snapshot["repro_serve_bins_published_total"] == status["bins_published"]
         assert snapshot["repro_serve_records_binned_total"] == status["records_binned"]
         latency = status["stage_latency_seconds"]
-        for stage in ("bin", "measure", "prior", "estimate", "publish", "fit"):
-            series = f'repro_serve_stage_latency_seconds{{stage="{stage}"}}'
-            assert snapshot[series]["count"] == latency[stage]["samples"]
+        for label in ("bin", "measure", "prior", "estimate", "publish", "fit"):
+            series = f'repro_serve_stage_latency_seconds{{stage="{label}"}}'
+            assert snapshot[series]["count"] == latency[label]["samples"]
             assert snapshot[series]["p50"] == pytest.approx(
-                latency[stage]["p50"], abs=1e-6
+                latency[label]["p50"], abs=1e-6
             )
+            assert status["stage_seconds"][label] == round(snapshot[series]["sum"], 6)
 
     def test_stage_latency_memory_stays_flat(self, tmp_path, abilene):
         # Satellite 2: the per-stage latency store is a bounded reservoir,
@@ -597,25 +638,38 @@ class TestServeTelemetry:
             sink=tmp_path / "estimates.jsonl",
             metrics=MetricsRegistry(),
         )
+        histogram = service._stages["estimate"]
         rng = np.random.default_rng(0)
         for value in rng.random(2_000):
-            service._record_stage("estimate", float(value))
+            histogram.observe(float(value))
         tracemalloc.start()
         for value in rng.random(50_000):
-            service._record_stage("estimate", float(value))
+            histogram.observe(float(value))
         current, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        histogram = service.metrics.histogram(
-            "repro_serve_stage_latency_seconds", stage="estimate"
-        )
         assert histogram.sample_size <= 512
         assert histogram.snapshot()["count"] == 52_000
         # 25x more samples than the warm-up added no retained growth beyond
         # noise: the reservoir recycles its 512 slots in place.
         assert current < 64 * 1024, f"stage-latency store grew by {current} bytes"
-        latency = service._stage_latency()
+        latency = service.status.to_dict(service._stages)["stage_latency_seconds"]
         assert latency["estimate"]["samples"] == 52_000
         assert 0.0 <= latency["estimate"]["p50"] <= latency["estimate"]["p99"] <= 1.0
+
+
+class TestScenarioMetrics:
+    def test_run_total_and_run_seconds_histogram_are_one_reading(self):
+        from repro.scenarios import Scenario, ScenarioRunner
+
+        registry = MetricsRegistry()
+        scenario = Scenario(dataset="geant", prior="gravity", bins_per_week=36, max_bins=4)
+        with use_metrics(registry):
+            result = ScenarioRunner().run(scenario)
+        snap = registry.histogram("repro_scenario_run_seconds", mode="memory").snapshot()
+        assert snap["count"] == 1
+        assert snap["sum"] == result.timing["total"]
+        stages = result.timing["dataset"] + result.timing["prior"] + result.timing["estimation"]
+        assert 0 < stages <= result.timing["total"]
 
 
 class TestSweepMetrics:
