@@ -158,8 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
             "pipeline.  With --jobs N the cells run in N parallel worker "
             "processes on the shared-plan scheduler: each dataset column is "
             "synthesized (or, with --stream, planned with checkpointed noise "
-            "states) once in the parent and shipped through shared memory, and "
-            "workers reuse the column's measurement system and baseline "
+            "states) once in the parent and shipped over the sweep-worker "
+            "protocol — local workers speak it over socket pairs, remote ones "
+            "over TCP — and whichever worker is free takes the next column "
+            "batch, reusing the column's measurement system and baseline "
             "estimate across its priors.  Every cell carries its own "
             "deterministic seeds, so the grid result is identical regardless "
             "of the worker count."
@@ -181,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--executor", default="auto",
                        choices=["auto", "in-process", "local-pool", "remote"],
                        help="where cells run: auto picks in-process or the "
-                            "local shared-memory pool from --jobs; remote "
-                            "ships column batches to `repro sweep-worker` "
-                            "daemons (requires --remote-workers)")
+                            "local worker pool from --jobs (local processes "
+                            "speaking the sweep-worker protocol over socket "
+                            "pairs); remote ships column batches to `repro "
+                            "sweep-worker` daemons (requires --remote-workers)")
     sweep.add_argument("--remote-workers", nargs="+", default=None,
                        metavar="HOST:PORT",
                        help="sweep-worker daemon addresses for --executor "
@@ -640,6 +643,9 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
 
     if args.port < 0:
         print("error: --port must be >= 0", file=sys.stderr)
+        return USAGE_EXIT_CODE
+    if args.max_connections < 0:
+        print("error: --max-connections must be >= 0", file=sys.stderr)
         return USAGE_EXIT_CODE
     return run_sweep_worker(
         args.host,

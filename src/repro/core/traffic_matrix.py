@@ -177,29 +177,6 @@ class TrafficMatrixSeries:
         self._nodes = node_names(nodes, array.shape[1])
         self._bin_seconds = float(bin_seconds)
 
-    @classmethod
-    def _from_validated(
-        cls,
-        values: np.ndarray,
-        nodes: Sequence[str] | None,
-        *,
-        bin_seconds: float,
-    ) -> "TrafficMatrixSeries":
-        """Wrap an already-validated ``(T, n, n)`` float array without copying.
-
-        The public constructor clips (and therefore copies) its input; this
-        internal path exists for callers that re-wrap arrays which went
-        through that validation before — notably the parallel-sweep workers,
-        which map dataset weeks out of ``multiprocessing.shared_memory`` and
-        must not duplicate them per worker.  The caller owns the guarantee
-        that ``values`` is a non-negative float ``(T, n, n)`` array.
-        """
-        series = cls.__new__(cls)
-        series._values = values
-        series._nodes = node_names(nodes, values.shape[1])
-        series._bin_seconds = float(bin_seconds)
-        return series
-
     # -- basic properties -------------------------------------------------
 
     @property

@@ -7,8 +7,8 @@ around two primitives:
 * :mod:`repro.obs.trace` — a :class:`Tracer` producing nested spans
   (``synthesize``, ``fit_als_pass``, ``estimate_chunk``, ``sweep_cell``,
   ``emit``, ``bin_publish``…) as JSONL events.  Span context propagates
-  over the :class:`~repro.scenarios.executors.RemoteExecutor` wire
-  protocol and through pool workers, so a distributed sweep yields one
+  over the sweep-worker wire protocol that local pool workers and
+  remote daemons share, so a distributed sweep yields one
   merged, causally-linked trace; :mod:`repro.obs.export` renders it as a
   per-stage summary or Chrome ``trace_event`` JSON for perfetto.
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry` of

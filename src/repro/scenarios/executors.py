@@ -6,19 +6,23 @@ cells execute.  Three implementations cover the scaling ladder:
 * :class:`InProcessExecutor` — every cell runs serially in the calling
   process, sharing one :class:`~repro.scenarios.runner.SweepSharedState`.
   The reference path: all other executors must match it bit for bit.
-* :class:`LocalPoolExecutor` — the shared-plan ``ProcessPoolExecutor``
-  scheduler: dataset columns are synthesized (or planned) once in the
-  parent, shipped to local workers over shared memory, and cells run in
-  column batches.
-* :class:`RemoteExecutor` — the same column batches shipped to ``repro
-  sweep-worker`` daemons over TCP.  Streaming columns travel as their
-  generation-plan state (:meth:`StreamingDataset.export_state`), in-memory
-  columns as pickled week cubes; workers run the cells and send the
-  per-cell results back.  Cells that spill expect ``spill_dir`` to be a
-  directory *shared* between the parent and every worker (NFS or
-  equivalent): workers write ``.npz`` shards there and return lazy
-  :class:`~repro.scenarios.spill.SpilledSeries` handles that the parent
-  reads from the same paths.
+* :class:`LocalPoolExecutor` — local worker processes, each running the
+  ``repro sweep-worker`` loop on one end of a :func:`socket.socketpair`
+  (no listening port).
+* :class:`RemoteExecutor` — ``repro sweep-worker`` daemons over TCP.
+
+Both out-of-process executors share one driver and one wire protocol.
+Dataset columns are synthesized (or planned) once in the parent and the
+cells run in column batches; whichever worker is free pulls the next batch
+(there is no round-robin assignment), and a column is sent to a worker the
+first time one of its batches needs it.  Streaming columns travel as their
+generation-plan state (:meth:`StreamingDataset.export_state`), in-memory
+columns as pickled week cubes; workers run the cells and send the per-cell
+results back.  Remote cells that spill expect ``spill_dir`` to be a
+directory *shared* between the parent and every worker (NFS or equivalent):
+workers write ``.npz`` shards there and return lazy
+:class:`~repro.scenarios.spill.SpilledSeries` handles that the parent reads
+from the same paths.
 
 Every executor preserves the sweep's determinism contract: cells carry
 explicit seeds, batches are formed by the same column-grouping rule, and
@@ -34,6 +38,8 @@ arbitrary code.
 
 from __future__ import annotations
 
+import collections
+import multiprocessing
 import os
 import pickle
 import re
@@ -176,12 +182,14 @@ class InProcessExecutor(SweepExecutor):
 
 
 class LocalPoolExecutor(SweepExecutor):
-    """Run column batches in local worker processes (shared-memory shipping).
+    """Run column batches in local sweep-worker processes over socket pairs.
 
-    Wraps the runner's shared-plan ``ProcessPoolExecutor`` scheduler; on
-    pool failure (sandboxes without process support, shared-memory limits)
-    it falls back to a serial run with a warning, like ``--jobs`` always
-    has.
+    Starts ``min(jobs, batches)`` processes with the default
+    :mod:`multiprocessing` context; each serves the ``repro sweep-worker``
+    loop on one end of a :func:`socket.socketpair`, driven exactly like a
+    remote daemon.  When the pool cannot start or a worker fails, the cells
+    no batch delivered run serially in this process with a
+    ``RuntimeWarning``, like ``--jobs`` always has.
     """
 
     name = "local-pool"
@@ -192,7 +200,37 @@ class LocalPoolExecutor(SweepExecutor):
         self.jobs = int(jobs)
 
     def execute(self, plan: SweepPlan) -> list[tuple]:
-        plan.runner._sweep_parallel(plan.cells, self.jobs, emit=plan.emit)
+        from repro.scenarios.runner import ScenarioRunner, SweepSharedState
+
+        items, datasets = plan.runner._prepare_sweep_items(plan.cells)
+        work = _BatchQueue(plan, ScenarioRunner._column_batches(items, self.jobs), datasets)
+        processes, sockets = [], []
+        try:
+            processes, sockets = _start_pool(min(self.jobs, len(work)))
+            _join_all(
+                threading.Thread(
+                    target=_drive_local, args=(work, sock, f"pool-{process.pid}")
+                )
+                for process, sock in zip(processes, sockets)
+            )
+        except (OSError, RuntimeError) as exc:
+            work.errors.append(f"{type(exc).__name__}: {exc}")
+        finally:
+            _stop_pool(processes, sockets)
+        missing = plan.pending()
+        if missing:
+            warnings.warn(
+                f"parallel sweep unavailable ({'; '.join(work.errors)}); "
+                f"falling back to a serial run of {len(missing)} cell(s)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            shared = SweepSharedState()
+            for index in missing:
+                result, message = plan.runner._run_cell_guarded(
+                    plan.cells[index], shared=shared
+                )
+                plan.emit(index, result, message)
         return plan.outcomes()
 
 
@@ -257,7 +295,7 @@ def _warn_jobs_capped(requested: int, capped: int, cpu_count: int | None) -> Non
 
 
 # ---------------------------------------------------------------------------
-# remote execution: wire protocol
+# the sweep-worker wire protocol (remote daemons and local pool workers)
 # ---------------------------------------------------------------------------
 #
 # Frames are length-prefixed pickles: an 8-byte big-endian unsigned length
@@ -325,6 +363,119 @@ def _parse_address(worker) -> tuple[str, int]:
     return str(host), int(port)
 
 
+class _BatchQueue:
+    """One sweep's column batches, pulled by whichever connection is free.
+
+    The driver behind both out-of-process executors: :meth:`drive` feeds
+    one connected sweep-worker socket until the queue is empty, sending each
+    dataset column the first time a batch on that connection needs it and
+    emitting every cell to the plan as its batch lands.  A failed connection
+    records its error and stops; its batch stays undelivered on the plan.
+    """
+
+    def __init__(self, plan: SweepPlan, batches: list, datasets: dict):
+        self.plan = plan
+        self.datasets = datasets
+        self.errors: list[str] = []
+        self._batches = collections.deque(batches)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._batches)
+
+    def _next_batch(self):
+        with self._lock:
+            return self._batches.popleft() if self._batches else None
+
+    def fail(self, label: str, message: str, *, span, reason: str) -> None:
+        # Every failure path converges here: the error lands in the shared
+        # list, on the still-open worker span (so no span leaks open or
+        # unattributed), and on the failure counter.
+        with self._lock:
+            self.errors.append(message)
+        span.set(error=message)
+        get_metrics().counter(
+            "repro_executor_failures_total", worker=label, reason=reason
+        ).inc()
+
+    def drive(self, sock: socket.socket, label: str, span) -> None:
+        tracer = get_tracer()
+        runner = self.plan.runner
+        sent: set = set()
+        try:
+            hello = _roundtrip(sock, {"op": "ping"})
+            if hello.get("protocol") != SWEEP_WORKER_PROTOCOL:
+                self.fail(
+                    label,
+                    f"worker {label} speaks protocol "
+                    f"{hello.get('protocol')!r}, expected {SWEEP_WORKER_PROTOCOL}",
+                    span=span,
+                    reason="protocol",
+                )
+                return
+            while (batch := self._next_batch()) is not None:
+                needed = {key for (_, _, key) in batch if key is not None} - sent
+                for key in sorted(needed, key=repr):
+                    data = self.datasets[key]
+                    if hasattr(data, "export_state"):
+                        kind, payload = "plan", data.export_state()
+                    else:
+                        kind, payload = "cube", data
+                    reply = _roundtrip(
+                        sock, {"op": "dataset", "key": key, "kind": kind, "payload": payload}
+                    )
+                    if not reply.get("ok"):
+                        self.fail(
+                            label,
+                            f"worker {label} rejected dataset {key!r}: "
+                            f"{reply.get('error', 'unknown error')}",
+                            span=span,
+                            reason="dataset",
+                        )
+                        return
+                    sent.add(key)
+                reply = _roundtrip(
+                    sock,
+                    {
+                        "op": "batch",
+                        "baseline": runner._baseline,
+                        "fit_cache_bytes": runner._fit_cache_bytes,
+                        "fit_memo": runner._fit_memo,
+                        "items": batch,
+                        "trace": worker_context(tracer),
+                        "worker": label,
+                    },
+                )
+                if not reply.get("ok"):
+                    self.fail(
+                        label,
+                        f"worker {label} failed a batch: "
+                        f"{reply.get('error', 'unknown error')}",
+                        span=span,
+                        reason="batch",
+                    )
+                    return
+                # The worker ran its cells under a capture tracer seeded from
+                # this thread's context; merge its spans here so the driver's
+                # trace file tells the whole distributed story.
+                tracer.ingest(reply.get("trace_events"))
+                if reply.get("peak_rss_mb") is not None:
+                    get_metrics().gauge(
+                        "repro_executor_worker_rss_mb", worker=label
+                    ).set(reply["peak_rss_mb"])
+                # Stream each cell to the plan as its batch lands, instead of
+                # accumulating the whole grid's results in this driver.
+                for index, result, message in reply["outcomes"]:
+                    self.plan.emit(index, result, message)
+        except (OSError, EOFError, pickle.PickleError, struct.error) as exc:
+            self.fail(
+                label,
+                f"worker {label} failed ({type(exc).__name__}: {exc})",
+                span=span,
+                reason="connection",
+            )
+
+
 class RemoteExecutor(SweepExecutor):
     """Ship column batches to ``repro sweep-worker`` daemons over TCP.
 
@@ -332,12 +483,11 @@ class RemoteExecutor(SweepExecutor):
     ----------
     workers:
         Daemon addresses (``"host:port"`` strings or ``(host, port)``
-        pairs).  Batches are assigned round-robin in deterministic batch
-        order; each worker runs its batches sequentially over one
-        connection, so its per-connection
+        pairs).  Each daemon gets one connection and pulls the next column
+        batch whenever it is free, so its per-connection
         :class:`~repro.scenarios.runner.SweepSharedState` (measurement
         systems, baselines, memoised streamed fits) is reused across every
-        batch it receives.
+        batch it runs.
     connect_timeout:
         Seconds to wait for each daemon's TCP accept.  Batch execution
         itself is not timed out (month-scale cells are expected to be
@@ -361,34 +511,22 @@ class RemoteExecutor(SweepExecutor):
     def execute(self, plan: SweepPlan) -> list[tuple]:
         from repro.scenarios.runner import ScenarioRunner
 
-        runner = plan.runner
-        items, datasets = runner._prepare_sweep_items(plan.cells)
+        items, datasets = plan.runner._prepare_sweep_items(plan.cells)
         # Split for the full requested width — remote workers are not bound
         # by this host's CPU count — but never below one batch per worker.
         split = max(int(plan.jobs or 1), len(self._addresses))
-        batches = ScenarioRunner._column_batches(items, split)
-        assignments: list[list] = [[] for _ in self._addresses]
-        for at, batch in enumerate(batches):
-            assignments[at % len(self._addresses)].append(batch)
-
-        errors: list[str] = []
-        lock = threading.Lock()
-        threads = [
+        work = _BatchQueue(plan, ScenarioRunner._column_batches(items, split), datasets)
+        _join_all(
             threading.Thread(
-                target=self._drive_worker,
-                args=(address, assigned, datasets, runner, plan, errors, lock),
+                target=self._connect_and_drive,
+                args=(address, work),
                 name=f"sweep-remote-{address[0]}:{address[1]}",
             )
-            for address, assigned in zip(self._addresses, assignments)
-            if assigned
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
+            for address in self._addresses[: len(work)]
+        )
+        if work.errors:
             raise ExecutorError(
-                "remote sweep failed: " + "; ".join(sorted(errors))
+                "remote sweep failed: " + "; ".join(sorted(work.errors))
             )
         missing = plan.pending()
         if missing:
@@ -399,104 +537,21 @@ class RemoteExecutor(SweepExecutor):
             )
         return plan.outcomes()
 
-    def _drive_worker(
-        self, address, assigned, datasets, runner, plan, errors, lock
-    ) -> None:
+    def _connect_and_drive(self, address, work: _BatchQueue) -> None:
         label = f"{address[0]}:{address[1]}"
-        tracer = get_tracer()
-
-        def fail(message: str, *, span, reason: str) -> None:
-            # Every failure path converges here: the error lands in the
-            # shared list, on the still-open worker span (so no span leaks
-            # open or unattributed), and on the failure counter.
-            with lock:
-                errors.append(message)
-            span.set(error=message)
-            get_metrics().counter(
-                "repro_executor_failures_total", worker=label, reason=reason
-            ).inc()
-
-        with tracer.span("remote_worker", worker=label) as span:
+        with get_tracer().span("remote_worker", worker=label) as span:
             try:
                 sock = socket.create_connection(address, timeout=self._connect_timeout)
             except OSError as exc:
-                fail(f"worker {label} unreachable ({exc})", span=span, reason="unreachable")
+                work.fail(
+                    label, f"worker {label} unreachable ({exc})", span=span, reason="unreachable"
+                )
                 return
-            try:
+            with sock:
                 # Cells can legitimately run for minutes; only the connect is
                 # bounded above.
                 sock.settimeout(None)
-                hello = _roundtrip(sock, {"op": "ping"})
-                if hello.get("protocol") != SWEEP_WORKER_PROTOCOL:
-                    fail(
-                        f"worker {label} speaks protocol "
-                        f"{hello.get('protocol')!r}, expected {SWEEP_WORKER_PROTOCOL}",
-                        span=span,
-                        reason="protocol",
-                    )
-                    return
-                needed = sorted(
-                    {key for batch in assigned for (_, _, key) in batch if key is not None},
-                    key=repr,
-                )
-                for key in needed:
-                    data = datasets[key]
-                    if hasattr(data, "export_state"):
-                        kind, payload = "plan", data.export_state()
-                    else:
-                        kind, payload = "cube", data
-                    reply = _roundtrip(
-                        sock, {"op": "dataset", "key": key, "kind": kind, "payload": payload}
-                    )
-                    if not reply.get("ok"):
-                        fail(
-                            f"worker {label} rejected dataset {key!r}: "
-                            f"{reply.get('error', 'unknown error')}",
-                            span=span,
-                            reason="dataset",
-                        )
-                        return
-                for batch in assigned:
-                    reply = _roundtrip(
-                        sock,
-                        {
-                            "op": "batch",
-                            "baseline": runner._baseline,
-                            "fit_cache_bytes": runner._fit_cache_bytes,
-                            "fit_memo": runner._fit_memo,
-                            "items": batch,
-                            "trace": worker_context(tracer),
-                            "worker": label,
-                        },
-                    )
-                    if not reply.get("ok"):
-                        fail(
-                            f"worker {label} failed a batch: "
-                            f"{reply.get('error', 'unknown error')}",
-                            span=span,
-                            reason="batch",
-                        )
-                        return
-                    # The worker ran its cells under a capture tracer seeded
-                    # from this thread's context; merge its spans here so the
-                    # driver's trace file tells the whole distributed story.
-                    tracer.ingest(reply.get("trace_events"))
-                    if reply.get("peak_rss_mb") is not None:
-                        get_metrics().gauge(
-                            "repro_executor_worker_rss_mb", worker=label
-                        ).set(reply["peak_rss_mb"])
-                    # Stream each cell to the plan as its batch lands, instead
-                    # of accumulating the whole grid's results in this driver.
-                    for index, result, message in reply["outcomes"]:
-                        plan.emit(index, result, message)
-            except (OSError, EOFError, pickle.PickleError, struct.error) as exc:
-                fail(
-                    f"worker {label} failed ({type(exc).__name__}: {exc})",
-                    span=span,
-                    reason="connection",
-                )
-            finally:
-                sock.close()
+                work.drive(sock, label, span)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +677,72 @@ def run_sweep_worker(
                 return 0
     finally:
         server.close()
+
+
+# ---------------------------------------------------------------------------
+# local worker processes (``LocalPoolExecutor``)
+# ---------------------------------------------------------------------------
+
+def _start_pool(count: int) -> tuple[list, list[socket.socket]]:
+    """Start ``count`` local sweep workers; returns ``(processes, sockets)``.
+
+    Every child starts before any driver thread does.  The parent closes its
+    copy of each child's end right after the start, so a dying child's EOF
+    reaches the driver; each child closes the parent-side ends it inherited,
+    so closing the parent's end reaches the child.
+    """
+    context = multiprocessing.get_context()
+    processes, sockets = [], []
+    try:
+        for _ in range(count):
+            ours, theirs = socket.socketpair()
+            sockets.append(ours)
+            with theirs:
+                process = context.Process(
+                    target=_pool_worker, args=(theirs, list(sockets)), daemon=True
+                )
+                process.start()
+            processes.append(process)
+    except BaseException:
+        _stop_pool(processes, sockets)
+        raise
+    return processes, sockets
+
+
+def _pool_worker(conn: socket.socket, inherited: list[socket.socket]) -> None:
+    """Body of one local pool process: serve one sweep over ``conn``."""
+    for sock in inherited:
+        sock.close()
+    with conn:
+        _serve_connection(conn)
+
+
+def _stop_pool(processes, sockets) -> None:
+    """Close the parent's ends (the workers see EOF and exit), then reap."""
+    for sock in sockets:
+        sock.close()
+    for process in processes:
+        process.join(10.0)
+        if process.is_alive():  # pragma: no cover - a worker ignoring EOF
+            process.terminate()
+            process.join()
+
+
+def _drive_local(work: _BatchQueue, sock: socket.socket, label: str) -> None:
+    with get_tracer().span("pool_worker", worker=label) as span:
+        work.drive(sock, label, span)
+
+
+def _join_all(threads) -> None:
+    """Start every thread, then join every one that started."""
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+    finally:
+        for thread in started:
+            thread.join()
 
 
 # ---------------------------------------------------------------------------

@@ -29,21 +29,18 @@ parent and shipped to the workers; cells are grouped by dataset column so
 each worker's :class:`SweepSharedState` reuses the column's measurement
 systems, gravity-baseline estimates and memoised stable-fP fits
 across the cells it runs.  *Where* the workers live is an executor choice
-(:mod:`repro.scenarios.executors`): in this process, a local
-``ProcessPoolExecutor`` fed over shared memory, or ``repro sweep-worker``
-daemons on other machines fed plan state over TCP.  Results are
-deterministic and bit-identical to the serial in-memory sweep under any
-executor and worker count.
+(:mod:`repro.scenarios.executors`): in this process, or in sweep workers —
+local processes on socket pairs or ``repro sweep-worker`` daemons over TCP,
+both speaking one protocol and each pulling the next column batch when it
+is free.  Results are deterministic and bit-identical to the serial
+in-memory sweep under any executor and worker count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import tempfile
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -55,15 +52,7 @@ from repro.core.priors import PriorContext
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
 from repro.estimation.linear_system import simulate_link_loads
-from repro.obs import (
-    get_metrics,
-    get_tracer,
-    peak_rss_mb,
-    stage,
-    tracer_from_context,
-    use_tracer,
-    worker_context,
-)
+from repro.obs import get_metrics, get_tracer, peak_rss_mb, stage
 from repro.registry import (
     DATASETS,
     ESTIMATORS,
@@ -75,11 +64,7 @@ from repro.registry import (
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.spill import SPILL_AUTO_MIN_BINS, SpillStore
 from repro.streaming import as_chunk_stream
-from repro.synthesis.datasets import (
-    load_dataset,
-    open_dataset_stream,
-    streaming_dataset_from_state,
-)
+from repro.synthesis.datasets import load_dataset, open_dataset_stream
 
 __all__ = [
     "ScenarioResult",
@@ -677,10 +662,12 @@ class ScenarioRunner:
         executor:
             Where the cells run (see :mod:`repro.scenarios.executors`):
             ``None``/``"auto"`` keeps the historical jobs-driven choice
-            between the in-process path and the local shared-memory pool;
+            between the in-process path and the local worker pool;
             ``"in-process"`` or ``"local-pool"`` force one; a
             :class:`~repro.scenarios.executors.RemoteExecutor` instance
-            ships column batches to ``repro sweep-worker`` daemons.
+            ships column batches to ``repro sweep-worker`` daemons.  Local
+            pool workers run the same sweep-worker loop over socket pairs,
+            and every worker pulls the next column batch when it is free.
             Results are deterministic regardless of executor or ``jobs``:
             every cell carries its own explicit ``seed``/``dataset_seed``,
             cells are scheduled in column groups and collected in grid
@@ -688,12 +675,13 @@ class ScenarioRunner:
             computation would, so scheduling cannot change the outcome.
             Each dataset column is synthesized (in-memory cells) or planned
             with eagerly checkpointed noise states (streaming cells) **once
-            in the parent** and shipped to the workers — through shared
-            memory locally, as plan state over TCP remotely — so the grid
-            pays one synthesis per column rather than one per
-            (worker, column); workers only run the estimation pipelines,
-            reusing the column's measurement system, baseline estimate and
-            memoised streamed fits across its cells.
+            in the parent** and shipped over the sweep-worker wire — week
+            cubes or plan state, sent to each worker the first time one of
+            its batches needs the column — so the grid pays one synthesis
+            per column rather than one per (worker, column); workers only
+            run the estimation pipelines, reusing the column's measurement
+            system, baseline estimate and memoised streamed fits across its
+            cells.
         result_sink:
             A :class:`~repro.scenarios.executors.ResultSink` receiving each
             cell's result the moment it completes, after which the result
@@ -917,8 +905,7 @@ class ScenarioRunner:
         never re-plan or re-pay the noise-RNG prefix.  Returns the
         ``(index, cell, key)`` work items (``key=None`` routes a cell to
         the worker's own dataset caches) and the ``{key: dataset}`` map
-        executors ship — through shared memory locally, as plan state over
-        TCP remotely.
+        executors ship to their workers.
         """
         datasets: dict[tuple, object] = {}
         keys: list[tuple | None] = []
@@ -948,247 +935,6 @@ class ScenarioRunner:
             keys.append(key)
         items = [(index, cell, key) for index, (cell, key) in enumerate(zip(cells, keys))]
         return items, datasets
-
-    def _sweep_parallel(self, cells: list[Scenario], jobs: int, *, emit) -> None:
-        """Run the grid cells in worker processes, emitting on completion.
-
-        Every distinct dataset column is prepared once here in the parent
-        (:meth:`_prepare_sweep_items`) and handed to each worker process at
-        startup.  The bulky arrays (week cubes, or the plan's activity
-        series) travel through ``multiprocessing.shared_memory`` — W
-        workers map **one** copy of each column instead of unpickling W
-        private ones — with a transparent fallback to the pickle path on
-        platforms (or failures) where shared memory is unavailable.  Cells
-        are scheduled in column groups so each worker's shared state reuses
-        the column's measurement system, baseline estimate and memoised
-        streamed fits.
-
-        ``emit`` (normally :meth:`SweepPlan.emit`) receives each cell's
-        ``(index, result, message)`` as its batch completes — not in grid
-        order — so a plan with a :class:`ResultSink` streams results out of
-        the driver while other batches are still running.  On pool failure
-        the serial fallback only re-runs the cells no batch delivered.
-        """
-        items, datasets = self._prepare_sweep_items(cells)
-        batches = self._column_batches(items, jobs)
-        trace_ctx = worker_context()
-        payloads = [
-            (self._baseline, self._fit_cache_bytes, self._fit_memo, batch, trace_ctx)
-            for batch in batches
-        ]
-        shm_payload, shm_blocks = _export_datasets_shm(datasets)
-        pickled = datasets if shm_payload is None else {}
-        delivered: set[int] = set()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(batches)),
-                initializer=_init_sweep_worker,
-                initargs=(pickled, shm_payload),
-            ) as pool:
-                futures = [pool.submit(_run_sweep_batch, payload) for payload in payloads]
-                for future in as_completed(futures):
-                    outcomes, trace_events = future.result()
-                    get_tracer().ingest(trace_events)
-                    for index, result, message in outcomes:
-                        delivered.add(index)
-                        emit(index, result, message)
-                return
-        except (OSError, PermissionError, RuntimeError) as exc:
-            warnings.warn(
-                f"parallel sweep unavailable ({type(exc).__name__}: {exc}); "
-                "falling back to a serial run",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            shared = SweepSharedState()
-            for index, cell in enumerate(cells):
-                if index in delivered:
-                    continue
-                result, message = self._run_cell_guarded(cell, shared=shared)
-                emit(index, result, message)
-        finally:
-            _release_shm_blocks(shm_blocks, unlink=True)
-
-
-# ---------------------------------------------------------------------------
-# shared-memory dataset shipping for parallel sweeps
-# ---------------------------------------------------------------------------
-
-def _export_datasets_shm(datasets: dict[tuple, object]):
-    """Move each dataset column's bulky arrays into shared-memory segments.
-
-    Returns ``(payload, blocks)`` where ``payload`` maps each synthesis key
-    to one of
-
-    * ``("cube", shell, weeks_meta)`` — a materialised dataset with its
-      ``weeks`` stripped (everything else, topology and ground truths
-      included, still pickles; it is small) plus per-week
-      ``(segment_name, shape, bin_seconds)`` tuples, or
-    * ``("plan", state, arrays_meta)`` — a streaming dataset's generation
-      state (:class:`~repro.synthesis.datasets.StreamingDatasetState`) with
-      its plan arrays stripped, plus ``{field: (segment_name, shape)}`` for
-      the spatial/activity arrays,
-
-    and ``blocks`` holds the parent's handles for cleanup after the pool
-    exits.  Returns ``(None, [])`` when shared memory is unavailable or any
-    allocation fails, which routes the sweep onto the pickle path.
-    """
-    if not datasets:
-        return {}, []
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - platform without shared memory
-        return None, []
-
-    blocks: list = []
-
-    def export_array(values) -> tuple[str, tuple]:
-        values = np.ascontiguousarray(np.asarray(values, dtype=float))
-        segment = shared_memory.SharedMemory(create=True, size=max(values.nbytes, 1))
-        blocks.append(segment)
-        view = np.ndarray(values.shape, dtype=np.float64, buffer=segment.buf)
-        view[...] = values
-        return segment.name, values.shape
-
-    payload: dict[tuple, tuple] = {}
-    try:
-        for key, data in datasets.items():
-            if hasattr(data, "export_state"):
-                state = data.export_state()
-                arrays_meta = {
-                    name: export_array(getattr(state, name))
-                    for name in type(state).ARRAY_FIELDS
-                }
-                payload[key] = ("plan", state.strip_arrays(), arrays_meta)
-            else:
-                weeks_meta = []
-                for week in data.weeks:
-                    name, shape = export_array(week.values)
-                    weeks_meta.append((name, shape, week.bin_seconds))
-                shell = dataclasses.replace(data, weeks=[])
-                payload[key] = ("cube", shell, weeks_meta)
-    except (OSError, ValueError, TypeError):  # pragma: no cover - exotic platforms
-        _release_shm_blocks(blocks, unlink=True)
-        return None, []
-    return payload, blocks
-
-
-def _release_shm_blocks(blocks, *, unlink: bool) -> None:
-    """Close (and optionally unlink) shared-memory handles, ignoring races."""
-    for segment in blocks:
-        try:
-            segment.close()
-            if unlink:
-                segment.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover - already gone
-            pass
-
-
-def _attach_shm_array(name: str, shape):
-    """Map one array out of a named shared-memory segment (zero copies).
-
-    Returns ``(values, segment)``; the caller must keep ``segment`` alive
-    for as long as the array is used.  The attach is untracked wherever the
-    stdlib allows it, so the worker's resource tracker does not try to unlink
-    segments the parent owns.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track flag
-        segment = shared_memory.SharedMemory(name=name)
-        # Under fork/forkserver the worker shares the parent's resource
-        # tracker, where the attach-register is an idempotent no-op and the
-        # parent's eventual unlink-unregister must stay balanced — touch
-        # nothing.  Under spawn the worker runs its own tracker, which would
-        # otherwise "clean up" (unlink) the parent's segments at worker
-        # shutdown; deregister the attach there.
-        try:
-            import multiprocessing
-
-            if multiprocessing.get_start_method(allow_none=True) == "spawn":
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(segment._name, "shared_memory")  # noqa: SLF001
-        except Exception:  # noqa: BLE001 - tracker internals vary by version
-            pass
-    values = np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
-    return values, segment
-
-
-# Dataset columns the parent prepared for this worker process, keyed by
-# the synthesis key; populated once per worker by the pool initializer so
-# each cell's payload only needs to carry the key.
-_WORKER_DATASETS: dict[tuple, object] = {}
-
-# Shared-memory handles this worker attached; referenced for the worker's
-# lifetime so the mapped arrays stay valid.
-_WORKER_SHM_BLOCKS: list = []
-
-# Per-worker reuse caches (measurement systems, baseline estimates); reset
-# by the pool initializer so state never leaks between sweeps.
-_WORKER_SHARED = SweepSharedState()
-
-
-def _init_sweep_worker(datasets: dict[tuple, object], shm_payload=None) -> None:
-    global _WORKER_SHARED
-    _WORKER_DATASETS.clear()
-    _WORKER_DATASETS.update(datasets)
-    _WORKER_SHARED = SweepSharedState()
-    # Symmetric cleanup: a re-initialised worker must drop (and unmap) the
-    # segments of any previous attach, or they stay mapped for its lifetime.
-    _release_shm_blocks(_WORKER_SHM_BLOCKS, unlink=False)
-    _WORKER_SHM_BLOCKS.clear()
-    if not shm_payload:
-        return
-    for key, (kind, shell, meta) in shm_payload.items():
-        if kind == "plan":
-            arrays = {}
-            for field_name, (name, shape) in meta.items():
-                values, segment = _attach_shm_array(name, shape)
-                _WORKER_SHM_BLOCKS.append(segment)
-                arrays[field_name] = values
-            _WORKER_DATASETS[key] = streaming_dataset_from_state(shell, arrays)
-        else:
-            weeks = []
-            for name, shape, bin_seconds in meta:
-                values, segment = _attach_shm_array(name, shape)
-                _WORKER_SHM_BLOCKS.append(segment)
-                weeks.append(
-                    TrafficMatrixSeries._from_validated(  # noqa: SLF001 - validated in the parent
-                        values, shell.topology.nodes, bin_seconds=bin_seconds
-                    )
-                )
-            _WORKER_DATASETS[key] = dataclasses.replace(shell, weeks=weeks)
-
-
-def _run_sweep_batch(payload: tuple) -> tuple[list[tuple], list[dict]]:
-    """Execute one column batch of sweep cells inside a worker process.
-
-    The cells of a batch share this worker's :class:`SweepSharedState`
-    (measurement systems, baseline estimates) and whatever dataset columns
-    the initializer attached; each returns ``(index, result, message)`` so
-    the parent can reassemble grid order across batches.  When the parent
-    runs traced, its span context rides in the payload: the batch executes
-    under a capture-mode tracer whose events (``sweep_cell`` spans parented
-    onto the parent's active span, attributed to this worker's pid) travel
-    back alongside the outcomes for the parent to ingest.
-    """
-    baseline, fit_cache_bytes, fit_memo, items, trace_ctx = payload
-    runner = ScenarioRunner(
-        baseline_prior=baseline, fit_cache_bytes=fit_cache_bytes, fit_memo=fit_memo
-    )
-    tracer = tracer_from_context(trace_ctx, worker=f"pool-{os.getpid()}")
-    outcomes = []
-    with use_tracer(tracer):
-        for index, cell, dataset_key in items:
-            dataset = _WORKER_DATASETS.get(dataset_key) if dataset_key is not None else None
-            result, message = runner._run_cell_guarded(  # noqa: SLF001 - same-module helper
-                cell, dataset=dataset, shared=_WORKER_SHARED
-            )
-            outcomes.append((index, result, message))
-    return outcomes, tracer.drain()
 
 
 @dataclass

@@ -619,10 +619,8 @@ class StreamingDatasetState:
     """Everything needed to rebuild a :class:`StreamingDataset` elsewhere.
 
     The arrays are the plan's ``O(n^2)`` spatial parameters plus the
-    ``O(T n)`` activity series; :data:`ARRAY_FIELDS` names them so transports
-    (the sweep scheduler's shared-memory shipping) can move them out-of-band
-    and reattach zero-copy views before calling
-    :func:`streaming_dataset_from_state`.
+    ``O(T n)`` activity series; :func:`streaming_dataset_from_state` rejects
+    a state that lacks any of them.
     """
 
     name: str
@@ -642,47 +640,25 @@ class StreamingDatasetState:
     forward_fraction_matrix: np.ndarray | None = None
     spatial_bias: np.ndarray | None = None
 
-    ARRAY_FIELDS = ("preference", "activity", "forward_fraction_matrix", "spatial_bias")
 
-    def strip_arrays(self) -> "StreamingDatasetState":
-        """A copy with the array fields dropped (they travel out-of-band)."""
-        import dataclasses as _dc
-
-        return _dc.replace(
-            self, preference=None, activity=None, forward_fraction_matrix=None, spatial_bias=None
-        )
-
-
-def streaming_dataset_from_state(
-    state: StreamingDatasetState,
-    arrays: dict[str, np.ndarray] | None = None,
-) -> StreamingDataset:
+def streaming_dataset_from_state(state: StreamingDatasetState) -> StreamingDataset:
     """Rebuild a :class:`StreamingDataset` from shipped generation state.
 
-    ``arrays`` optionally supplies the plan arrays (e.g. shared-memory
-    views); fields already present on ``state`` win.  No RNG is consumed:
-    chunk reads resume from the shipped noise-state checkpoints, so the
-    rebuilt dataset is bit-identical to the one the state was exported from.
+    No RNG is consumed: chunk reads resume from the shipped noise-state
+    checkpoints, so the rebuilt dataset is bit-identical to the one the
+    state was exported from.
     """
-    arrays = arrays or {}
-    resolved = {
-        field_name: (
-            getattr(state, field_name)
-            if getattr(state, field_name) is not None
-            else arrays.get(field_name)
-        )
-        for field_name in StreamingDatasetState.ARRAY_FIELDS
-    }
-    missing = sorted(name for name, value in resolved.items() if value is None)
+    arrays = ("preference", "activity", "forward_fraction_matrix", "spatial_bias")
+    missing = sorted(name for name in arrays if getattr(state, name) is None)
     if missing:
         raise ValidationError(f"streaming dataset state is missing plan arrays: {missing}")
     plan = GenerationPlan(
         n_bins=state.n_bins,
         bin_seconds=state.bin_seconds,
-        preference=resolved["preference"],
-        activity=resolved["activity"],
-        forward_fraction_matrix=resolved["forward_fraction_matrix"],
-        spatial_bias=resolved["spatial_bias"],
+        preference=state.preference,
+        activity=state.activity,
+        forward_fraction_matrix=state.forward_fraction_matrix,
+        spatial_bias=state.spatial_bias,
         noise_sigma=state.noise_sigma,
         noise_states=state.noise_states,
     )

@@ -181,6 +181,11 @@ class TestSweep:
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_sweep_worker_negative_max_connections_exits_2(self, capsys):
+        # Negative used to mean "serve forever"; it is rejected like --port.
+        assert main(["sweep-worker", "--max-connections", "-1"]) == 2
+        assert "--max-connections must be >= 0" in capsys.readouterr().err
+
 
 class TestList:
     def test_list_priors_names_all_registered(self, capsys):

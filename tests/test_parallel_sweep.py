@@ -2,24 +2,78 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import socket
+import threading
+import warnings
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.scenarios import Scenario, ScenarioRunner
-from repro.scenarios.runner import _run_sweep_batch
+from repro.scenarios import InProcessExecutor, LocalPoolExecutor, Scenario, ScenarioRunner
+from repro.scenarios.executors import (
+    _rebuild_dataset,
+    _recv_message,
+    _roundtrip,
+    _send_message,
+    _serve_connection,
+)
 
 SMALL = {"bins_per_week": 36, "max_bins": 4}
 
 
-def _run_one_cell(baseline, scenario, key):
-    """Run a single cell through the worker batch entry point."""
-    outcomes, trace_events = _run_sweep_batch(
-        (baseline, None, True, [(0, scenario, key)], None)
+@contextmanager
+def _worker_connection():
+    """A socket whose peer runs the sweep-worker loop in a thread."""
+    ours, theirs = socket.socketpair()
+    thread = threading.Thread(target=_serve_connection, args=(theirs,))
+    thread.start()
+    try:
+        yield ours
+    finally:
+        ours.close()
+        thread.join(timeout=60)
+        theirs.close()
+    assert not thread.is_alive()
+
+
+def _run_batch(sock, items, baseline="gravity"):
+    reply = _roundtrip(
+        sock,
+        {
+            "op": "batch",
+            "baseline": baseline,
+            "fit_cache_bytes": None,
+            "fit_memo": True,
+            "items": items,
+            "trace": None,
+            "worker": "test",
+        },
     )
-    assert trace_events == []  # untraced parent -> no span events shipped back
-    [(_, result, message)] = outcomes
+    assert reply["ok"], reply
+    assert reply["trace_events"] == []  # untraced parent -> no span events shipped back
+    return reply["outcomes"]
+
+
+def _run_one_cell(baseline, scenario, key, sock=None):
+    """Run a single cell through the sweep-worker batch op."""
+    with _worker_connection() if sock is None else nullcontext(sock) as conn:
+        [(_, result, message)] = _run_batch(conn, [(0, scenario, key)], baseline)
     return result, message
+
+
+def _through_wire(message: dict) -> dict:
+    """One framed-pickle message sent and received over a socket pair."""
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        sender = threading.Thread(target=_send_message, args=(ours, message))
+        sender.start()
+        received = _recv_message(theirs)
+        sender.join()
+    return received
 
 
 class TestRunSweepBatch:
@@ -44,7 +98,8 @@ class TestRunSweepBatch:
             for prior in ("gravity", "stable_f")
         ]
         items = [(index + 5, cell, None) for index, cell in enumerate(cells)]
-        outcomes, _ = _run_sweep_batch(("gravity", None, True, items, None))
+        with _worker_connection() as sock:
+            outcomes = _run_batch(sock, items)
         assert [index for index, _, _ in outcomes] == [5, 6]
         assert all(message is None for _, _, message in outcomes)
 
@@ -128,21 +183,21 @@ class TestPreSynthesizedDatasets:
             ScenarioRunner().run(scenario, dataset=shipped)
 
     def test_worker_cell_prefers_shipped_dataset(self):
-        from repro.scenarios.runner import _init_sweep_worker
         from repro.synthesis.datasets import load_dataset
 
         cell = Scenario(dataset="geant", prior="stable_f", n_weeks=2, **SMALL)
         key = ScenarioRunner._dataset_key(cell)
         assert key == ("geant", 2, 36, False, None)
         shipped = load_dataset("geant", n_weeks=2, bins_per_week=36, seed=777)
-        _init_sweep_worker({key: shipped})
-        try:
-            result, message = _run_one_cell("gravity", cell, key)
+        with _worker_connection() as sock:
+            reply = _roundtrip(
+                sock, {"op": "dataset", "key": key, "kind": "cube", "payload": shipped}
+            )
+            assert reply == {"ok": True}
+            result, message = _run_one_cell("gravity", cell, key, sock)
             assert message is None
-            baseline, _ = _run_one_cell("gravity", cell, None)
-            assert not np.allclose(result.errors, baseline.errors)
-        finally:
-            _init_sweep_worker({})
+            baseline, _ = _run_one_cell("gravity", cell, None, sock)
+        assert not np.allclose(result.errors, baseline.errors)
 
     def test_streaming_cells_ship_plan_keys(self):
         cell = Scenario(dataset="geant", prior="stable_f", n_weeks=2, stream=True, **SMALL)
@@ -164,65 +219,116 @@ class TestPreSynthesizedDatasets:
 
 
 class TestSharedMemoryShipping:
-    """Dataset columns travel through multiprocessing.shared_memory."""
+    """Dataset columns ship over the sweep-worker wire and rebuild bitwise.
+
+    The class and test names date from an earlier shared-memory transport;
+    they are kept so the test ids stay stable.
+    """
 
     def test_export_attach_roundtrip_is_bitwise(self):
-        from repro.scenarios.runner import (
-            _attach_shm_array,
-            _export_datasets_shm,
-            _release_shm_blocks,
-        )
         from repro.synthesis.datasets import load_dataset
 
         data = load_dataset("geant", n_weeks=2, bins_per_week=36)
-        key = ("geant", 2, 36, False, None)
-        payload, blocks = _export_datasets_shm({key: data})
-        assert payload is not None and blocks
-        segments = []
-        try:
-            kind, shell, weeks_meta = payload[key]
-            assert kind == "cube"
-            assert shell.weeks == [] and len(weeks_meta) == 2
-            for (name, shape, bin_seconds), week in zip(weeks_meta, data.weeks):
-                values, segment = _attach_shm_array(name, shape)
-                segments.append(segment)
-                assert bin_seconds == week.bin_seconds
-                assert np.array_equal(values, week.values)
-        finally:
-            _release_shm_blocks(segments, unlink=False)
-            _release_shm_blocks(blocks, unlink=True)
+        message = _through_wire({"kind": "cube", "payload": data})
+        rebuilt = _rebuild_dataset(message["kind"], message["payload"])
+        assert rebuilt.n_weeks == 2
+        assert rebuilt.topology.nodes == data.topology.nodes
+        for original, shipped in zip(data.weeks, rebuilt.weeks):
+            assert np.array_equal(original.values, shipped.values)
+            assert original.bin_seconds == shipped.bin_seconds
 
     def test_worker_init_reconstructs_datasets_from_shm(self):
-        from repro.scenarios.runner import (
-            _WORKER_DATASETS,
-            _export_datasets_shm,
-            _init_sweep_worker,
-            _release_shm_blocks,
+        from repro.synthesis.datasets import open_dataset_stream
+
+        data = open_dataset_stream("geant", n_weeks=2, bins_per_week=32).checkpoint_noise()
+        message = _through_wire({"kind": "plan", "payload": data.export_state()})
+        rebuilt = _rebuild_dataset(message["kind"], message["payload"])
+        assert rebuilt.nodes == data.nodes
+        for week in range(2):
+            np.testing.assert_array_equal(rebuilt.week(week).values, data.week(week).values)
+
+
+GRID = dict(priors=("stable_f", "gravity"), datasets=("geant", "totem"), base=dict(SMALL))
+
+
+def _assert_bitwise(left, right):
+    assert not left.failures and not right.failures
+    assert len(left.results) == len(right.results)
+    for a, b in zip(left.results, right.results):
+        assert (a.scenario.dataset, a.scenario.prior) == (b.scenario.dataset, b.scenario.prior)
+        np.testing.assert_array_equal(np.asarray(a.errors), np.asarray(b.errors))
+        np.testing.assert_array_equal(np.asarray(a.prior_errors), np.asarray(b.prior_errors))
+
+
+class TestLocalPool:
+    """The local pool: sweep workers over socket pairs, with a serial fallback."""
+
+    @pytest.fixture(scope="class")
+    def in_process(self):
+        return ScenarioRunner().sweep(executor=InProcessExecutor(), **GRID)
+
+    def test_process_start_failure_falls_back_serially(self, in_process, monkeypatch):
+        def refuse(self):
+            raise OSError("process creation refused")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pooled = ScenarioRunner().sweep(executor=LocalPoolExecutor(2), **GRID)
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "process creation refused" in str(runtime[0].message)
+        _assert_bitwise(in_process, pooled)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched cell runner reaches the workers only under fork",
+    )
+    def test_worker_death_reruns_only_its_undelivered_cells(self, in_process, monkeypatch):
+        parent = os.getpid()
+        original = ScenarioRunner._run_cell_guarded
+        reruns = []
+
+        def guarded(self, cell, **kwargs):
+            if os.getpid() != parent:
+                if cell.dataset == "totem":
+                    os._exit(3)  # the worker holding the totem column dies mid-batch
+            else:
+                reruns.append((cell.dataset, cell.prior))
+            return original(self, cell, **kwargs)
+
+        monkeypatch.setattr(ScenarioRunner, "_run_cell_guarded", guarded)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pooled = ScenarioRunner().sweep(executor=LocalPoolExecutor(2), **GRID)
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "falling back to a serial run of 2 cell(s)" in str(runtime[0].message)
+        assert sorted(reruns) == [("totem", "gravity"), ("totem", "stable_f")]
+        _assert_bitwise(in_process, pooled)
+
+    def test_pool_never_listens_and_reaps_its_workers(self, in_process, monkeypatch):
+        listened = []
+        real_listen = socket.socket.listen
+
+        def listen(self, *args):
+            listened.append(self)
+            return real_listen(self, *args)
+
+        monkeypatch.setattr(socket.socket, "listen", listen)
+        pooled = ScenarioRunner().sweep(executor=LocalPoolExecutor(2), **GRID)
+        assert listened == []
+        assert multiprocessing.active_children() == []
+        _assert_bitwise(in_process, pooled)
+
+    def test_spilled_streamed_grid_matches_in_process(self, tmp_path):
+        grid = dict(GRID, base=dict(SMALL, stream=True))
+        serial = ScenarioRunner().sweep(
+            executor=InProcessExecutor(), spill_dir=str(tmp_path / "serial"), **grid
         )
-        from repro.synthesis.datasets import load_dataset
-
-        data = load_dataset("geant", n_weeks=2, bins_per_week=36)
-        key = ("geant", 2, 36, False, None)
-        payload, blocks = _export_datasets_shm({key: data})
-        try:
-            _init_sweep_worker({}, payload)
-            rebuilt = _WORKER_DATASETS[key]
-            assert rebuilt.n_weeks == 2
-            assert rebuilt.topology.nodes == data.topology.nodes
-            for original, mapped in zip(data.weeks, rebuilt.weeks):
-                assert np.array_equal(original.values, mapped.values)
-                assert original.bin_seconds == mapped.bin_seconds
-        finally:
-            _init_sweep_worker({})
-            _release_shm_blocks(blocks, unlink=True)
-
-    def test_sweep_falls_back_to_pickle_when_shm_unavailable(self, monkeypatch):
-        import repro.scenarios.runner as runner_module
-
-        monkeypatch.setattr(runner_module, "_export_datasets_shm", lambda datasets: (None, []))
-        kwargs = dict(priors=("stable_f", "gravity"), datasets=("geant",), base=dict(SMALL))
-        serial = ScenarioRunner().sweep(jobs=1, **kwargs)
-        parallel = ScenarioRunner().sweep(jobs=2, **kwargs)
-        assert not parallel.failures
-        for serial_cell, parallel_cell in zip(serial.results, parallel.results):
-            assert np.array_equal(serial_cell.errors, parallel_cell.errors)
+        pooled = ScenarioRunner().sweep(
+            executor=LocalPoolExecutor(2), spill_dir=str(tmp_path / "pooled"), **grid
+        )
+        for result in pooled.results:
+            assert result.timing["spill_dir"].startswith(str(tmp_path / "pooled"))
+        _assert_bitwise(serial, pooled)
