@@ -72,6 +72,14 @@ def require_probability(value: float, name: str) -> float:
     return value
 
 
+def require_finite_nonnegative(value: float, name: str) -> float:
+    """Validate that ``value`` is a finite number ``>= 0`` (rejects nan and inf)."""
+    value = float(value)
+    if not np.isfinite(value) or value < 0.0:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def require_positive_int(value: int, name: str) -> int:
     """Validate that ``value`` is a strictly positive integer."""
     if int(value) != value or value <= 0:

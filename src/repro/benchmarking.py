@@ -321,16 +321,10 @@ def bench_ic_series_kernel(*, n: int = 50, timesteps: int = 288, repeat: int = 3
 
 
 def bench_routing_matrix(*, repeat: int = 3) -> BenchmarkRecord:
-    """Sparse routing build plus sparse-vs-dense ``link_loads`` timings."""
+    """The sparse routing build."""
     topology = geant_topology()
     build_seconds = _best_of(lambda: build_routing_matrix(topology), repeat=repeat)
     routing = build_routing_matrix(topology)
-    rng = np.random.default_rng(1)
-    traffic = rng.random((288, topology.n_nodes**2)) * 1e6
-    dense_seconds = _best_of(lambda: routing.link_loads(traffic), repeat=repeat)
-    sparse_seconds = _best_of(
-        lambda: routing.link_loads(traffic, use_sparse=True), repeat=repeat
-    )
     density = routing.sparse.nnz / float(routing.n_links * topology.n_nodes**2)
     return BenchmarkRecord(
         name="routing_matrix",
@@ -339,9 +333,6 @@ def bench_routing_matrix(*, repeat: int = 3) -> BenchmarkRecord:
             "n_nodes": topology.n_nodes,
             "n_links": routing.n_links,
             "nnz_density": density,
-            "link_loads_dense_seconds": dense_seconds,
-            "link_loads_sparse_seconds": sparse_seconds,
-            "sparse_speedup": dense_seconds / max(sparse_seconds, 1e-12),
         },
     )
 

@@ -19,9 +19,9 @@ optionally polished with a ``scipy.optimize`` step:
 Each subproblem is solved in closed form (normal equations) with weights
 ``w_t = 1 / ||X(t)||`` so the objective matches the paper's per-bin relative
 error, then projected onto the constraint set.  One iteration kernel,
-:func:`_als`, serves the stable-fP model (shared ``f`` and ``P``), the
-stable-f model (shared ``f`` only), the fully time-varying model and the
-chunk-wise streamed fit of :mod:`repro.core.streaming`.
+:func:`_als`, serves the stable-fP model (shared ``f`` and ``P``, fitted
+from a cube or chunk by chunk from a stream), the stable-f model (shared
+``f`` only) and the fully time-varying model.
 
 The kernel reads the data only through four per-bin contractions per
 iteration: ``X_t P`` and ``X_t^T P``, then ``r_t = X_t A_t`` and
@@ -420,23 +420,38 @@ def _als(
 # ---------------------------------------------------------------------------
 
 def fit_stable_fp(
-    series,
+    source,
     *,
     initial_forward_fraction: float = 0.25,
+    initial_preference=None,
     max_iterations: int = 60,
     tolerance: float = 1e-6,
     refine: bool = False,
     forward_bounds: tuple[float, float] = (0.0, 0.5),
+    cache_bytes: int | None = None,
 ) -> FitResult:
     """Fit the stable-fP IC model (Eq. 5): one ``f``, one ``P``, per-bin ``A(t)``.
 
+    One pass reads the per-bin norms and marginals that initialise the fit,
+    then :func:`_als` makes one pass per iteration plus a final score, so a
+    fit of ``K`` iterations reads the data at most ``K + 2`` times.  A cube
+    is fitted as one chunk; a :class:`repro.streaming.ChunkStream` is
+    fitted chunk by chunk in ``O(chunk * n^2 + T * n)`` memory, so it must
+    be re-iterable (synthesis streams regenerate chunks from cached RNG
+    state; array streams yield views).  Every update is per bin or sums
+    over per-bin terms, so the result does not depend on the chunking.
+
     Parameters
     ----------
-    series:
-        The observed traffic-matrix series (``TrafficMatrixSeries`` or a
-        ``(T, n, n)`` array).
+    source:
+        The observed traffic-matrix series: a ``TrafficMatrixSeries``, a
+        ``(T, n, n)`` array or a chunk stream.
     initial_forward_fraction:
         Starting value for ``f``; the paper's empirical range is 0.2-0.3.
+    initial_preference:
+        Optional warm start for ``P`` (e.g. a previous window's fit) instead
+        of the marginal-derived initialisation; the rolling re-fit of
+        :mod:`repro.ingest` passes the previous optimum here.
     max_iterations:
         Cap on alternating-least-squares iterations.
     tolerance:
@@ -446,6 +461,7 @@ def fit_stable_fp(
         ``scipy.optimize.minimize_scalar`` after ALS converges (the ``A`` and
         ``P`` subproblems are re-solved inside the refinement objective).
         Useful for small problems and for validating the ALS solution.
+        Cubes only.
     forward_bounds:
         Box constraint on ``f``.  The default upper bound of 0.5 resolves the
         model's mirror ambiguity — ``(f, A, P)`` and ``(1-f, cP, A/c)`` produce
@@ -453,32 +469,45 @@ def fit_stable_fp(
         the empirically supported regime in which forward (request) traffic
         does not exceed reverse (response) traffic.  Pass ``(0.0, 1.0)`` to
         lift the restriction.
-
-    A :class:`repro.streaming.ChunkStream` is also accepted; it is fitted in
-    bounded memory chunk by chunk, as
-    :func:`repro.core.streaming.fit_stable_fp_streaming` does (which does not
-    support ``refine``).
+    cache_bytes:
+        Budget of a replay cache (:func:`repro.streaming.cache_chunks`) in
+        front of a generative stream: with a budget large enough for the
+        series its chunks are generated once instead of once per pass —
+        same values, a fraction of the synthesis cost.  ``None`` keeps the
+        fit strictly chunk-bounded; a cube never needs it.
     """
-    from repro.streaming import ChunkStream
+    from repro.streaming import ChunkStream, cache_chunks
 
-    if isinstance(series, ChunkStream):
+    if isinstance(source, ChunkStream):
         if refine:
             raise ValidationError("refine=True is not supported when fitting a chunk stream")
-        from repro.core.streaming import _fit_stable_fp_stream
-
-        return _fit_stable_fp_stream(
-            series,
-            initial_forward_fraction=initial_forward_fraction,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            forward_bounds=forward_bounds,
-        )
-    values, nodes, _ = _series_values(series)
+        stream = cache_chunks(source, budget_bytes=cache_bytes)
+        chunks, nodes = stream.chunks, stream.nodes
+    else:
+        values, nodes, _ = _series_values(source)
+        chunks = lambda: ((0, values),)  # a cube is one chunk
     f, bounds = _forward_start(initial_forward_fraction, forward_bounds)
-    preference, activity = _initial_parameters(values, f)
-    norms = _bin_norms(values)
+    # Pass 0: per-bin marginals and norms -> initial (P, A).
+    ingress, egress, norms = [], [], []
+    for _, block in chunks():
+        ingress.append(block.sum(axis=2))
+        egress.append(block.sum(axis=1))
+        norms.append(_bin_norms(block))
+    if not norms:
+        raise ValidationError("series must contain at least one time bin")
+    ingress, egress, norms = np.concatenate(ingress), np.concatenate(egress), np.concatenate(norms)
+    preference, activity = _initial_parameters_from_marginals(ingress, egress, f)
+    if initial_preference is not None:
+        warm = np.asarray(initial_preference, dtype=float)
+        if warm.shape != preference.shape:
+            raise ValidationError(
+                f"initial_preference must have shape {preference.shape}, got {warm.shape}"
+            )
+        if np.any(warm < 0) or not np.all(np.isfinite(warm)) or warm.sum() <= 0:
+            raise ValidationError("initial_preference must be finite, non-negative and sum to > 0")
+        preference = warm / warm.sum()
     fit = _als(
-        "stable-fP", lambda: ((0, values),), norms, f, preference, activity,
+        "stable-fP", chunks, norms, f, preference, activity,
         bounds, max_iterations, tolerance, nodes,
     )
     if refine:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro._validation import (
     as_1d_array,
@@ -77,31 +78,23 @@ def ic_design_matrix(forward_fraction: float, preference) -> np.ndarray:
     return phi
 
 
-def marginal_operators(n_nodes: int, *, as_sparse: bool = False):
+def marginal_operators(n_nodes: int):
     """The 0-1 matrices ``H``, ``G`` and the stacked ``Q`` of Section 6.2.
 
     ``H`` (``n x n^2``) sums a vectorised TM into ingress counts, ``G`` into
     egress counts, and ``Q = [H; G]`` maps it onto the observable marginals.
-    With ``as_sparse=True`` all three are ``scipy.sparse`` CSR matrices
-    (each operator has exactly one non-zero per column).
+    All three are ``scipy.sparse`` CSR matrices (each operator has exactly
+    one non-zero per column).
     """
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
     n = int(n_nodes)
     pairs = np.arange(n * n)
     origins, destinations = np.divmod(pairs, n)
-    if as_sparse:
-        from scipy import sparse
-
-        ones = np.ones(n * n)
-        h = sparse.csr_matrix((ones, (origins, pairs)), shape=(n, n * n))
-        g = sparse.csr_matrix((ones, (destinations, pairs)), shape=(n, n * n))
-        return h, g, sparse.vstack([h, g], format="csr")
-    h = np.zeros((n, n * n))
-    g = np.zeros((n, n * n))
-    h[origins, pairs] = 1.0
-    g[destinations, pairs] = 1.0
-    return h, g, np.vstack([h, g])
+    ones = np.ones(n * n)
+    h = sparse.csr_matrix((ones, (origins, pairs)), shape=(n, n * n))
+    g = sparse.csr_matrix((ones, (destinations, pairs)), shape=(n, n * n))
+    return h, g, sparse.vstack([h, g], format="csr")
 
 
 def estimate_activity_from_marginals(
@@ -339,8 +332,8 @@ class PriorContext:
         study); builders that only need ``f`` prefer it over the dataset's
         generating value.
     fit_cache_bytes:
-        Replay-cache budget handed to multi-pass fits
-        (:func:`repro.core.streaming.fit_stable_fp_streaming`): the ALS
+        Replay-cache budget (``cache_bytes``) handed to the multi-pass
+        :func:`repro.core.fitting.fit_stable_fp` of a stream: the ALS
         passes of the ``stable_fp``/``measured`` priors regenerate a
         generative stream's chunks once instead of once per pass, within
         this many bytes.  ``None`` keeps fits strictly chunk-bounded.
@@ -375,10 +368,10 @@ class PriorContext:
         different replay-cache budgets (which cannot change the result, but
         keeping them distinct makes the key a pure function of the call).
         """
-        from repro.core.streaming import fit_stable_fp_streaming
+        from repro.core.fitting import fit_stable_fp
 
         def build():
-            return fit_stable_fp_streaming(source, cache_bytes=self.fit_cache_bytes)
+            return fit_stable_fp(source, cache_bytes=self.fit_cache_bytes)
 
         if self.fit_memo is None:
             return build()

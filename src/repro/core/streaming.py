@@ -10,15 +10,12 @@ those statistics chunk by chunk over the :mod:`repro.streaming` protocol, so
   in one pass,
 * :func:`streaming_rel_l2_temporal_error` / :func:`streaming_rel_l2_spatial_error`
   evaluate the paper's error metrics between two streams without
-  materialising either, and
-* :func:`fit_stable_fp_streaming` runs the stable-fP alternating least
-  squares kernel of :mod:`repro.core.fitting` chunk by chunk (one pass per
-  ALS iteration, which scores the previous iteration, solves the per-bin
-  activity and accumulates the preference/forward-fraction normal
-  equations).
+  materialising either.
 
 Peak memory is ``O(chunk * n^2 + T * n)`` throughout — the ``(T, n)`` state
-(activity, marginals, weights) is kept, the ``n^2`` cubes never are.
+(marginals, norms) is kept, the ``n^2`` cubes never are.  The stable-fP fit
+of a stream is :func:`repro.core.fitting.fit_stable_fp`, which reads a
+stream chunk by chunk the same way.
 """
 
 from __future__ import annotations
@@ -27,16 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.fitting import (
-    FitResult,
-    _als,
-    _forward_start,
-    _initial_parameters_from_marginals,
-)
 from repro.core.gravity import gravity_series_values
 from repro.core.metrics import rel_l2_temporal_error
 from repro.errors import ValidationError
-from repro.streaming import as_chunk_stream, cache_chunks, zip_chunks
+from repro.streaming import as_chunk_stream, zip_chunks
 
 __all__ = [
     "SeriesAccumulator",
@@ -44,7 +35,6 @@ __all__ = [
     "streaming_rel_l2_temporal_error",
     "streaming_rel_l2_spatial_error",
     "streaming_gravity_errors",
-    "fit_stable_fp_streaming",
 ]
 
 
@@ -219,88 +209,3 @@ def streaming_gravity_errors(source, *, chunk_bins: int | None = None) -> np.nda
         gravity = gravity_series_values(block.sum(axis=2), block.sum(axis=1))
         parts.append(rel_l2_temporal_error(block, gravity))
     return np.concatenate(parts)
-
-
-# ---------------------------------------------------------------------------
-# streaming stable-fP fit
-# ---------------------------------------------------------------------------
-
-def fit_stable_fp_streaming(
-    source,
-    *,
-    initial_forward_fraction: float = 0.25,
-    initial_preference=None,
-    max_iterations: int = 60,
-    tolerance: float = 1e-6,
-    forward_bounds: tuple[float, float] = (0.0, 0.5),
-    chunk_bins: int | None = None,
-    cache_bytes: int | None = None,
-) -> FitResult:
-    """Fit the stable-fP IC model over a chunk stream in bounded memory.
-
-    Runs the alternating least-squares kernel of
-    :func:`repro.core.fitting.fit_stable_fp` chunk by chunk: one pass
-    accumulates the per-bin norms and marginals that initialise the fit,
-    then each ALS iteration makes one pass that scores the previous
-    iteration and solves the next one's per-bin activity, accumulating the
-    contractions the preference and ``f`` updates need.  A fit of ``K``
-    iterations reads the stream at most ``K + 2`` times, so it must be
-    re-iterable (synthesis streams regenerate chunks from cached RNG state;
-    array streams yield views).
-
-    ``cache_bytes`` bounds an optional replay cache
-    (:func:`repro.streaming.cache_chunks`) in front of generative streams:
-    with a budget large enough for the series the chunks are regenerated
-    once instead of once per pass — same values, a fraction of the
-    synthesis cost.  ``None`` keeps the strictly chunk-bounded behaviour.
-
-    ``initial_preference`` warm-starts the ALS from a previous fit's
-    preference vector instead of the marginal-derived initialisation —
-    together with ``initial_forward_fraction`` this is the rolling re-fit
-    path of :mod:`repro.ingest`, where consecutive windows share most of
-    their bins and the previous optimum is an excellent starting point.
-
-    Every update is per bin or sums over per-bin terms, so the result does
-    not depend on the chunking and matches the in-memory fit.
-    """
-    stream = as_chunk_stream(source, chunk_bins=chunk_bins)
-    return _fit_stable_fp_stream(
-        cache_chunks(stream, budget_bytes=cache_bytes),
-        initial_forward_fraction=initial_forward_fraction,
-        initial_preference=initial_preference,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        forward_bounds=forward_bounds,
-    )
-
-
-def _fit_stable_fp_stream(
-    stream,
-    *,
-    initial_forward_fraction: float,
-    max_iterations: int,
-    tolerance: float,
-    forward_bounds: tuple[float, float],
-    initial_preference=None,
-) -> FitResult:
-    """The streamed stable-fP fit, shared by both public entry points."""
-    n = stream.n_nodes
-    f, bounds = _forward_start(initial_forward_fraction, forward_bounds)
-    # Pass 0: per-bin norms and marginals -> initial (P, A).
-    base = SeriesAccumulator.from_source(stream)
-    preference, activity = _initial_parameters_from_marginals(base.ingress, base.egress, f)
-    if initial_preference is not None:
-        warm = np.asarray(initial_preference, dtype=float)
-        if warm.shape != (n,):
-            raise ValidationError(
-                f"initial_preference must have shape ({n},), got {warm.shape}"
-            )
-        if np.any(warm < 0) or not np.all(np.isfinite(warm)) or warm.sum() <= 0:
-            raise ValidationError(
-                "initial_preference must be finite, non-negative and sum to > 0"
-            )
-        preference = warm / warm.sum()
-    return _als(
-        "stable-fP", stream.chunks, base.bin_norms, f, preference, activity,
-        bounds, max_iterations, tolerance, stream.nodes,
-    )

@@ -21,7 +21,7 @@ ablation benchmarks.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from repro.errors import ShapeError
 
@@ -32,7 +32,7 @@ _EPS = 1e-9
 
 def entropy_estimate(
     prior: np.ndarray,
-    observation_matrix: np.ndarray,
+    observation_matrix,
     observations: np.ndarray,
     *,
     penalty: float = 1e3,
@@ -46,14 +46,17 @@ def entropy_estimate(
         Prior OD-flow vector, shape ``(n_od,)``, or a batch ``(T, n_od)``;
         must be non-negative.
     observation_matrix, observations:
-        The system ``B x ≈ z``; observations are ``(n_obs,)`` or ``(T, n_obs)``
-        matching the prior batch.
+        The system ``B x ≈ z``: ``B`` dense or ``scipy.sparse`` (densified
+        here, once per call); observations are ``(n_obs,)`` or
+        ``(T, n_obs)`` matching the prior batch.
     penalty:
         Weight of the quadratic penalty on the normalised constraint residual.
     max_iterations:
         Iteration cap handed to the optimiser.
     """
     prior = np.asarray(prior, dtype=float)
+    if sparse.issparse(observation_matrix):
+        observation_matrix = observation_matrix.toarray()
     matrix = np.asarray(observation_matrix, dtype=float)
     observed = np.asarray(observations, dtype=float)
     if matrix.ndim != 2:

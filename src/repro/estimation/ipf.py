@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._validation import require_positive_int
 from repro.errors import ShapeError, ValidationError
 
 __all__ = ["iterative_proportional_fitting", "iterative_proportional_fitting_series"]
@@ -35,7 +36,7 @@ def iterative_proportional_fitting(
         internally so both sum to the same grand total (the mean of the two),
         because measured marginals rarely agree exactly.
     max_iterations:
-        Iteration cap.
+        Iteration cap (at least 1).
     tolerance:
         Convergence threshold on the maximum relative marginal mismatch.
 
@@ -47,6 +48,7 @@ def iterative_proportional_fitting(
         uniform allocation over the non-fixed cells before fitting, so the
         procedure cannot silently drop traffic.
     """
+    max_iterations = require_positive_int(max_iterations, "max_iterations")
     seed = np.asarray(matrix, dtype=float)
     if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
         raise ShapeError(f"matrix must be square, got shape {seed.shape}")
@@ -129,6 +131,7 @@ def iterative_proportional_fitting_series(
         0 for zero-total bins).  The fitted values are bit-identical with
         or without it.
     """
+    max_iterations = require_positive_int(max_iterations, "max_iterations")
     seeds = np.asarray(matrices, dtype=float)
     if seeds.ndim != 3 or seeds.shape[1] != seeds.shape[2]:
         raise ShapeError(f"matrices must have shape (T, n, n), got {seeds.shape}")

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._validation import require_finite_nonnegative
 from repro.errors import ShapeError, ValidationError
 from repro.streaming import as_chunk_stream
 from repro.topology.routing import RoutingMatrix, build_routing_matrix
 from repro.topology.topology import Topology
 
-__all__ = ["LinkLoadSystem", "simulate_link_loads", "simulate_link_loads_streaming"]
+__all__ = ["LinkLoadSystem", "simulate_link_loads"]
 
 
 @dataclass(frozen=True)
@@ -61,28 +62,22 @@ class LinkLoadSystem:
     def n_nodes(self) -> int:
         return self.routing.n_nodes
 
-    def augmented_system(self, *, as_sparse: bool = False):
+    def augmented_system(self):
         """The stacked observation matrix and observations.
 
         Returns ``(B, Z)`` where ``B`` stacks the routing matrix on top of the
-        ingress/egress summing operators (shape ``(n_links + 2n, n^2)``) and
-        ``Z`` stacks the corresponding observations (shape ``(T, n_links + 2n)``).
-        Using the augmented system in the least-squares step is what lets the
-        prior be corrected toward *all* available measurements.
-
-        With ``as_sparse=True`` the stacked operator is assembled as a
-        ``scipy.sparse`` CSR matrix straight from the routing matrix's sparse
-        form and the one-per-column marginal operators — the routing matrix
-        is never densified, which is what makes the augmented least squares
-        viable at large ``n`` (the dense operator grows as ``n^3`` while its
-        occupancy stays ``O(n^2 path_length)``).
+        ingress/egress summing operators (a CSR matrix of shape
+        ``(n_links + 2n, n^2)``) and ``Z`` stacks the corresponding
+        observations (shape ``(T, n_links + 2n)``).  Using the augmented
+        system in the least-squares step is what lets the prior be corrected
+        toward *all* available measurements.
 
         The stacked operator is cached on the routing matrix
         (:meth:`repro.topology.routing.RoutingMatrix.augmented_operator`), so
         every system over the same (memoised) routing shares one copy; only
         the observation stack ``Z`` is assembled per call.
         """
-        b = self.routing.augmented_operator(as_sparse=as_sparse)
+        b = self.routing.augmented_operator()
         z = np.concatenate([self.link_loads, self.ingress, self.egress], axis=1)
         return b, z
 
@@ -97,10 +92,12 @@ def simulate_link_loads(
     """Produce the measurements an operator would see for a ground-truth series.
 
     One pass over the ``(T_chunk, n, n)`` blocks of ``series`` assembles the
-    link, ingress and egress counter series — all ``O(T (n_links + n))``,
-    never more than one chunk of the ``O(T n^2)`` traffic — then applies the
+    link counters (through :meth:`~repro.topology.routing.RoutingMatrix.link_loads`)
+    and the ingress and egress counters — all ``O(T (n_links + n))``, never
+    more than one chunk of the ``O(T n^2)`` traffic — then applies the
     measurement noise.  Each bin's counters depend only on that bin's
-    matrix, so the system does not depend on the chunking.
+    matrix, so the system does not depend on the chunking; a materialised
+    series is a one-chunk stream.
 
     Parameters
     ----------
@@ -113,6 +110,7 @@ def simulate_link_loads(
     noise_std:
         Relative standard deviation of multiplicative Gaussian measurement
         noise applied to link, ingress and egress counters (0 disables noise).
+        Must be finite and non-negative.
     seed:
         Seed for the measurement-noise generator.
     """
@@ -122,17 +120,15 @@ def simulate_link_loads(
             "topology and series must agree on node names and order; "
             f"got {topology.nodes[:3]}... vs {stream.nodes[:3]}..."
         )
-    if noise_std < 0:
-        raise ValidationError("noise_std must be non-negative")
+    noise_std = require_finite_nonnegative(noise_std, "noise_std")
     routing = build_routing_matrix(topology)
     t, n = stream.n_bins, stream.n_nodes
     link_loads = np.empty((t, routing.n_links))
     ingress = np.empty((t, n))
     egress = np.empty((t, n))
-    dense_routing_t = routing.matrix.T
     for t0, block in stream.chunks():
         stop = t0 + block.shape[0]
-        link_loads[t0:stop] = block.reshape(block.shape[0], n * n) @ dense_routing_t
+        link_loads[t0:stop] = routing.link_loads(block.reshape(block.shape[0], n * n))
         ingress[t0:stop] = block.sum(axis=2)
         egress[t0:stop] = block.sum(axis=1)
     if noise_std > 0:
@@ -145,7 +141,3 @@ def simulate_link_loads(
         egress = np.clip(egress, 0.0, None)
     return LinkLoadSystem(routing=routing, link_loads=link_loads, ingress=ingress, egress=egress)
 
-
-def simulate_link_loads_streaming(topology: Topology, source, **kwargs) -> LinkLoadSystem:
-    """:func:`simulate_link_loads` under the name chunk-stream callers use."""
-    return simulate_link_loads(topology, source, **kwargs)

@@ -5,6 +5,10 @@ Section 6 — prior, least-squares refinement against the link counts, and
 iterative proportional fitting against the marginals — and evaluates the
 result against ground truth.  The Figure 11-13 experiments are thin wrappers
 around this class that only differ in which prior they feed it.
+
+The refinement solves against the routing matrix's CSR observation operator
+(:meth:`~repro.topology.routing.RoutingMatrix.augmented_operator`) at every
+network size; tomogravity goes through that operator's cached factor.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._validation import require_positive_int
 from repro.core.metrics import percent_improvement, rel_l2_temporal_error
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
@@ -26,16 +31,9 @@ from repro.registry import register_estimator
 __all__ = [
     "EstimationResult",
     "TMEstimator",
-    "SPARSE_SYSTEM_MIN_NODES",
     "make_tomogravity_estimator",
     "make_entropy_estimator",
 ]
-
-# Network size at which the auto mode switches the tomogravity refinement to
-# the sparse stacked operator.  The paper-scale topologies (22/23 PoPs) stay
-# dense; beyond this the dense (n_links + 2n) x n^2 operator dominates memory.
-SPARSE_SYSTEM_MIN_NODES = 48
-
 
 @dataclass
 class EstimationResult:
@@ -89,14 +87,7 @@ class TMEstimator:
         the least-squares step (the augmented system).  The paper's ingress
         and egress counts are always available, so this defaults to true.
     ipf_iterations:
-        Iteration cap for the proportional-fitting step.
-    use_sparse_system:
-        Whether the least-squares step runs against the ``scipy.sparse``
-        stacked operator instead of densifying the routing matrix.  ``None``
-        (the default) chooses automatically: sparse for tomogravity on
-        networks of :data:`SPARSE_SYSTEM_MIN_NODES` or more PoPs, dense
-        otherwise; both run the same rank-reduced kernel.  The entropy
-        method always densifies.
+        Iteration cap for the proportional-fitting step (at least 1).
     """
 
     def __init__(
@@ -105,22 +96,12 @@ class TMEstimator:
         method: str = "tomogravity",
         use_marginals_in_refinement: bool = True,
         ipf_iterations: int = 50,
-        use_sparse_system: bool | None = None,
     ):
         if method not in ("tomogravity", "entropy"):
             raise ValidationError(f"unknown refinement method {method!r}")
         self._method = method
         self._augment = bool(use_marginals_in_refinement)
-        self._ipf_iterations = int(ipf_iterations)
-        self._use_sparse = use_sparse_system
-
-    def _resolve_sparse(self, system: LinkLoadSystem) -> bool:
-        """Whether this run uses the sparse stacked operator."""
-        if self._method != "tomogravity":
-            return False
-        if self._use_sparse is None:
-            return system.n_nodes >= SPARSE_SYSTEM_MIN_NODES
-        return bool(self._use_sparse)
+        self._ipf_iterations = require_positive_int(ipf_iterations, "ipf_iterations")
 
     def _observation_system(self, system: LinkLoadSystem):
         """The ``(B, Z)`` pair the refinement step solves against.
@@ -129,16 +110,12 @@ class TMEstimator:
         (:meth:`~repro.topology.routing.RoutingMatrix.observation_factor`),
         so every run over one routing memo shares a single factorisation.
         """
-        as_sparse = self._resolve_sparse(system)
         if self._augment:
-            matrix, observations = system.augmented_system(as_sparse=as_sparse)
+            matrix, observations = system.augmented_system()
         else:
-            matrix = system.routing.sparse if as_sparse else system.routing.matrix
-            observations = system.link_loads
+            matrix, observations = system.routing.sparse, system.link_loads
         if self._method == "tomogravity":
-            matrix = system.routing.observation_factor(
-                augmented=self._augment, as_sparse=as_sparse
-            )
+            matrix = system.routing.observation_factor(augmented=self._augment)
         return matrix, observations
 
     def _estimate_block(self, prior_vectors, matrix, observations, ingress, egress, n):

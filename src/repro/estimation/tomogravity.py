@@ -44,8 +44,8 @@ Cholesky solve of the ``k x k`` gram instead of an SVD of the ``m x m`` one.
 ``G``'s upper triangle is one product of the sparse outer-product operator
 (row ``j`` holds ``vec(b_j b_jᵀ)`` for column ``b_j`` of ``B_r``) with the
 weight vector, so neither a dense ``n_od x k²`` matrix nor a
-``(T, m, n_od)`` weighted stack is ever built, and dense and
-``scipy.sparse`` operators share the one kernel.
+``(T, m, n_od)`` weighted stack is ever built.  ``B`` is held as CSR: a
+dense argument is converted once, when it is factored.
 
 **Fallback.**  A bin whose reduced gram fails to factor, or whose estimated
 reciprocal condition number is below ``1e-10`` (the cut-off the
@@ -83,7 +83,7 @@ class ObservationFactor:
     Attributes
     ----------
     matrix:
-        The operator ``B`` itself (dense or CSR), for the per-bin fallback.
+        The operator ``B`` itself (CSR), for the per-bin fallback.
     basis, basis_t:
         The row basis ``B_r`` (``k x n_od``, CSR) and its transpose.
     projector:
@@ -96,7 +96,7 @@ class ObservationFactor:
         1-norm the condition estimate needs.
     """
 
-    matrix: object
+    matrix: sparse.csr_matrix
     basis: sparse.csr_matrix
     basis_t: sparse.csr_matrix
     projector: sparse.csr_matrix
@@ -113,26 +113,22 @@ class ObservationFactor:
 
 
 def factor_observation_operator(observation_matrix) -> ObservationFactor:
-    """Factor ``B`` (dense or ``scipy.sparse``) for :func:`tomogravity_estimate`.
+    """Factor ``B`` (``scipy.sparse``, or dense) for :func:`tomogravity_estimate`.
 
-    Everything is derived from the ``m x m`` gram ``B Bᵀ``, so a sparse
-    operator is never densified: the pivots of its column-pivoted QR name an
-    independent row set ``B_r``, and its blocks give
-    ``C = B B_rᵀ (B_r B_rᵀ)⁻¹``.
+    A dense ``B`` is converted to CSR here, once.  Everything is derived
+    from the ``m x m`` gram ``B Bᵀ``, so the operator is never densified:
+    the pivots of its column-pivoted QR name an independent row set
+    ``B_r``, and its blocks give ``C = B B_rᵀ (B_r B_rᵀ)⁻¹``.
     """
-    is_sparse = sparse.issparse(observation_matrix)
-    matrix = (
-        observation_matrix.tocsr() if is_sparse else np.asarray(observation_matrix, dtype=float)
-    )
-    if matrix.ndim != 2:
+    if not sparse.issparse(observation_matrix) and np.ndim(observation_matrix) != 2:
         raise ShapeError("observation_matrix must be two-dimensional")
-    if not np.all(np.isfinite(matrix.data if is_sparse else matrix)):
+    matrix = sparse.csr_matrix(observation_matrix, dtype=float)
+    if not np.all(np.isfinite(matrix.data)):
         raise ValidationError("observation_matrix must contain only finite values")
-    gram = matrix @ matrix.T
-    gram = gram.toarray() if is_sparse else np.asarray(gram)
+    gram = (matrix @ matrix.T).toarray()
     rows = _row_basis(gram)
     k = rows.size
-    basis = sparse.csr_matrix(matrix[rows])
+    basis = matrix[rows]
     if k:
         coefficients = np.linalg.solve(gram[np.ix_(rows, rows)], gram[rows]).T
         projector = np.linalg.pinv(coefficients)
@@ -215,8 +211,8 @@ def tomogravity_estimate(
         Must be finite.
     observation_matrix:
         The matrix ``B`` of shape ``(n_obs, n_od)`` (routing matrix, possibly
-        augmented with ingress/egress rows): a dense array, a
-        ``scipy.sparse`` matrix, or its :class:`ObservationFactor`.  A bare
+        augmented with ingress/egress rows): a ``scipy.sparse`` matrix, a
+        dense array, or its :class:`ObservationFactor`.  A bare
         matrix is factored on every call; callers refining many batches
         against one operator pass the factor (:class:`TMEstimator` uses the
         one cached on the routing matrix).
@@ -224,14 +220,19 @@ def tomogravity_estimate(
         Observed values ``z``, shape ``(n_obs,)`` or ``(T, n_obs)`` matching
         the prior batch.  Must be finite.
     weight_floor:
-        Minimum weight given to any OD pair; defaults to a small fraction of
-        the mean prior so zero-prior flows can still receive corrections.
+        Minimum weight given to any OD pair, a finite value ``> 0``; defaults
+        to a small fraction of the mean prior so zero-prior flows can still
+        receive corrections.
 
     Returns
     -------
     numpy.ndarray
         The refined, non-negative OD-flow vector(s), same shape as ``prior``.
     """
+    if weight_floor is not None:
+        weight_floor = float(weight_floor)
+        if not (np.isfinite(weight_floor) and weight_floor > 0):
+            raise ValidationError(f"weight_floor must be finite and > 0, got {weight_floor}")
     factor = observation_matrix if isinstance(observation_matrix, ObservationFactor) else None
     prior = np.asarray(prior, dtype=float)
     observations = np.asarray(observations, dtype=float)
@@ -316,15 +317,11 @@ def _refine_chunk(
 
 
 def _pinv_refine(
-    prior: np.ndarray, matrix, observed: np.ndarray, weights: np.ndarray
+    prior: np.ndarray, matrix: sparse.csr_matrix, observed: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """One bin through the ``m x m`` ``pinv`` formulation (the fallback)."""
-    if sparse.issparse(matrix):
-        weighted = matrix.multiply(weights[np.newaxis, :]).tocsr()  # B W
-        gram = (weighted @ matrix.T).toarray()
-    else:
-        weighted = matrix * weights[np.newaxis, :]
-        gram = weighted @ matrix.T
+    weighted = matrix.multiply(weights[np.newaxis, :]).tocsr()  # B W
+    gram = (weighted @ matrix.T).toarray()
     try:
         gram_pinv = np.linalg.pinv(gram, rcond=_RCOND)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SVD non-convergence

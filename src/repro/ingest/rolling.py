@@ -13,7 +13,7 @@ classes implement that here:
   multi-pass streaming ALS fit consumes.
 * :class:`RollingFitManager` owns the active prior.  Every ``refit_every``
   closed bins it re-runs
-  :func:`~repro.core.streaming.fit_stable_fp_streaming` over the window,
+  :func:`~repro.core.fitting.fit_stable_fp` over the window's stream,
   warm-starting the ALS from the previous fit's ``(f, P)``, and swaps the
   resulting :class:`ActivePrior` in a single assignment — consumers always
   see either the old prior or the new one, never a half-updated state.
@@ -261,7 +261,7 @@ class RollingFitManager:
     window_budget_bytes, spill_dir:
         Memory budget and spill location of the window.
     fit_kwargs:
-        Extra keyword arguments forwarded to ``fit_stable_fp_streaming``
+        Extra keyword arguments forwarded to ``fit_stable_fp``
         (iteration caps for latency-sensitive deployments).
     """
 
@@ -358,14 +358,14 @@ class RollingFitManager:
         ) or (self._bins_since_fit >= self._refit_every and window_full_enough)
         if not due:
             return False
-        from repro.core.streaming import fit_stable_fp_streaming
+        from repro.core.fitting import fit_stable_fp
 
         kwargs = dict(self._fit_kwargs)
         if self._active.forward_fraction is not None:
             kwargs.setdefault("initial_forward_fraction", float(self._active.forward_fraction))
         if self._active.preference is not None:
             kwargs.setdefault("initial_preference", self._active.preference)
-        fit = fit_stable_fp_streaming(self._window.as_stream(), **kwargs)
+        fit = fit_stable_fp(self._window.as_stream(), **kwargs)
         fitted_at = self._window.start_bin + self._window.n_bins
         self._install_fit(float(fit.forward_fraction), np.asarray(fit.preference), fitted_at)
         self._bins_since_fit = 0

@@ -3,9 +3,10 @@
 :class:`IngestService` wires the ingest planes together into a long-running
 estimator daemon: a :class:`~repro.ingest.sources.FlowSource` feeds a
 :class:`~repro.ingest.binner.FlowBinner`; every ``chunk_bins`` closed bins
-become one measurement chunk (link loads through the topology's routing
-matrix plus ingress/egress marginals — the same arithmetic as
-:func:`~repro.estimation.linear_system.simulate_link_loads_streaming`);
+become one measurement chunk (link loads through the routing matrix's
+:meth:`~repro.topology.routing.RoutingMatrix.link_loads` kernel plus
+ingress/egress marginals — the same arithmetic as
+:func:`~repro.estimation.linear_system.simulate_link_loads`);
 the :class:`~repro.ingest.rolling.RollingFitManager`'s active prior and
 ``TMEstimator.estimate_stream`` turn the chunk into per-bin estimates; and
 the publisher appends one JSONL record per bin to the sink.  Because every
@@ -42,9 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro._validation import require_finite_nonnegative
 from repro.errors import ValidationError
 from repro.estimation.linear_system import LinkLoadSystem
-from repro.estimation.pipeline import SPARSE_SYSTEM_MIN_NODES, TMEstimator
+from repro.estimation.pipeline import TMEstimator
 from repro.ingest.binner import FlowBinner
 from repro.ingest.rolling import PRIOR_MODES, RollingFitManager
 from repro.obs import MetricsRegistry, get_metrics, get_tracer, peak_rss_mb, stage
@@ -179,8 +181,9 @@ class IngestService:
         Rolling-fit configuration (see
         :class:`~repro.ingest.rolling.RollingFitManager`).
     measurement_noise, seed:
-        Optional simulated SNMP noise (relative std) applied to each
-        chunk's measurements with a per-chunk deterministic RNG.
+        Optional simulated SNMP noise (relative std, finite and ``>= 0``)
+        applied to each chunk's measurements with a per-chunk deterministic
+        RNG.
     sink, status_path, checkpoint_path:
         Output plumbing.  ``sink`` is a directory (gains
         ``estimates.jsonl``), an explicit ``.jsonl`` path, or ``-``/None
@@ -238,8 +241,7 @@ class IngestService:
             )
         if chunk_bins < 1:
             raise ValidationError("chunk_bins must be >= 1")
-        if measurement_noise < 0:
-            raise ValidationError("measurement_noise must be >= 0")
+        measurement_noise = require_finite_nonnegative(measurement_noise, "measurement_noise")
         if prior not in PRIOR_MODES:
             raise ValidationError(f"unknown prior mode {prior!r}; choose from {PRIOR_MODES}")
         self._source = source
@@ -266,10 +268,7 @@ class IngestService:
         # (and its cached tomogravity factor) instead of re-deriving it every
         # chunk.
         self._routing = build_routing_matrix(topology)
-        self._routing_t = self._routing.matrix.T
-        self._routing.augmented_operator(
-            as_sparse=len(topology.nodes) >= SPARSE_SYSTEM_MIN_NODES
-        )
+        self._routing.augmented_operator()
         fit_kwargs = {}
         resumed_fit = None
         if self._checkpoint_path is not None and self._checkpoint_path.exists():
@@ -324,7 +323,7 @@ class IngestService:
             )
         self._start_bin = int(payload["next_bin"])
         noise = payload.get("noise", {})
-        if noise and abs(float(noise.get("std", 0.0)) - self._noise_std) > 1e-12:
+        if noise and not abs(float(noise.get("std", 0.0)) - self._noise_std) <= 1e-12:
             raise ValidationError(
                 "checkpoint noise std does not match this service's "
                 f"--measurement-noise ({noise.get('std')} vs {self._noise_std})"
@@ -436,7 +435,7 @@ class IngestService:
         t_chunk = block.shape[0]
 
         with stage("measure", self._stages["measure"], start_bin=start_bin, bins=t_chunk):
-            link_loads = block.reshape(t_chunk, n * n) @ self._routing_t
+            link_loads = self._routing.link_loads(block.reshape(t_chunk, n * n))
             ingress = block.sum(axis=2)
             egress = block.sum(axis=1)
             if self._noise_std > 0:

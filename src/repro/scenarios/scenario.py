@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, fields
 
+from repro._validation import require_finite_nonnegative
 from repro.errors import ValidationError
 from repro.registry import (
     DATASETS,
@@ -143,8 +144,7 @@ class Scenario:
             raise ValidationError("max_bins must be >= 1 (or None for the whole week)")
         if self.bins_per_week is not None and self.bins_per_week < 2:
             raise ValidationError("bins_per_week must be >= 2")
-        if self.measurement_noise < 0:
-            raise ValidationError("measurement_noise must be >= 0")
+        require_finite_nonnegative(self.measurement_noise, "measurement_noise")
         if self.chunk_bins is not None and self.chunk_bins < 1:
             raise ValidationError("chunk_bins must be >= 1 (or None for the default)")
         if self.spill_dir is not None and not self.stream:

@@ -16,9 +16,10 @@ TM estimation is under-constrained and why the augmented system also carries
 the ingress and egress counts.
 
 A routing matrix has only ``O(n^2 * path_length)`` non-zeros out of
-``n_links * n^2`` entries, so :class:`RoutingMatrix` stores a
-``scipy.sparse`` CSR matrix and materialises the dense array lazily (and
-caches it) for the callers that need dense linear algebra.
+``n_links * n^2`` entries, so :class:`RoutingMatrix` stores it as a
+``scipy.sparse`` CSR matrix and nothing else: :meth:`RoutingMatrix.link_loads`
+is the one ``Y = R x`` kernel, and the stacked observation operator and
+its tomogravity factor are CSR too.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ class RoutingMatrix:
     Parameters
     ----------
     matrix:
-        Either a dense ``(n_links, n_nodes**2)`` array or a ``scipy.sparse``
-        matrix of the same shape; entry ``(r, s)`` is the fraction of OD pair
-        ``s`` carried on link ``r``.  Whichever representation is supplied,
-        the other is derived lazily and cached.
+        A ``scipy.sparse`` matrix or a dense array of shape
+        ``(n_links, n_nodes**2)``; entry ``(r, s)`` is the fraction of OD
+        pair ``s`` carried on link ``r``.  It is stored as CSR.
     links:
         The directed links, in row order.
     nodes:
@@ -57,17 +57,10 @@ class RoutingMatrix:
     def __init__(self, matrix, links: tuple, nodes: tuple[str, ...]):
         self._links = tuple(links)
         self._nodes = tuple(str(node) for node in nodes)
-        self._augmented: dict[bool, object] = {}
-        self._factors: dict[tuple[bool, bool], object] = {}
-        if sparse.issparse(matrix):
-            self._sparse: sparse.csr_matrix | None = matrix.tocsr()
-            self._dense: np.ndarray | None = None
-            shape = self._sparse.shape
-        else:
-            self._dense = np.asarray(matrix, dtype=float)
-            self._sparse = None
-            shape = self._dense.shape
-        self._csc: sparse.csc_matrix | None = None
+        self._augmented: sparse.csr_matrix | None = None
+        self._factors: dict[bool, object] = {}
+        self._sparse = sparse.csr_matrix(matrix, dtype=float)
+        shape = self._sparse.shape
         n = len(self._nodes)
         if len(shape) != 2 or shape != (len(self._links), n * n):
             raise ShapeError(
@@ -80,23 +73,12 @@ class RoutingMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense ``(n_links, n_nodes**2)`` array (materialised lazily, cached).
-
-        Returned read-only: the dense and sparse forms are cached views of
-        one logical matrix, so in-place edits would silently desynchronise
-        them.
-        """
-        if self._dense is None:
-            self._dense = self._sparse.toarray()
-        view = self._dense.view()
-        view.flags.writeable = False
-        return view
+        """A dense copy of the ``(n_links, n_nodes**2)`` matrix (built per call)."""
+        return self._sparse.toarray()
 
     @property
     def sparse(self) -> sparse.csr_matrix:
-        """The CSR form (materialised lazily from a dense input, cached)."""
-        if self._sparse is None:
-            self._sparse = sparse.csr_matrix(self._dense)
+        """The stored CSR matrix."""
         return self._sparse
 
     # -- basic accessors ----------------------------------------------------
@@ -127,24 +109,16 @@ class RoutingMatrix:
     def column(self, origin: str, destination: str) -> np.ndarray:
         """The routing-matrix column of the OD pair ``origin -> destination``."""
         col = self.node_index(origin) * self.n_nodes + self.node_index(destination)
-        if self._dense is not None:
-            return self._dense[:, col].copy()
-        if self._csc is None:
-            self._csc = self.sparse.tocsc()
-        column = np.zeros(self.n_links)
-        start, stop = self._csc.indptr[col], self._csc.indptr[col + 1]
-        column[self._csc.indices[start:stop]] = self._csc.data[start:stop]
-        return column
+        return self._sparse[:, [col]].toarray()[:, 0]
 
-    def link_loads(self, traffic_vector: np.ndarray, *, use_sparse: bool = False) -> np.ndarray:
+    def link_loads(self, traffic_vector: np.ndarray) -> np.ndarray:
         """Link loads ``Y = R x`` for vectorised traffic matrices.
 
         Accepts a single ``(n^2,)`` vector, a ``(T, n^2)`` time series or a
         ``(B, T, n^2)`` batch of series; the returned array mirrors the input
-        shape with the trailing axis replaced by ``n_links``.  With
-        ``use_sparse=True`` the product runs on the CSR form — much faster
-        and lighter for large topologies, at the cost of a different
-        floating-point summation order than the dense product.
+        shape with the trailing axis replaced by ``n_links``.  The product
+        runs on the CSR matrix, so each link sums only the OD pairs it
+        carries.
         """
         traffic = np.asarray(traffic_vector, dtype=float)
         n_od = self.n_nodes * self.n_nodes
@@ -154,56 +128,42 @@ class RoutingMatrix:
                 f"and at most 3 dimensions, got shape {traffic.shape}"
             )
         if traffic.ndim == 1:
-            if use_sparse:
-                return self.sparse @ traffic
-            return self.matrix @ traffic
-        flat = traffic.reshape(-1, n_od)
-        if use_sparse:
-            loads = (self.sparse @ flat.T).T
-        else:
-            loads = flat @ self.matrix.T
+            return self._sparse @ traffic
+        loads = (self._sparse @ traffic.reshape(-1, n_od).T).T
         return np.asarray(loads).reshape(*traffic.shape[:-1], self.n_links)
 
-    def augmented_operator(self, *, as_sparse: bool = False):
-        """The stacked ``[R; H; G]`` observation operator, built once and cached.
+    def augmented_operator(self) -> sparse.csr_matrix:
+        """The stacked CSR ``[R; H; G]`` observation operator, built once and cached.
 
         ``H`` and ``G`` are the ingress/egress summing operators of
         Section 6.2; the stack only depends on the routing matrix and the
         node count, so it is shared by every measurement system over this
         topology — a sweep's cells and priors all solve against one operator
-        instead of each re-stacking their own.
+        instead of each re-stacking their own, so its values are read-only.
         """
-        cached = self._augmented.get(bool(as_sparse))
-        if cached is None:
+        if self._augmented is None:
             from repro.core.priors import marginal_operators
 
-            h, g, _ = marginal_operators(self.n_nodes, as_sparse=as_sparse)
-            if as_sparse:
-                cached = sparse.vstack([self.sparse, h, g], format="csr")
-            else:
-                cached = np.vstack([self.matrix, h, g])
-                cached.flags.writeable = False
-            self._augmented[bool(as_sparse)] = cached
-        return cached
+            h, g, _ = marginal_operators(self.n_nodes)
+            self._augmented = sparse.vstack([self._sparse, h, g], format="csr")
+            self._augmented.data.flags.writeable = False
+        return self._augmented
 
-    def observation_factor(self, *, augmented: bool = True, as_sparse: bool = False):
+    def observation_factor(self, *, augmented: bool = True):
         """The tomogravity factor of the observation operator, built once and cached.
 
         ``augmented`` selects the stacked ``[R; H; G]`` operator (else the
-        routing matrix alone) and ``as_sparse`` its representation; see
+        routing matrix alone); see
         :func:`repro.estimation.tomogravity.factor_observation_operator`.
         The factor lives exactly as long as this routing matrix, so dropping
         the routing memo drops it too.
         """
-        key = (bool(augmented), bool(as_sparse))
+        key = bool(augmented)
         cached = self._factors.get(key)
         if cached is None:
             from repro.estimation.tomogravity import factor_observation_operator
 
-            if augmented:
-                operator = self.augmented_operator(as_sparse=as_sparse)
-            else:
-                operator = self.sparse if as_sparse else self.matrix
+            operator = self.augmented_operator() if augmented else self._sparse
             cached = self._factors[key] = factor_observation_operator(operator)
         return cached
 
@@ -214,14 +174,14 @@ class RoutingMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RoutingMatrix(n_links={self.n_links}, n_nodes={self.n_nodes}, "
-            f"nnz={self.sparse.nnz})"
+            f"nnz={self._sparse.nnz})"
         )
 
 
 # Routing matrices memoised by topology content: the build is pure in
 # (nodes, links), and a sweep's cells all route over the same few
-# topologies — sharing the instance also shares its lazily cached dense/CSC
-# forms, the stacked augmented operator and its tomogravity factors.
+# topologies — sharing the instance also shares its stacked augmented
+# operator and its tomogravity factors.
 _ROUTING_CACHE: dict[tuple, RoutingMatrix] = {}
 _ROUTING_CACHE_MAX = 8
 

@@ -101,7 +101,7 @@ def compute_link_utilization(
         routing = build_routing_matrix(topology)
     elif routing.nodes != topology.nodes:
         raise ValidationError("the supplied routing matrix belongs to a different topology")
-    loads_bytes = series.to_vectors() @ routing.matrix.T
+    loads_bytes = routing.link_loads(series.to_vectors())
     loads_bps = loads_bytes * 8.0 / series.bin_seconds
     capacities = np.array([link.capacity for link in routing.links])
     utilization = loads_bps / capacities[np.newaxis, :]

@@ -236,7 +236,7 @@ def test_tomogravity_batch_matches_per_bin_loop_bitwise(measurement_setup):
             nonneg_array((4, n), max_value=1e3),
         )
     ),
-    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=30),
 )
 @settings(max_examples=60, deadline=None)
 def test_ipf_series_matches_per_bin_loop_bitwise(inputs, iterations):

@@ -131,6 +131,16 @@ class TestEstimate:
         assert code == 2
         assert "target_week" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_measurement_noise_exits_2(self, capsys, noise):
+        code = main([
+            "estimate", "--prior", "gravity", "--dataset", "geant",
+            "--bins-per-week", "36", "--max-bins", "4", "--measurement-noise", noise,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "measurement_noise" in err
+
     def test_no_baseline_skips_comparison(self, capsys):
         code = main([
             "estimate", "--prior", "gravity", "--dataset", "geant",
@@ -320,6 +330,17 @@ class TestServe:
         assert len(records) == 24
         assert records[-1]["prior"] == "stable_fp"
         assert json.loads((sink / "status.json").read_text())["prior"]["refits"] >= 1
+
+    def test_serve_non_finite_measurement_noise_exits_2(self, tmp_path, capsys):
+        sink = tmp_path / "out"
+        code = main([
+            "serve", "--source", "examples/sample_flows.csv", "--topology", "abilene",
+            "--sink", str(sink), "--measurement-noise", "nan",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "measurement_noise" in err
+        assert not (sink / "checkpoint.json").exists()
 
     def test_serve_file_source_requires_topology(self, capsys):
         code = main(["serve", "--source", "examples/sample_flows.csv"])

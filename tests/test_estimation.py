@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse as scipy_sparse
 
 from repro.core.gravity import gravity_series
 from repro.core.metrics import rel_l2_temporal_error
@@ -11,10 +12,14 @@ from repro.core.priors import GravityPrior
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
 from repro.estimation.entropy import entropy_estimate
-from repro.estimation.ipf import iterative_proportional_fitting
+from repro.estimation.ipf import (
+    iterative_proportional_fitting,
+    iterative_proportional_fitting_series,
+)
 from repro.estimation.linear_system import LinkLoadSystem, simulate_link_loads
 from repro.estimation.pipeline import TMEstimator
 from repro.estimation.tomogravity import tomogravity_estimate
+from repro.topology import Topology
 from repro.topology.library import abilene_topology
 from repro.topology.routing import build_routing_matrix
 
@@ -54,6 +59,12 @@ class TestSimulateLinkLoads:
         assert not np.allclose(noisy.link_loads, clean.link_loads)
         relative = np.abs(noisy.link_loads - clean.link_loads) / np.maximum(clean.link_loads, 1.0)
         assert np.median(relative) < 0.2
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, abilene_world, noise):
+        topology, series, _ = abilene_world
+        with pytest.raises(ValidationError, match="noise_std"):
+            simulate_link_loads(topology, series, noise_std=noise)
 
     def test_negative_noise_rejected(self, abilene_world):
         topology, series, _ = abilene_world
@@ -135,6 +146,18 @@ class TestTomogravity:
 
 
 class TestIPF:
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_iteration_cap_below_one_rejected(self, iterations):
+        seed_matrix = np.ones((3, 3))
+        totals = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="max_iterations"):
+            iterative_proportional_fitting(seed_matrix, totals, totals, max_iterations=iterations)
+        with pytest.raises(ValidationError, match="max_iterations"):
+            iterative_proportional_fitting_series(
+                seed_matrix[np.newaxis], totals[np.newaxis], totals[np.newaxis],
+                max_iterations=iterations,
+            )
+
     def test_matches_marginals(self):
         rng = np.random.default_rng(1)
         seed_matrix = rng.random((5, 5))
@@ -240,6 +263,11 @@ class TestPipeline:
         with pytest.raises(ValidationError):
             TMEstimator(method="magic")
 
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_ipf_iterations_below_one_rejected(self, iterations):
+        with pytest.raises(ValidationError, match="ipf_iterations"):
+            TMEstimator(ipf_iterations=iterations)
+
     def test_improvement_over(self, abilene_world):
         _, series, system = abilene_world
         prior = GravityPrior().series(system.ingress, system.egress, nodes=series.nodes)
@@ -248,50 +276,83 @@ class TestPipeline:
         np.testing.assert_allclose(improvement, 0.0)
 
 
+def _ring_with_chords(n_nodes: int) -> Topology:
+    """A ring whose every PoP also links a quarter of the way round."""
+    names = tuple(f"pop{i:03d}" for i in range(n_nodes))
+    topology = Topology("ring-with-chords", names)
+    for i in range(n_nodes):
+        topology.add_bidirectional_link(names[i], names[(i + 1) % n_nodes])
+        topology.add_bidirectional_link(names[i], names[(i + n_nodes // 4) % n_nodes])
+    return topology
+
+
 class TestSparseAugmentedSystem:
-    """The stacked observation operator built without densifying the routing matrix."""
+    """The stacked observation operator is CSR at every network size."""
 
     def test_sparse_operator_equals_dense(self, abilene_world):
         _, _, system = abilene_world
-        dense_b, dense_z = system.augmented_system()
-        sparse_b, sparse_z = system.augmented_system(as_sparse=True)
-        from scipy import sparse as scipy_sparse
-
-        assert scipy_sparse.issparse(sparse_b)
-        assert np.array_equal(dense_b, sparse_b.toarray())
-        assert np.array_equal(dense_z, sparse_z)
+        b, z = system.augmented_system()
+        n = system.n_nodes
+        ingress_rows = np.kron(np.eye(n), np.ones(n))
+        egress_rows = np.kron(np.ones(n), np.eye(n))
+        assert scipy_sparse.isspmatrix_csr(b)
+        assert np.array_equal(
+            b.toarray(), np.vstack([system.routing.matrix, ingress_rows, egress_rows])
+        )
+        assert np.array_equal(z, np.hstack([system.link_loads, system.ingress, system.egress]))
 
     def test_tomogravity_accepts_sparse_operator(self, abilene_world):
         _, series, system = abilene_world
-        dense_b, z = system.augmented_system()
-        sparse_b, _ = system.augmented_system(as_sparse=True)
+        sparse_b, z = system.augmented_system()
+        dense_b = sparse_b.toarray()
         priors = series.to_vectors()
-        dense_estimates = tomogravity_estimate(priors, dense_b, z)
         sparse_estimates = tomogravity_estimate(priors, sparse_b, z)
-        np.testing.assert_allclose(sparse_estimates, dense_estimates, rtol=1e-8, atol=1e-3)
-        single = tomogravity_estimate(priors[0], sparse_b, z[0])
-        np.testing.assert_allclose(single, dense_estimates[0], rtol=1e-8, atol=1e-3)
+        assert np.array_equal(tomogravity_estimate(priors, dense_b, z), sparse_estimates)
+        assert np.array_equal(tomogravity_estimate(priors[0], dense_b, z[0]), sparse_estimates[0])
 
     def test_estimator_sparse_mode_matches_dense(self, abilene_world):
-        topology, series, system = abilene_world
+        _, series, system = abilene_world
         prior = GravityPrior().series(
             system.ingress, system.egress, nodes=series.nodes, bin_seconds=series.bin_seconds
         )
-        dense_result = TMEstimator(use_sparse_system=False).estimate(
-            system, prior, ground_truth=series
+        result = TMEstimator().estimate(system, prior, ground_truth=series)
+        _, z = system.augmented_system()
+        n = system.n_nodes
+        refined = tomogravity_estimate(prior.to_vectors(), system.routing.augmented_operator(), z)
+        expected = iterative_proportional_fitting_series(
+            refined.reshape(-1, n, n), system.ingress, system.egress, max_iterations=50
         )
-        sparse_result = TMEstimator(use_sparse_system=True).estimate(
-            system, prior, ground_truth=series
+        assert np.array_equal(result.estimate.values, expected)
+
+    def test_auto_mode_keeps_paper_scale_topologies_dense(self, monkeypatch):
+        """At 11 and 50 PoPs the estimate runs on one cached CSR factor, never on dense R."""
+        from repro.estimation import tomogravity as tomogravity_module
+        from repro.topology.routing import RoutingMatrix, clear_routing_cache
+
+        factored = []
+        factor_operator = tomogravity_module.factor_observation_operator
+
+        def counting(operator):
+            factored.append(operator)
+            return factor_operator(operator)
+
+        monkeypatch.setattr(tomogravity_module, "factor_observation_operator", counting)
+        monkeypatch.setattr(
+            RoutingMatrix, "matrix", property(lambda self: pytest.fail("dense R read"))
         )
-        np.testing.assert_allclose(sparse_result.errors, dense_result.errors, rtol=1e-6)
-
-    def test_auto_mode_keeps_paper_scale_topologies_dense(self, abilene_world):
-        _, _, system = abilene_world
-        from repro.estimation.pipeline import SPARSE_SYSTEM_MIN_NODES
-
-        estimator = TMEstimator()
-        assert system.n_nodes < SPARSE_SYSTEM_MIN_NODES
-        assert estimator._resolve_sparse(system) is False
-        assert TMEstimator(use_sparse_system=True)._resolve_sparse(system) is True
-        # The entropy method always runs dense.
-        assert TMEstimator(method="entropy", use_sparse_system=True)._resolve_sparse(system) is False
+        for topology in (abilene_topology(), _ring_with_chords(50)):
+            n = topology.n_nodes
+            values = np.random.default_rng(n).lognormal(np.log(1e6), 0.8, (2, n, n))
+            series = TrafficMatrixSeries(values, topology.nodes)
+            factored.clear()
+            clear_routing_cache()
+            try:
+                system = simulate_link_loads(topology, series, noise_std=0.01, seed=1)
+                prior = GravityPrior().series(system.ingress, system.egress, nodes=series.nodes)
+                for _ in range(2):
+                    result = TMEstimator().estimate(system, prior, ground_truth=series)
+                    assert np.all(np.isfinite(result.errors))
+            finally:
+                clear_routing_cache()
+            assert len(factored) == 1 and scipy_sparse.isspmatrix_csr(factored[0])
+            assert factored[0].shape == (system.routing.n_links + 2 * n, n * n)

@@ -24,6 +24,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ShapeError
@@ -32,7 +33,7 @@ from repro.estimation.ipf import (
     iterative_proportional_fitting,
     iterative_proportional_fitting_series,
 )
-from repro.estimation.linear_system import simulate_link_loads_streaming
+from repro.estimation.linear_system import simulate_link_loads
 from repro.estimation.pipeline import TMEstimator
 from repro.estimation.tomogravity import factor_observation_operator, tomogravity_estimate
 from repro.ingest import FileReplaySource, IngestService, SyntheticFlowSource
@@ -56,6 +57,7 @@ def _oracle(priors, matrix, observed):
     """The per-bin ``m x m`` ``pinv`` refinement the kernel replaced."""
     floors = tomogravity._weight_floors(priors, None)
     weights = np.maximum(priors, floors[:, np.newaxis])
+    matrix = sparse.csr_matrix(matrix)
     return np.stack([
         tomogravity._pinv_refine(priors[t], matrix, observed[t], weights[t])
         for t in range(priors.shape[0])
@@ -273,7 +275,7 @@ def _family_feed(topology, *, bins, scales=None, drift=0.0, seed=101):
 
 def _stream_pair(topology, cube, prior, chunk):
     stream = ArrayChunkStream(cube, topology.nodes, bin_seconds=300.0, chunk_bins=chunk)
-    system = simulate_link_loads_streaming(topology, stream)
+    system = simulate_link_loads(topology, stream)
     prior_stream = ArrayChunkStream(
         prior, topology.nodes, bin_seconds=300.0, chunk_bins=chunk
     )

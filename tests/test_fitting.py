@@ -234,10 +234,8 @@ def reference_case(request, clean_ic_series):
 
 @pytest.mark.parametrize("streamed", [False, True], ids=["in-memory", "streamed"])
 def test_kernel_matches_reference_als(reference_case, streamed):
-    from repro.core.streaming import fit_stable_fp_streaming
-
     values, (f, preference, activity, errors, history, converged) = reference_case
-    fit = fit_stable_fp_streaming(values, chunk_bins=7) if streamed else fit_stable_fp(values)
+    fit = _streamed_fit(values, chunk_bins=7) if streamed else fit_stable_fp(values)
     assert len(fit.objective_history) == len(history)
     assert fit.converged == converged
     assert fit.forward_fraction == pytest.approx(f, rel=1e-10)
@@ -253,10 +251,10 @@ def test_kernel_matches_reference_als(reference_case, streamed):
 # validation and numerical edge cases
 # ---------------------------------------------------------------------------
 
-def _streamed_fit(values, **kwargs):
-    from repro.core.streaming import fit_stable_fp_streaming
+def _streamed_fit(values, *, chunk_bins=None, **kwargs):
+    from repro.streaming import as_chunk_stream
 
-    return fit_stable_fp_streaming(values, **kwargs)
+    return fit_stable_fp(as_chunk_stream(values, chunk_bins=chunk_bins), **kwargs)
 
 
 @pytest.mark.parametrize(

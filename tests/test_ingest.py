@@ -26,7 +26,7 @@ import pytest
 from repro.core.ic_model import simplified_ic_series
 from repro.core.priors import StableFPrior
 from repro.errors import ValidationError
-from repro.estimation.linear_system import simulate_link_loads_streaming
+from repro.estimation.linear_system import simulate_link_loads
 from repro.estimation.pipeline import TMEstimator
 from repro.ingest import (
     CHECKPOINT_FORMAT,
@@ -399,8 +399,8 @@ class TestServiceEquivalence:
         """Acceptance: pinned prior + re-fit disabled ≡ batch path (≤ 1e-12)."""
         forward = 0.3
         chunk = 8
-        # Same chunk_bins on both sides: matching GEMM shapes make the two
-        # paths bit-identical, not merely close.
+        # Same chunk_bins on both sides, so the two paths refine the same
+        # blocks and agree bit for bit, not merely closely.
         data = open_dataset_stream("geant", n_weeks=1, bins_per_week=24, seed=17,
                                    chunk_bins=chunk)
         service = IngestService(
@@ -417,7 +417,7 @@ class TestServiceEquivalence:
         served = np.array([r["estimate"] for r in _read_jsonl(tmp_path / "estimates.jsonl")])
 
         stream = data.week_stream(0)
-        system = simulate_link_loads_streaming(data.topology, stream)
+        system = simulate_link_loads(data.topology, stream)
         prior = ArrayChunkStream(
             StableFPrior(forward).series(system.ingress, system.egress).values,
             data.topology.nodes,
@@ -427,6 +427,24 @@ class TestServiceEquivalence:
         batch = TMEstimator().estimate_stream(system, prior, collect_estimate=True)
         diff = np.max(np.abs(served - batch.estimate.values))
         assert diff <= 1e-12  # in practice exactly 0.0 through the JSONL sink
+
+    def test_served_chunk_never_reads_the_dense_routing_matrix(
+        self, tmp_path, abilene, monkeypatch
+    ):
+        from repro.topology.routing import RoutingMatrix
+
+        monkeypatch.setattr(
+            RoutingMatrix, "matrix", property(lambda self: pytest.fail("dense R read"))
+        )
+        status = IngestService(
+            FileReplaySource("examples/sample_flows.csv", abilene.nodes), abilene,
+            chunk_bins=4, max_bins=4, measurement_noise=0.01,
+            sink=tmp_path / "estimates.jsonl",
+        ).run()
+        assert status.bins_published == 4
+        records = _read_jsonl(tmp_path / "estimates.jsonl")
+        assert [r["bin"] for r in records] == [0, 1, 2, 3]
+        assert np.all(np.isfinite([r["estimate"] for r in records]))
 
     def test_source_topology_node_mismatch_rejected(self, tmp_path, abilene, geant):
         data = open_dataset_stream("geant", n_weeks=1, bins_per_week=6, seed=1)
@@ -534,6 +552,29 @@ class TestServiceCheckpointResume:
         checkpoint.write_text(json.dumps({
             "format": CHECKPOINT_FORMAT, "next_bin": 4,
             "noise": {"std": 0.05, "seed": 0},
+        }))
+        with pytest.raises(ValidationError, match="noise std"):
+            IngestService(
+                FileReplaySource("examples/sample_flows.csv", abilene.nodes),
+                abilene, checkpoint_path=checkpoint,
+            )
+
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.01])
+    def test_non_finite_or_negative_noise_rejected(self, tmp_path, abilene, noise):
+        with pytest.raises(ValidationError, match="measurement_noise"):
+            IngestService(
+                FileReplaySource("examples/sample_flows.csv", abilene.nodes),
+                abilene, measurement_noise=noise,
+                checkpoint_path=tmp_path / "checkpoint.json",
+            )
+        assert not (tmp_path / "checkpoint.json").exists()
+
+    def test_checkpoint_with_nan_noise_rejected(self, tmp_path, abilene):
+        checkpoint = tmp_path / "c.json"
+        checkpoint.write_text(json.dumps({
+            "format": CHECKPOINT_FORMAT, "next_bin": 4,
+            "noise": {"std": float("nan"), "seed": 0},
         }))
         with pytest.raises(ValidationError, match="noise std"):
             IngestService(

@@ -175,6 +175,11 @@ class TestScenario:
         with pytest.raises(ValidationError):
             Scenario(dataset="geant", prior="gravity", max_bins=0).validate()
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf"), -0.01])
+    def test_validate_rejects_non_finite_or_negative_noise(self, noise):
+        with pytest.raises(ValidationError, match="measurement_noise"):
+            Scenario(dataset="geant", prior="gravity", measurement_noise=noise).validate()
+
     def test_label_and_replace(self):
         scenario = Scenario(dataset="geant", prior="gravity")
         assert scenario.label == "geant/gravity"
@@ -251,6 +256,16 @@ class TestScenarioRunner:
         assert "stable-f" in table
         assert "mean improvement %" in table
         assert "tomogravity" in table
+
+    def test_run_never_reads_the_dense_routing_matrix(self, monkeypatch):
+        from repro.topology.routing import RoutingMatrix
+
+        monkeypatch.setattr(
+            RoutingMatrix, "matrix", property(lambda self: pytest.fail("dense R read"))
+        )
+        result = run_scenario(Scenario(dataset="geant", prior="stable_fp", **SMALL))
+        assert result.errors.shape == (6,)
+        assert np.all(np.isfinite(result.errors))
 
     def test_entropy_estimator_differs_from_tomogravity(self):
         base = Scenario(dataset="geant", prior="gravity", **SMALL)

@@ -22,16 +22,12 @@ from repro.core.gravity import gravity_series
 from repro.core.metrics import rel_l2_spatial_error, rel_l2_temporal_error
 from repro.core.streaming import (
     SeriesAccumulator,
-    fit_stable_fp_streaming,
     streaming_gravity_errors,
     streaming_rel_l2_spatial_error,
     streaming_rel_l2_temporal_error,
 )
 from repro.errors import ValidationError
-from repro.estimation.linear_system import (
-    simulate_link_loads,
-    simulate_link_loads_streaming,
-)
+from repro.estimation.linear_system import simulate_link_loads
 from repro.estimation.pipeline import TMEstimator
 from repro.scenarios import Scenario, ScenarioRunner
 from repro.streaming import (
@@ -266,15 +262,13 @@ class TestSynthesisBitIdentity:
         stream = open_dataset_stream("geant", n_weeks=1, bins_per_week=36)
         week = data.week(0)
         system_mem = simulate_link_loads(data.topology, week, noise_std=0.01, seed=3)
-        system_str = simulate_link_loads_streaming(
+        system_str = simulate_link_loads(
             stream.topology, stream.week_stream(0, chunk_bins=7), noise_std=0.01, seed=3
         )
         assert np.array_equal(system_mem.ingress, system_str.ingress)
         assert np.array_equal(system_mem.egress, system_str.egress)
-        # Chunked GEMM may differ from the full product by 1 ulp.
-        np.testing.assert_allclose(
-            system_mem.link_loads, system_str.link_loads, rtol=1e-13
-        )
+        # The CSR product sums each bin on its own, so chunking changes no bit.
+        assert np.array_equal(system_mem.link_loads, system_str.link_loads)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +320,7 @@ class TestStreamingReductions:
     def test_streaming_fit_matches_in_memory_fit(self, week_and_stream):
         week, stream = week_and_stream
         fit_mem = fit_stable_fp(week)
-        fit_str = fit_stable_fp_streaming(stream)
+        fit_str = fit_stable_fp(stream)
         assert fit_str.model == "stable-fP"
         assert fit_str.converged == fit_mem.converged
         assert len(fit_str.objective_history) == len(fit_mem.objective_history)
@@ -350,7 +344,7 @@ class TestStreamingReductions:
                 return super().chunks()
 
         stream = CountingStream(week, chunk_bins=7)
-        fit = fit_stable_fp_streaming(stream, max_iterations=max_iterations, tolerance=tolerance)
+        fit = fit_stable_fp(stream, max_iterations=max_iterations, tolerance=tolerance)
         iterations = len(fit.objective_history)
         assert iterations == max_iterations or fit.converged
         assert stream.passes == iterations + 2

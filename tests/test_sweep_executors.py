@@ -340,16 +340,16 @@ def _overlapping_cells(n_targets=3, *, stream=True):
 class TestFitMemoisation:
     @pytest.fixture
     def fit_calls(self, monkeypatch):
-        from repro.core import streaming as streaming_module
+        from repro.core import fitting as fitting_module
 
         calls: list[int] = []
-        original = streaming_module.fit_stable_fp_streaming
+        original = fitting_module.fit_stable_fp
 
         def counting(source, **kwargs):
             calls.append(source.n_bins)
             return original(source, **kwargs)
 
-        monkeypatch.setattr(streaming_module, "fit_stable_fp_streaming", counting)
+        monkeypatch.setattr(fitting_module, "fit_stable_fp", counting)
         return calls
 
     def test_shared_state_fit_builds_once_per_key(self):

@@ -161,12 +161,12 @@ class TestCachedChunkStream:
         assert cache_chunks(stream, budget_bytes=1 << 20) is stream
 
     def test_fit_with_cache_matches_uncached_fit(self):
-        from repro.core.streaming import fit_stable_fp_streaming
+        from repro.core.fitting import fit_stable_fp
 
         data = open_dataset_stream("geant", n_weeks=1, bins_per_week=48, chunk_bins=12)
         week = data.week_stream(0)
-        plain = fit_stable_fp_streaming(week)
-        cached = fit_stable_fp_streaming(week, cache_bytes=64 << 20)
+        plain = fit_stable_fp(week)
+        cached = fit_stable_fp(week, cache_bytes=64 << 20)
         assert plain.forward_fraction == cached.forward_fraction
         np.testing.assert_array_equal(plain.preference, cached.preference)
         np.testing.assert_array_equal(plain.errors, cached.errors)
@@ -204,7 +204,7 @@ class TestOperatorReuse:
         b_first, _ = system_a.augmented_system()
         b_second, _ = system_b.augmented_system()
         assert b_first is b_second  # same memoised routing, same stacked operator
-        assert not b_first.flags.writeable
+        assert not b_first.data.flags.writeable
 
     def test_shared_state_reuses_systems_and_baselines(self):
         shared = SweepSharedState()

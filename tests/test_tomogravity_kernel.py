@@ -38,6 +38,7 @@ BUDGET = 1e-10
 def _oracle(priors, matrix, observed, weight_floor=None):
     floors = tomogravity._weight_floors(priors, weight_floor)
     weights = np.maximum(priors, floors[:, np.newaxis])
+    matrix = sparse.csr_matrix(matrix)
     return np.stack([
         tomogravity._pinv_refine(priors[t], matrix, observed[t], weights[t])
         for t in range(priors.shape[0])
@@ -72,7 +73,7 @@ def test_paper_operators_match_pinv_on_noisy_observations(dataset):
     system = simulate_link_loads(data.topology, week, noise_std=0.02, seed=3)
     matrix, observed = system.augmented_system()
     factor = system.routing.observation_factor()
-    assert factor.rank == np.linalg.matrix_rank(matrix) < matrix.shape[0]
+    assert factor.rank == np.linalg.matrix_rank(matrix.toarray()) < matrix.shape[0]
     priors = gravity_series(week).to_vectors()
     estimates = tomogravity_estimate(priors, factor, observed)
     assert _rel_diff(estimates, _oracle(priors, matrix, observed)) <= BUDGET
@@ -148,12 +149,12 @@ def test_ill_conditioned_bin_alone_falls_back_to_pinv(monkeypatch, weight_floor)
 def test_ring_with_chords_sparse_operator_matches_pinv():
     topology = ring_with_chords(50)
     routing = build_routing_matrix(topology)
-    operator = routing.augmented_operator(as_sparse=True)
+    operator = routing.augmented_operator()
     rng = np.random.default_rng(50)
     truth = rng.gamma(2.0, 50.0, (3, operator.shape[1]))
     priors = truth * rng.uniform(0.6, 1.5, truth.shape)
     observed = _noisy(operator, truth, 50)
-    factor = routing.observation_factor(as_sparse=True)
+    factor = routing.observation_factor()
     assert sparse.issparse(factor.matrix) and factor.rank < operator.shape[0]
     estimates = tomogravity_estimate(priors, factor, observed)
     assert _rel_diff(estimates, _oracle(priors, operator, observed)) <= BUDGET
@@ -209,3 +210,10 @@ def test_cached_factors_live_and_die_with_the_routing_memo():
     finally:
         clear_routing_cache()
     assert counts == [counts[0]] * len(counts)
+
+
+@pytest.mark.parametrize("weight_floor", [-1.0, 0.0, float("nan"), float("inf")])
+def test_weight_floor_must_be_finite_and_positive(weight_floor):
+    priors, matrix = np.ones((2, 4)), np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    with pytest.raises(ValidationError, match="weight_floor"):
+        tomogravity_estimate(priors, matrix, priors @ matrix.T, weight_floor=weight_floor)
