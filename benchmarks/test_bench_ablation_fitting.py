@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from repro.core.fitting import fit_stable_f, fit_stable_fp, fit_time_varying
-from repro.experiments._common import get_dataset
+from repro.synthesis.datasets import load_dataset
 
 
 @pytest.fixture(scope="module")
 def fitting_week():
-    return get_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
+    return load_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
 
 
 def test_ablation_als_fit(benchmark, fitting_week):

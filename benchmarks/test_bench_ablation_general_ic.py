@@ -12,11 +12,11 @@ import numpy as np
 
 from repro.core.fitting import fit_stable_fp
 from repro.core.general_fitting import fit_general_ic
-from repro.experiments._common import get_dataset
+from repro.synthesis.datasets import load_dataset
 
 
 def test_ablation_general_vs_simplified_fit(benchmark):
-    week = get_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
+    week = load_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
     simplified = fit_stable_fp(week)
 
     general = benchmark.pedantic(

@@ -18,14 +18,14 @@ from repro.core.priors import GravityPrior
 from repro.estimation.ipf import iterative_proportional_fitting
 from repro.estimation.linear_system import simulate_link_loads
 from repro.estimation.tomogravity import tomogravity_estimate
-from repro.experiments._common import get_dataset
+from repro.synthesis.datasets import load_dataset
 from repro.topology.library import geant_topology
 from repro.topology.routing import build_routing_matrix
 
 
 @pytest.fixture(scope="module")
 def week():
-    return get_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
+    return load_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
 
 
 @pytest.fixture(scope="module")

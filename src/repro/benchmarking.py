@@ -434,7 +434,8 @@ def bench_streaming_synthesis(*, bins: int = 288, repeat: int = 3) -> BenchmarkR
         return week_stream.marginals()
 
     def materialised():
-        return stream_data.week(0)
+        # week(0) would cache the week and turn later passes into views.
+        return stream_data.week_stream(0).materialize()
 
     def peak_of(func) -> int:
         tracemalloc.start()

@@ -311,9 +311,10 @@ class PriorContext:
     Attributes
     ----------
     dataset:
-        The dataset the scenario runs on: a materialised
-        :class:`repro.synthesis.datasets.SyntheticDataset` or a
-        :class:`repro.synthesis.datasets.StreamingDataset`.  Both expose
+        The dataset the scenario runs on, normally a
+        :class:`repro.synthesis.datasets.StreamingDataset`: materialised for
+        in-memory runs (week streams are views over the cached weeks), lazy
+        for streamed runs (week streams regenerate).  Builders use only
         ``week_stream(index)`` and ``ground_truths``.
     target:
         Re-iterable ground-truth :class:`repro.streaming.ChunkStream` of the

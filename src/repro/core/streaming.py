@@ -44,8 +44,8 @@ def sequential_bin_fold(into: np.ndarray, block: np.ndarray) -> np.ndarray:
     Numpy's reduction over the leading axis of a C-contiguous cube is a
     plain sequential loop (pairwise summation only kicks in for contiguous
     last-axis reductions), so adding the bins one at a time — in order —
-    produces *bitwise* the same array as ``full_series.sum(axis=0)`` no
-    matter how the series is chunked.  Chunk-level partial sums
+    produces *bitwise* the same array as ``cube.sum(axis=0)`` over the
+    whole series no matter how the series is chunked.  Chunk-level partial sums
     (``into += block.sum(axis=0)``) do not have this property: they
     re-associate the additions at chunk boundaries.  Every streamed
     reduction that promises bit-identity with its materialised oracle

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._tables import format_rows
 from repro.core.metrics import summarize_improvement
-from repro.experiments._common import format_rows
 
 __all__ = ["EstimationComparison", "comparison_from_result"]
 

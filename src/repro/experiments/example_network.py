@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments._common import format_rows
+from repro._tables import format_rows
 
 __all__ = ["ExampleNetworkResult", "run_example_network"]
 

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._tables import format_rows
 from repro.core.fitting import fit_stable_fp
 from repro.core.gravity import gravity_series
 from repro.core.ic_model import general_ic_series
 from repro.core.metrics import mean_relative_error
 from repro.core.traffic_matrix import TrafficMatrixSeries
-from repro.experiments._common import format_rows
 from repro.synthesis.activity import ActivityModel
 from repro.synthesis.preference import lognormal_preferences
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._tables import format_rows
 from repro.core.fitting import fit_stable_fp
 from repro.core.gravity import gravity_series
 from repro.core.ic_model import degrees_of_freedom
 from repro.core.metrics import percent_improvement, rel_l2_temporal_error, summarize_improvement
-from repro.experiments._common import format_rows, get_dataset
+from repro.synthesis.datasets import load_dataset
 
 __all__ = ["ModelFitResult", "run_model_fit"]
 
@@ -86,7 +87,7 @@ def run_model_fit(
     week:
         Which week of the dataset to fit.
     """
-    data = get_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
+    data = load_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
     series = data.week(week)
     fit = fit_stable_fp(series)
     gravity = gravity_series(series)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments._common import format_rows
+from repro._tables import format_rows
 from repro.traces.applications import DEFAULT_APPLICATION_MIX, aggregate_forward_fraction
 from repro.traces.matching import FMeasurement, measure_forward_fraction
 from repro.traces.trace_generator import BidirectionalTraceGenerator

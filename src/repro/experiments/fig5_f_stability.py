@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._tables import format_rows
 from repro.characterization.stability import StabilityReport, parameter_stability
 from repro.core.fitting import fit_stable_fp
-from repro.experiments._common import format_rows, get_dataset
+from repro.synthesis.datasets import load_dataset
 
 __all__ = ["FStabilityResult", "run_f_stability"]
 
@@ -57,9 +58,9 @@ def run_f_stability(
     full_scale: bool = False,
 ) -> FStabilityResult:
     """Fit the stable-fP model to each week and summarise the stability of ``f``."""
-    data = get_dataset(dataset, n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale)
+    data = load_dataset(dataset, n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale)
     weekly_f = np.array(
-        [float(fit_stable_fp(week).forward_fraction) for week in data.weeks]
+        [float(fit_stable_fp(data.week(i)).forward_fraction) for i in range(data.n_weeks)]
     )
     return FStabilityResult(
         dataset=dataset,

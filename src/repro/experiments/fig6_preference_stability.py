@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._tables import format_rows
 from repro.characterization.stability import StabilityReport, correlation, preference_stability
 from repro.core.fitting import fit_stable_fp
-from repro.experiments._common import format_rows, get_dataset
+from repro.synthesis.datasets import load_dataset
 
 __all__ = ["PreferenceStabilityResult", "run_preference_stability"]
 
@@ -72,8 +73,8 @@ def run_preference_stability(
     full_scale: bool = False,
 ) -> PreferenceStabilityResult:
     """Fit each week independently and summarise preference stability."""
-    data = get_dataset(dataset, n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale)
-    weekly = np.stack([fit_stable_fp(week).preference for week in data.weeks])
+    data = load_dataset(dataset, n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale)
+    weekly = np.stack([fit_stable_fp(data.week(i)).preference for i in range(data.n_weeks)])
     truth = data.ground_truths[0].preference
     mean_fitted = weekly.mean(axis=0)
     positive = mean_fitted[mean_fitted > 0]

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._tables import format_rows
 from repro.characterization.distributions import (
     DistributionFit,
     compare_tail_fits,
     empirical_ccdf,
 )
 from repro.core.fitting import fit_stable_fp
-from repro.experiments._common import format_rows, get_dataset
+from repro.synthesis.datasets import load_dataset
 
 __all__ = ["PreferenceCCDFResult", "run_preference_ccdf"]
 
@@ -72,7 +73,7 @@ def run_preference_ccdf(
     week: int = 0,
 ) -> PreferenceCCDFResult:
     """Fit one week, compute the preference CCDF and compare tail models."""
-    data = get_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
+    data = load_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
     fit = fit_stable_fp(data.week(week))
     preference = fit.preference
     positive = preference[preference > 0]

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._tables import format_rows
 from repro.characterization.stability import correlation
 from repro.core.fitting import fit_stable_fp
-from repro.experiments._common import format_rows, get_dataset
+from repro.synthesis.datasets import load_dataset
 
 __all__ = ["PreferenceVsEgressResult", "run_preference_vs_egress"]
 
@@ -77,7 +78,7 @@ def run_preference_vs_egress(
     week: int = 0,
 ) -> PreferenceVsEgressResult:
     """Compare fitted preference with normalised egress counts for one week."""
-    data = get_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
+    data = load_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
     series = data.week(week)
     fit = fit_stable_fp(series)
     egress_share = series.egress.mean(axis=0)

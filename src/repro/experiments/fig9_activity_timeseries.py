@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._tables import format_rows
 from repro.characterization.activity_analysis import ActivitySummary, analyze_activity, weekend_ratio
 from repro.core.fitting import fit_stable_fp
-from repro.experiments._common import format_rows, get_dataset
+from repro.synthesis.datasets import load_dataset
 
 __all__ = ["ActivityTimeseriesResult", "run_activity_timeseries"]
 
@@ -75,7 +76,7 @@ def run_activity_timeseries(
     week: int = 0,
 ) -> ActivityTimeseriesResult:
     """Fit one week and extract the Figure 9 activity time series."""
-    data = get_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
+    data = load_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
     series = data.week(week)
     fit = fit_stable_fp(series)
     summary = analyze_activity(fit.activity, bin_seconds=series.bin_seconds)

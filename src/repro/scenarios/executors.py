@@ -12,12 +12,13 @@ cells execute.  Three implementations cover the scaling ladder:
 * :class:`RemoteExecutor` — ``repro sweep-worker`` daemons over TCP.
 
 Both out-of-process executors share one driver and one wire protocol.
-Dataset columns are synthesized (or planned) once in the parent and the
-cells run in column batches; whichever worker is free pulls the next batch
-(there is no round-robin assignment), and a column is sent to a worker the
-first time one of its batches needs it.  Streaming columns travel as their
-generation-plan state (:meth:`StreamingDataset.export_state`), in-memory
-columns as pickled week cubes; workers run the cells and send the per-cell
+Dataset columns are planned once in the parent and the cells run in column
+batches; whichever worker is free pulls the next batch (there is no
+round-robin assignment), and a column is sent to a worker the first time
+one of its batches needs it.  Every column travels as its generation-plan
+state (:meth:`StreamingDataset.export_state`), never as traffic: a worker
+materialises an in-memory column on its first cell and regenerates a
+streamed one chunk by chunk.  Workers run the cells and send the per-cell
 results back.  Remote cells that spill expect ``spill_dir`` to be a
 directory *shared* between the parent and every worker (NFS or equivalent):
 workers write ``.npz`` shards there and return lazy
@@ -72,7 +73,9 @@ __all__ = [
 # agree exactly (there is no cross-version compatibility machinery).
 # 2: batch requests carry the caller's trace context ("trace", "worker"),
 #    batch replies carry the worker's span events ("trace_events").
-SWEEP_WORKER_PROTOCOL = 2
+# 3: every dataset column ships as a "plan"; pickled materialised datasets
+#    no longer travel.
+SWEEP_WORKER_PROTOCOL = 3
 
 
 class ResultSink:
@@ -310,8 +313,8 @@ def _warn_jobs_capped(requested: int, capped: int, cpu_count: int | None) -> Non
 #                                                        "trace_events"}
 #   {"op": "shutdown"}                               -> {"ok"}  (daemon exits)
 #
-# ``kind`` is "plan" (a StreamingDatasetState with arrays inline) or "cube"
-# (a pickled materialised dataset); ``items`` is a column batch of
+# ``kind`` is always "plan" (a StreamingDatasetState with its plan arrays
+# inline, never the traffic itself); ``items`` is a column batch of
 # ``(index, scenario, dataset_key)`` tuples and ``outcomes`` the matching
 # ``(index, result, message)`` list.  One connection serves one sweep: the
 # daemon's dataset cache and SweepSharedState live exactly as long as the
@@ -343,6 +346,11 @@ def _recv_message(sock: socket.socket) -> dict:
 def _roundtrip(sock: socket.socket, message: dict) -> dict:
     _send_message(sock, message)
     return _recv_message(sock)
+
+
+def _dataset_message(key, data) -> dict:
+    """The wire message shipping dataset column ``key`` to a worker."""
+    return {"op": "dataset", "key": key, "kind": "plan", "payload": data.export_state()}
 
 
 def _parse_address(worker) -> tuple[str, int]:
@@ -416,14 +424,7 @@ class _BatchQueue:
             while (batch := self._next_batch()) is not None:
                 needed = {key for (_, _, key) in batch if key is not None} - sent
                 for key in sorted(needed, key=repr):
-                    data = self.datasets[key]
-                    if hasattr(data, "export_state"):
-                        kind, payload = "plan", data.export_state()
-                    else:
-                        kind, payload = "cube", data
-                    reply = _roundtrip(
-                        sock, {"op": "dataset", "key": key, "kind": kind, "payload": payload}
-                    )
+                    reply = _roundtrip(sock, _dataset_message(key, self.datasets[key]))
                     if not reply.get("ok"):
                         self.fail(
                             label,
@@ -559,13 +560,12 @@ class RemoteExecutor(SweepExecutor):
 # ---------------------------------------------------------------------------
 
 def _rebuild_dataset(kind: str, payload):
-    if kind == "plan":
-        from repro.synthesis.datasets import streaming_dataset_from_state
+    """A lazy dataset rebuilt from a shipped column's plan state."""
+    if kind != "plan":
+        raise ValidationError(f"unknown dataset kind {kind!r}")
+    from repro.synthesis.datasets import streaming_dataset_from_state
 
-        return streaming_dataset_from_state(payload)
-    if kind == "cube":
-        return payload
-    raise ValidationError(f"unknown dataset kind {kind!r}")
+    return streaming_dataset_from_state(payload)
 
 
 def _serve_connection(conn: socket.socket) -> bool:

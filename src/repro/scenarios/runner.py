@@ -13,21 +13,22 @@ combination:
 5. record per-bin errors, the per-bin improvement over the baseline, and
    per-stage timing.
 
-There is one execution path.  A materialised run is a chunk stream over the
-in-memory week (:meth:`SyntheticDataset.week_stream
-<repro.synthesis.datasets.SyntheticDataset.week_stream>` yields views, so
-nothing is copied); a streamed run (``Scenario.stream``) regenerates the
-week's chunks on demand instead.  Both measure, build priors — one
-registered builder per prior, returning a chunk stream — and estimate
-(``estimate_stream``) through the same code; the mode only decides where the
-chunks come from and whether the estimate is collected, spilled or dropped.
+There is one execution path over one dataset type,
+:class:`~repro.synthesis.datasets.StreamingDataset`.  An in-memory run
+materialises its dataset on first use, so its week streams are views over
+the cached weeks and nothing is copied; a streamed run (``Scenario.stream``)
+never materialises and regenerates the week's chunks on demand instead.
+Both measure, build priors — one registered builder per prior, returning a
+chunk stream — and estimate (``estimate_stream``) through the same code;
+the mode only decides where the chunks come from and whether the estimate
+is collected, spilled or dropped.
 
 Grid sweeps run on a shared-plan scheduler: every dataset column is
-synthesized (or, for streaming cells, *planned* — spatial draws, activity
-series and eagerly checkpointed noise-RNG states) exactly once in the
-parent and shipped to the workers; cells are grouped by dataset column so
-each worker's :class:`SweepSharedState` reuses the column's measurement
-systems, gravity-baseline estimates and memoised stable-fP fits
+*planned* — spatial draws, activity series and eagerly checkpointed
+noise-RNG states — exactly once in the parent and shipped to the workers,
+which materialise it for in-memory cells; cells are grouped by dataset
+column so each worker's :class:`SweepSharedState` reuses the column's
+measurement systems, gravity-baseline estimates and memoised stable-fP fits
 across the cells it runs.  *Where* the workers live is an executor choice
 (:mod:`repro.scenarios.executors`): in this process, or in sweep workers —
 local processes on socket pairs or ``repro sweep-worker`` daemons over TCP,
@@ -334,11 +335,11 @@ class ScenarioRunner:
     def _system_key(scenario: Scenario, target_week: int, data) -> tuple:
         """The value tuple determining a cell's simulated measurement system.
 
-        The dataset column's identity is the generation *plan* for streaming
-        datasets (wrapper objects are rebuilt per cell, the cached plan is
-        what actually determines the traffic) and the dataset object itself
-        for materialised ones; callers pin the anchor on the shared state so
-        its id cannot be recycled.
+        The dataset column's identity is its generation *plan* (a streamed
+        cell's wrapper object is rebuilt per cell; the cached plan is what
+        actually determines the traffic), or the dataset object itself for a
+        third-party dataset without one; callers pin the anchor on the
+        shared state so its id cannot be recycled.
         """
         return (
             scenario.stream,
@@ -405,35 +406,28 @@ class ScenarioRunner:
         :class:`~repro.streaming.ChunkStream`, measurements accumulate
         chunk-wise, priors are built as chunk streams and the estimator
         consumes them via ``estimate_stream``.  ``scenario.stream`` decides
-        only where the weeks come from — a materialised
-        :class:`~repro.synthesis.datasets.SyntheticDataset` whose week
-        streams are views over the cube, or a
-        :class:`~repro.synthesis.datasets.StreamingDataset` regenerating
-        chunks on demand, so nothing ``(T, n, n)``-sized is materialised —
-        and what happens to the estimate: materialised runs collect it on
-        the result, streamed runs spill it (explicit ``spill_dir``) or drop
-        it.
+        only where the weeks come from — an in-memory run materialises the
+        dataset (once; later runs reuse its cached weeks) and streams views
+        over it, a streamed run never materialises and regenerates chunks on
+        demand, so nothing ``(T, n, n)``-sized is held — and what happens to
+        the estimate: in-memory runs collect it on the result, streamed runs
+        spill it (explicit ``spill_dir``) or drop it.
 
-        ``dataset`` optionally supplies a pre-built dataset of the matching
-        kind covering the scenario's weeks (the sweep scheduler ships one
-        per column); by default the shared :func:`load_dataset` /
-        :func:`open_dataset_stream` caches are used.  ``shared`` supplies
-        the per-process :class:`SweepSharedState` the sweep scheduler uses
-        to reuse measurement systems, baseline estimates and stable-fP fits
-        across cells; single runs normally leave it ``None``.
+        ``dataset`` optionally supplies a pre-built dataset covering the
+        scenario's weeks — anything with a ``week_stream`` method, lazy or
+        materialised (the sweep scheduler ships one per column); by default
+        the shared :func:`load_dataset` / :func:`open_dataset_stream` caches
+        are used.  ``shared`` supplies the per-process
+        :class:`SweepSharedState` the sweep scheduler uses to reuse
+        measurement systems, baseline estimates and stable-fP fits across
+        cells; single runs normally leave it ``None``.
         """
         scenario.validate()
-        if dataset is not None:
-            if scenario.stream and (hasattr(dataset, "weeks") or not hasattr(dataset, "week_stream")):
-                raise ValidationError(
-                    "streaming scenarios regenerate chunks; pass dataset=None "
-                    "or a pre-opened StreamingDataset"
-                )
-            if not scenario.stream and not hasattr(dataset, "weeks"):
-                raise ValidationError(
-                    "in-memory scenarios need a materialised SyntheticDataset; "
-                    "got a streaming dataset (set stream=True to use it)"
-                )
+        if dataset is not None and not hasattr(dataset, "week_stream"):
+            raise ValidationError(
+                f"a pre-built dataset needs a week_stream method; got "
+                f"{type(dataset).__name__} (pass dataset=None to use the shared caches)"
+            )
         prior_entry = PRIORS.entry(scenario.prior)
         baseline_entry: RegistryEntry | None = None
         if self._baseline is not None and scenario.prior != canonical_name(self._baseline):
@@ -475,6 +469,8 @@ class ScenarioRunner:
                     full_scale=scenario.full_scale,
                     seed=scenario.dataset_seed,
                 )
+            if not scenario.stream and hasattr(data, "materialize"):
+                data.materialize()  # a no-op once the weeks are cached
             topology = self._resolve_topology(scenario, data)
             target = data.week_stream(target_week, max_bins=scenario.max_bins)
 
@@ -673,15 +669,14 @@ class ScenarioRunner:
             cells are scheduled in column groups and collected in grid
             order, and the reuse caches return the identical arrays a fresh
             computation would, so scheduling cannot change the outcome.
-            Each dataset column is synthesized (in-memory cells) or planned
-            with eagerly checkpointed noise states (streaming cells) **once
-            in the parent** and shipped over the sweep-worker wire — week
-            cubes or plan state, sent to each worker the first time one of
-            its batches needs the column — so the grid pays one synthesis
-            per column rather than one per (worker, column); workers only
-            run the estimation pipelines, reusing the column's measurement
-            system, baseline estimate and memoised streamed fits across its
-            cells.
+            Each dataset column is planned with eagerly checkpointed noise
+            states **once in the parent** and shipped over the sweep-worker
+            wire as plan state, sent to each worker the first time one of
+            its batches needs the column — so the grid pays one planning
+            pass per column rather than one per (worker, column); a worker
+            materialises an in-memory column once, on its first cell, and
+            reuses the column's measurement system, baseline estimate and
+            memoised fits across its cells.
         result_sink:
             A :class:`~repro.scenarios.executors.ResultSink` receiving each
             cell's result the moment it completes, after which the result
@@ -850,11 +845,11 @@ class ScenarioRunner:
     def _dataset_key(cell: Scenario) -> tuple | None:
         """The parent-side synthesis key of a cell, or ``None`` when not shippable.
 
-        In-memory cells ship their materialised week cubes; streaming cells
-        ship the (much smaller) generation-plan state, keyed separately
-        because the plan also depends on the chunking.  Cells whose week
-        requirements could not be resolved fall back to the worker's own
-        dataset caches.
+        Every column ships as generation-plan state.  Streaming columns are
+        keyed separately from in-memory ones, because a streamed column also
+        depends on the chunking and is never materialised.  Cells whose
+        week requirements could not be resolved fall back to the worker's
+        own dataset caches.
         """
         if cell.n_weeks is None:
             return None
@@ -897,12 +892,12 @@ class ScenarioRunner:
         return batches
 
     def _prepare_sweep_items(self, cells: list[Scenario]) -> tuple[list[tuple], dict]:
-        """Prepare each distinct dataset column once, in the parent.
+        """Plan each distinct dataset column once, in the parent.
 
-        In-memory columns come through the shared :func:`load_dataset`
-        cache; streaming columns are opened as a :class:`StreamingDataset`
-        whose noise-state checkpoints are populated eagerly, so workers
-        never re-plan or re-pay the noise-RNG prefix.  Returns the
+        Every column is opened lazily as a :class:`StreamingDataset` whose
+        noise-state checkpoints are populated eagerly, so workers never
+        re-plan or re-pay the noise-RNG prefix; nothing is materialised
+        here.  Returns the
         ``(index, cell, key)`` work items (``key=None`` routes a cell to
         the worker's own dataset caches) and the ``{key: dataset}`` map
         executors ship to their workers.
@@ -913,23 +908,15 @@ class ScenarioRunner:
             key = self._dataset_key(cell)
             if key is not None and key not in datasets:
                 try:
-                    if cell.stream:
-                        datasets[key] = open_dataset_stream(
-                            cell.dataset,
-                            n_weeks=cell.n_weeks,
-                            bins_per_week=cell.bins_per_week,
-                            full_scale=cell.full_scale,
-                            seed=cell.dataset_seed,
-                            chunk_bins=cell.chunk_bins,
-                        ).checkpoint_noise()
-                    else:
-                        datasets[key] = load_dataset(
-                            cell.dataset,
-                            n_weeks=cell.n_weeks,
-                            bins_per_week=cell.bins_per_week,
-                            full_scale=cell.full_scale,
-                            seed=cell.dataset_seed,
-                        )
+                    datasets[key] = open_dataset_stream(
+                        cell.dataset,
+                        n_weeks=cell.n_weeks,
+                        bins_per_week=cell.bins_per_week,
+                        full_scale=cell.full_scale,
+                        seed=cell.dataset_seed,
+                        # In-memory cells stream their weeks at the default chunking.
+                        chunk_bins=cell.chunk_bins if cell.stream else None,
+                    ).checkpoint_noise()
                 except Exception:  # noqa: BLE001 - the cell run will report it
                     key = None
             keys.append(key)

@@ -5,6 +5,8 @@ topology override — plus the scale and noise knobs, without saying *how*;
 the how lives in :mod:`repro.scenarios.runner`.  Scenarios are frozen
 dataclasses, so they hash, compare and round-trip through plain dicts,
 which keeps batch configurations serialisable with nothing but ``json``.
+Even ``stream`` is a *where*, not a *how*: it only picks whether the run's
+dataset is materialised once or regenerated chunk by chunk.
 """
 
 from __future__ import annotations
@@ -64,14 +66,15 @@ class Scenario:
         Optional externally measured ``f`` for priors that use one.
     stream:
         Where the weeks come from, not which code runs them: every scenario
-        runs through the same chunked pipeline.  ``False`` materialises the
-        dataset (:func:`repro.synthesis.datasets.load_dataset`) and streams
-        views over the in-memory week; the result carries the estimate.
-        ``True`` opens a :class:`repro.synthesis.datasets.StreamingDataset`
-        that regenerates each ``(T_chunk, n, n)`` block on demand, bounding
-        peak memory by the chunk size instead of the series length; the
-        estimate is spilled (explicit ``spill_dir``) or dropped.  Same-seed
-        synthesis is bit-identical either way.
+        runs through the same chunked pipeline on the same
+        :class:`repro.synthesis.datasets.StreamingDataset` type.  ``False``
+        materialises the dataset once
+        (:func:`repro.synthesis.datasets.load_dataset`) and streams views
+        over the cached week; the result carries the estimate.  ``True``
+        never materialises: each ``(T_chunk, n, n)`` block is regenerated
+        on demand, bounding peak memory by the chunk size instead of the
+        series length; the estimate is spilled (explicit ``spill_dir``) or
+        dropped.  Same-seed synthesis is bit-identical either way.
     chunk_bins:
         Chunk length (in bins) for streaming runs; ``None`` picks a size
         whose block fits a small fixed budget.

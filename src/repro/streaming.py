@@ -319,7 +319,7 @@ def as_chunk_stream(
     Accepts an existing stream (re-wrapped only if ``chunk_bins`` differs and
     the stream is an array adapter), a :class:`TrafficMatrixSeries`, or a
     ``(T, n, n)`` array.  This is the single entry point through which every
-    consumer of ``SyntheticDataset.series`` accepts either a cube or a stream.
+    consumer of traffic accepts either a cube or a stream.
     """
     if isinstance(source, ChunkStream):
         if chunk_bins is not None and chunk_bins != source.chunk_bins:

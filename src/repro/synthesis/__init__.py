@@ -28,7 +28,6 @@ from repro.synthesis.generator import (
 )
 from repro.synthesis.datasets import (
     StreamingDataset,
-    SyntheticDataset,
     load_dataset,
     make_geant_like_dataset,
     make_totem_like_dataset,
@@ -45,7 +44,6 @@ __all__ = [
     "SyntheticTMConfig",
     "ICTMGenerator",
     "GravityTMGenerator",
-    "SyntheticDataset",
     "StreamingDataset",
     "load_dataset",
     "open_dataset_stream",

@@ -17,14 +17,21 @@ contain fresh noise, so week-over-week experiments are meaningful.  The
 experiments default to a reduced number of bins per week to stay fast; pass
 ``full_scale=True`` for the paper-sized series.
 
-Two access paths share one specification table (and therefore one RNG draw
-order, so their numbers are bit-identical):
+One class, :class:`StreamingDataset`, serves every access path.  Its weeks
+come from one :class:`~repro.synthesis.generator.GenerationPlan` (one RNG
+draw order), and it is either *lazy* — week streams are
+:class:`repro.streaming.ChunkStream` objects regenerated chunk by chunk
+from deterministic RNG state, month-scale series in O(chunk) memory — or
+*materialised* — every week generated once, in one pass, and cached, so
+week streams are views over the cached weeks:
 
-* :func:`load_dataset` materialises a :class:`SyntheticDataset` holding the
-  whole multi-week cube (the historical path), while
-* :func:`open_dataset_stream` returns a :class:`StreamingDataset` whose weeks
-  are :class:`repro.streaming.ChunkStream` objects generated chunk by chunk
-  from deterministic RNG state — month-scale series in O(chunk) memory.
+* :func:`load_dataset` (and the registered ``make_*_like_dataset``
+  factories behind it) return a materialised dataset, while
+* :func:`open_dataset_stream` returns a lazy one.
+
+The same seed gives bit-identical numbers either way;
+:meth:`StreamingDataset.materialize` turns a lazy dataset into a
+materialised one.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from repro.streaming import (
     default_chunk_bins,
 )
 from repro.synthesis.generator import (
+    _GENERATE_CHUNK_BINS,
     GenerationPlan,
     GroundTruth,
     ICTMGenerator,
@@ -55,7 +63,6 @@ from repro.topology.library import geant_topology, totem_topology
 from repro.topology.topology import Topology
 
 __all__ = [
-    "SyntheticDataset",
     "StreamingDataset",
     "StreamingDatasetState",
     "make_geant_like_dataset",
@@ -71,70 +78,6 @@ GEANT_BINS_PER_WEEK = 2016  # 5-minute bins
 TOTEM_BINS_PER_WEEK = 672   # 15-minute bins
 
 
-@dataclass
-class SyntheticDataset:
-    """A multi-week synthetic dataset with its topology and ground truth.
-
-    Attributes
-    ----------
-    name:
-        ``"geant-like"`` or ``"totem-like"``.
-    topology:
-        The PoP-level topology the traffic notionally flows over.
-    weeks:
-        One :class:`TrafficMatrixSeries` per week.
-    ground_truths:
-        The per-week generating parameters (same ``f`` and preference across
-        weeks; per-week activity).
-    bin_seconds:
-        Bin width shared by all weeks.
-    """
-
-    name: str
-    topology: Topology
-    weeks: list[TrafficMatrixSeries]
-    ground_truths: list[GroundTruth]
-    bin_seconds: float
-
-    @property
-    def n_weeks(self) -> int:
-        return len(self.weeks)
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return self.topology.nodes
-
-    def week(self, index: int) -> TrafficMatrixSeries:
-        """The ``index``-th week of traffic."""
-        return self.weeks[index]
-
-    def week_stream(
-        self,
-        index: int,
-        *,
-        chunk_bins: int | None = None,
-        max_bins: int | None = None,
-    ) -> ChunkStream:
-        """Week ``index`` as a chunk stream of views (no copy), optionally trimmed.
-
-        The same access path :meth:`StreamingDataset.week_stream` offers, so
-        the scenario runner drives materialised and streamed datasets
-        through one body.
-        """
-        week = self.weeks[index]
-        n_bins = _trimmed_bins(week.n_timesteps, max_bins)
-        return ArrayChunkStream(
-            week.values[:n_bins], week.nodes, bin_seconds=week.bin_seconds, chunk_bins=chunk_bins
-        )
-
-    def full_series(self) -> TrafficMatrixSeries:
-        """All weeks concatenated into one series."""
-        series = self.weeks[0]
-        for week in self.weeks[1:]:
-            series = series.concatenate(week)
-        return series
-
-
 def _trimmed_bins(n_bins: int, max_bins: int | None) -> int:
     """A week's bin count after the ``max_bins`` cap of ``week_stream``."""
     if max_bins is None:
@@ -145,7 +88,7 @@ def _trimmed_bins(n_bins: int, max_bins: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# anomaly planning (shared by the cube and streaming paths)
+# anomaly planning
 # ---------------------------------------------------------------------------
 
 def _plan_anomalies(
@@ -193,7 +136,7 @@ def _apply_anomalies(
 
 @dataclass(frozen=True)
 class _DatasetSpec:
-    """Everything both access paths need to generate one named dataset."""
+    """Everything needed to generate one named built-in dataset."""
 
     name: str
     topology_factory: Callable[[], Topology]
@@ -251,11 +194,17 @@ _DATASET_SPECS: dict[str, _DatasetSpec] = {
 }
 
 
-def _validate_scale(n_weeks: int, bins_per_week: int) -> None:
+def _resolve_scale(
+    spec: _DatasetSpec, n_weeks: int, bins_per_week: int | None, full_scale: bool, seed: int | None
+) -> tuple[int, int, int]:
+    """``(n_weeks, bins_per_week, seed)`` with the spec's defaults filled in."""
+    if bins_per_week is None:
+        bins_per_week = spec.full_scale_bins if full_scale else spec.reduced_bins
     if n_weeks < 1:
         raise ValidationError("n_weeks must be >= 1")
     if bins_per_week < 2:
         raise ValidationError("bins_per_week must be >= 2")
+    return int(n_weeks), int(bins_per_week), spec.default_seed if seed is None else int(seed)
 
 
 def _week_truths(plan: GenerationPlan, forward_fraction: float, bins_per_week: int) -> list[GroundTruth]:
@@ -273,49 +222,56 @@ def _week_truths(plan: GenerationPlan, forward_fraction: float, bins_per_week: i
     return truths
 
 
-def _make_dataset(
-    name: str,
-    topology: Topology,
+def _plan_dataset(key: str, n_weeks: int, bins_per_week: int, seed: int):
+    """Draw a built-in dataset's generation state; no traffic is generated yet.
+
+    One plan covers all weeks, so the spatial parameters (f and preference)
+    are exactly shared across weeks — the stability property the paper
+    verifies — while activity noise is fresh in every bin and the
+    diurnal/weekly waveform lines up with real week boundaries.
+    """
+    spec = _DATASET_SPECS[key]
+    topology = spec.topology_factory()
+    generator = ICTMGenerator(topology.nodes, spec.config_factory(), seed=seed)
+    plan = generator.plan(
+        n_weeks * bins_per_week, bin_seconds=spec.bin_seconds, start_seconds=0.0
+    )
+    anomalies = _plan_anomalies(
+        seed, n_weeks, bins_per_week, len(topology.nodes), spec.anomaly_rate
+    )
+    return topology, generator, plan, anomalies
+
+
+# Memoised plans behind open_dataset_stream.  The factories (and so
+# load_dataset) plan afresh instead: load_dataset's own cache is the one memo
+# a caller clears to start from what a fresh process starts with.
+_open_stream_core = lru_cache(maxsize=8)(_plan_dataset)
+
+
+def _builtin_dataset(
+    key: str,
     *,
     n_weeks: int,
-    bins_per_week: int,
-    bin_seconds: float,
-    config: SyntheticTMConfig,
-    seed: int,
-    anomaly_rate: float = 0.0,
-) -> SyntheticDataset:
-    _validate_scale(n_weeks, bins_per_week)
-    # One generation run covers all weeks, so the spatial parameters (f and
-    # preference) are exactly shared across weeks — the stability property the
-    # paper verifies — while activity noise is fresh in every bin and the
-    # diurnal/weekly waveform lines up with real week boundaries.
-    generator = ICTMGenerator(topology.nodes, config, seed=seed)
-    full_series, full_truth = generator.generate(
-        n_weeks * bins_per_week, bin_seconds=bin_seconds, start_seconds=0.0
-    )
-    anomalies = _plan_anomalies(seed, n_weeks, bins_per_week, len(topology.nodes), anomaly_rate)
-    weeks: list[TrafficMatrixSeries] = []
-    truths: list[GroundTruth] = []
-    for week_index in range(n_weeks):
-        start = week_index * bins_per_week
-        stop = start + bins_per_week
-        values = np.array(full_series.values[start:stop], copy=True)
-        values = _apply_anomalies(values, anomalies[week_index], 0)
-        weeks.append(TrafficMatrixSeries(values, topology.nodes, bin_seconds=bin_seconds))
-        truths.append(
-            GroundTruth(
-                forward_fraction=full_truth.forward_fraction,
-                forward_fraction_matrix=full_truth.forward_fraction_matrix,
-                preference=full_truth.preference,
-                activity=full_truth.activity[start:stop],
-            )
-        )
-    return SyntheticDataset(
-        name=name,
+    bins_per_week: int | None,
+    full_scale: bool,
+    seed: int | None,
+    chunk_bins: int | None = None,
+    memoised_plan: bool = False,
+) -> "StreamingDataset":
+    """A lazy :class:`StreamingDataset` of the built-in dataset ``key``."""
+    spec = _DATASET_SPECS[key]
+    n_weeks, bins_per_week, seed = _resolve_scale(spec, n_weeks, bins_per_week, full_scale, seed)
+    planner = _open_stream_core if memoised_plan else _plan_dataset
+    topology, generator, plan, anomalies = planner(key, n_weeks, bins_per_week, seed)
+    return StreamingDataset(
+        name=spec.name,
         topology=topology,
-        weeks=weeks,
-        ground_truths=truths,
-        bin_seconds=bin_seconds,
+        generator=generator,
+        plan=plan,
+        anomalies=anomalies,
+        n_weeks=n_weeks,
+        bins_per_week=bins_per_week,
+        chunk_bins=chunk_bins,
     )
 
 
@@ -329,10 +285,11 @@ def make_geant_like_dataset(
     *,
     bins_per_week: int | None = None,
     full_scale: bool = False,
-    seed: int = 11,
-    config: SyntheticTMConfig | None = None,
-) -> SyntheticDataset:
+    seed: int | None = None,
+) -> "StreamingDataset":
     """Synthetic stand-in for the D1 (Geant) dataset: 22 PoPs, 5-minute bins.
+
+    Returns a materialised dataset: every week is generated here, once.
 
     Parameters
     ----------
@@ -345,23 +302,11 @@ def make_geant_like_dataset(
     full_scale:
         Generate the full 2016-bin weeks.
     seed:
-        Dataset seed.
-    config:
-        Optional override of the generation parameters.
+        Dataset seed; ``None`` selects the published default (11).
     """
-    spec = _DATASET_SPECS["geant"]
-    if bins_per_week is None:
-        bins_per_week = spec.full_scale_bins if full_scale else spec.reduced_bins
-    return _make_dataset(
-        spec.name,
-        spec.topology_factory(),
-        n_weeks=n_weeks,
-        bins_per_week=bins_per_week,
-        bin_seconds=spec.bin_seconds,
-        config=config or spec.config_factory(),
-        seed=seed,
-        anomaly_rate=spec.anomaly_rate,
-    )
+    return _builtin_dataset(
+        "geant", n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale, seed=seed
+    ).materialize()
 
 
 @register_dataset(
@@ -374,29 +319,19 @@ def make_totem_like_dataset(
     *,
     bins_per_week: int | None = None,
     full_scale: bool = False,
-    seed: int = 23,
-    config: SyntheticTMConfig | None = None,
-) -> SyntheticDataset:
+    seed: int | None = None,
+) -> "StreamingDataset":
     """Synthetic stand-in for the D2 (Totem) dataset: 23 PoPs, 15-minute bins.
 
-    Defaults to a reduced 96 bins per week (one day at 15-minute bins);
-    ``full_scale=True`` selects the paper's 672.  A small rate of measurement
-    anomalies is injected, mirroring the documented artefacts in the public
-    Totem data.
+    Returns a materialised dataset.  Defaults to a reduced 96 bins per week
+    (one day at 15-minute bins); ``full_scale=True`` selects the paper's 672.
+    ``seed=None`` selects the published default (23).  A small rate of
+    measurement anomalies is injected, mirroring the documented artefacts in
+    the public Totem data.
     """
-    spec = _DATASET_SPECS["totem"]
-    if bins_per_week is None:
-        bins_per_week = spec.full_scale_bins if full_scale else spec.reduced_bins
-    return _make_dataset(
-        spec.name,
-        spec.topology_factory(),
-        n_weeks=n_weeks,
-        bins_per_week=bins_per_week,
-        bin_seconds=spec.bin_seconds,
-        config=config or spec.config_factory(),
-        seed=seed,
-        anomaly_rate=spec.anomaly_rate,
-    )
+    return _builtin_dataset(
+        "totem", n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale, seed=seed
+    ).materialize()
 
 
 @lru_cache(maxsize=16)
@@ -407,12 +342,13 @@ def load_dataset(
     bins_per_week: int | None = None,
     full_scale: bool = False,
     seed: int | None = None,
-) -> SyntheticDataset:
+):
     """Build (and memoise) a registered dataset at the requested scale.
 
     This is the shared cache behind both the experiment drivers and the
     scenario runner, so a sweep over many priors reuses one synthesis run per
     dataset cell instead of regenerating the traffic for every scenario.
+    The built-in datasets come back materialised.
 
     Parameters
     ----------
@@ -430,19 +366,21 @@ def load_dataset(
 
 
 # ---------------------------------------------------------------------------
-# the streaming access path
+# the dataset class
 # ---------------------------------------------------------------------------
 
 class StreamingDataset:
-    """A multi-week dataset whose traffic is generated chunk by chunk.
+    """A multi-week dataset generated from one plan, lazily or materialised.
 
-    Shares the exact RNG draw order of the materialised
-    :class:`SyntheticDataset` (same seed ⇒ bit-identical values), but holds
-    only the ``O(n^2)`` spatial parameters and the ``O(T n)`` activity series
-    in memory; every ``(T_chunk, n, n)`` traffic block is regenerated on
-    demand from cached noise-stream state.  Week streams are re-iterable, so
+    The dataset holds the ``O(n^2)`` spatial parameters and the ``O(T n)``
+    activity series of its :class:`~repro.synthesis.generator.GenerationPlan`.
+    While *lazy*, every ``(T_chunk, n, n)`` traffic block is regenerated on
+    demand from cached noise-stream state; week streams are re-iterable, so
     multi-pass consumers (ALS fitting, prior + estimation passes) work
-    without ever materialising a week.
+    without ever materialising a week.  :meth:`materialize` (and the first
+    :meth:`week` call) generates every week once, in one pass, and caches
+    it; from then on :meth:`week_stream` serves views over the cached weeks.
+    Both states hold bit-identical numbers.
     """
 
     def __init__(
@@ -470,6 +408,7 @@ class StreamingDataset:
         self.ground_truths = _week_truths(
             plan, generator.config.forward_fraction, bins_per_week
         )
+        self._weeks: list[TrafficMatrixSeries] | None = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -495,6 +434,11 @@ class StreamingDataset:
     def chunk_bins(self) -> int:
         return self._chunk_bins
 
+    @property
+    def materialized(self) -> bool:
+        """Whether every week is generated and cached."""
+        return self._weeks is not None
+
     def _check_week(self, index: int) -> int:
         index = int(index)
         if not 0 <= index < self._n_weeks:
@@ -502,6 +446,38 @@ class StreamingDataset:
                 f"week index {index} out of range for {self._n_weeks} generated weeks"
             )
         return index
+
+    def materialize(self) -> "StreamingDataset":
+        """Generate every week once and cache it (chainable; idempotent).
+
+        One :meth:`full_stream` pass fills the weeks in order, splitting a
+        chunk that straddles a week boundary; building week by week would
+        re-enter the noise stream at every boundary.
+        """
+        if self._weeks is not None:
+            return self
+        n, per_week = len(self.nodes), self._bins_per_week
+        weeks: list[TrafficMatrixSeries] = []
+        filled = 0
+        for _, block in self.full_stream(chunk_bins=_GENERATE_CHUNK_BINS).chunks():
+            while block.shape[0]:
+                if filled == 0:
+                    buffer = np.empty((per_week, n, n))
+                take = min(per_week - filled, block.shape[0])
+                buffer[filled : filled + take] = block[:take]
+                block, filled = block[take:], filled + take
+                if filled == per_week:
+                    weeks.append(
+                        TrafficMatrixSeries(buffer, self.nodes, bin_seconds=self.bin_seconds)
+                    )
+                    filled = 0
+        self._weeks = weeks
+        return self
+
+    def week(self, index: int) -> TrafficMatrixSeries:
+        """Week ``index``, from the cache (materialises the dataset first)."""
+        index = self._check_week(index)
+        return self.materialize()._weeks[index]
 
     def week_stream(
         self,
@@ -514,10 +490,19 @@ class StreamingDataset:
 
         ``max_bins`` trims the stream to its first bins, mirroring how the
         scenario runner caps the bins pushed through the estimation pipeline.
+        A materialised dataset streams views over the cached week (nothing
+        is copied); a lazy one regenerates the week chunk by chunk.
         """
         index = self._check_week(index)
-        start = index * self._bins_per_week
         n_bins = _trimmed_bins(self._bins_per_week, max_bins)
+        chunk_bins = self._chunk_bins if chunk_bins is None else chunk_bins
+        if self._weeks is not None:
+            week = self._weeks[index]
+            return ArrayChunkStream(
+                week.values[:n_bins], week.nodes, bin_seconds=week.bin_seconds,
+                chunk_bins=chunk_bins,
+            )
+        start = index * self._bins_per_week
         stop = start + n_bins
         events = self._anomalies[index]
         generator, plan = self._generator, self._plan
@@ -533,12 +518,8 @@ class StreamingDataset:
             n_bins=n_bins,
             nodes=self.topology.nodes,
             bin_seconds=self._plan.bin_seconds,
-            chunk_bins=self._chunk_bins if chunk_bins is None else chunk_bins,
+            chunk_bins=chunk_bins,
         )
-
-    def week(self, index: int) -> TrafficMatrixSeries:
-        """Week ``index`` materialised (compatibility with the cube path)."""
-        return self.week_stream(index).materialize()
 
     @property
     def plan(self) -> GenerationPlan:
@@ -561,8 +542,10 @@ class StreamingDataset:
         The returned state is what the sweep scheduler ships to worker
         processes: the ``O(n^2)`` spatial parameters and ``O(T n)`` activity
         series (the only sizeable arrays), the noise-state checkpoints, the
-        anomaly events and the scale knobs.  Rebuilding with
-        :func:`streaming_dataset_from_state` costs no RNG draws at all.
+        anomaly events and the scale knobs — never the cached weeks of a
+        materialised dataset, which the receiver regenerates when it needs
+        them.  Rebuilding with :func:`streaming_dataset_from_state` costs no
+        RNG draws at all.
         """
         plan = self._plan
         return StreamingDatasetState(
@@ -585,7 +568,7 @@ class StreamingDataset:
         )
 
     def full_stream(self, *, chunk_bins: int | None = None) -> ChunkStream:
-        """All weeks as one continuous chunk stream."""
+        """All weeks as one continuous chunk stream, regenerated chunk by chunk."""
         generator, plan = self._generator, self._plan
         bins_per_week = self._bins_per_week
         anomalies = self._anomalies
@@ -642,11 +625,11 @@ class StreamingDatasetState:
 
 
 def streaming_dataset_from_state(state: StreamingDatasetState) -> StreamingDataset:
-    """Rebuild a :class:`StreamingDataset` from shipped generation state.
+    """Rebuild a lazy :class:`StreamingDataset` from shipped generation state.
 
     No RNG is consumed: chunk reads resume from the shipped noise-state
     checkpoints, so the rebuilt dataset is bit-identical to the one the
-    state was exported from.
+    state was exported from, whether that one was lazy or materialised.
     """
     arrays = ("preference", "activity", "forward_fraction_matrix", "spatial_bias")
     missing = sorted(name for name in arrays if getattr(state, name) is None)
@@ -676,9 +659,8 @@ def streaming_dataset_from_state(state: StreamingDatasetState) -> StreamingDatas
 
 
 # Chunk-stream openers for externally registered datasets, keyed by the
-# canonical dataset name.  Built-in datasets stream through _DATASET_SPECS
-# (shared RNG draw order with the cube path); third-party datasets opt in
-# here with a factory of their own.
+# canonical dataset name.  Built-in datasets stream through _DATASET_SPECS;
+# third-party datasets opt in here with a factory of their own.
 _STREAM_OPENERS: dict[str, Callable] = {}
 
 
@@ -703,7 +685,8 @@ def register_dataset_stream(name: str, opener: Callable | None = None, *, overwr
     The dataset itself must already be registered with
     :func:`repro.registry.register_dataset`; registering a stream opener for
     a built-in (spec-backed) dataset is rejected because those stream through
-    the shared generation specs that keep them bit-identical to the cube path.
+    the shared generation specs that keep them bit-identical to
+    :func:`load_dataset`.
     """
 
     def decorate(target: Callable) -> Callable:
@@ -731,27 +714,6 @@ def streamable_dataset_names() -> tuple[str, ...]:
     return tuple(sorted(set(_DATASET_SPECS) | set(_STREAM_OPENERS)))
 
 
-@lru_cache(maxsize=8)
-def _open_stream_core(
-    name: str,
-    n_weeks: int,
-    bins_per_week: int,
-    seed: int,
-    config: SyntheticTMConfig | None,
-):
-    """Build (and memoise) the shared generation state behind a stream."""
-    spec = _DATASET_SPECS[name]
-    topology = spec.topology_factory()
-    generator = ICTMGenerator(topology.nodes, config or spec.config_factory(), seed=seed)
-    plan = generator.plan(
-        n_weeks * bins_per_week, bin_seconds=spec.bin_seconds, start_seconds=0.0
-    )
-    anomalies = _plan_anomalies(
-        seed, n_weeks, bins_per_week, len(topology.nodes), spec.anomaly_rate
-    )
-    return topology, generator, plan, anomalies
-
-
 def open_dataset_stream(
     name: str,
     *,
@@ -760,60 +722,46 @@ def open_dataset_stream(
     full_scale: bool = False,
     seed: int | None = None,
     chunk_bins: int | None = None,
-    config: SyntheticTMConfig | None = None,
 ) -> StreamingDataset:
-    """Open a registered dataset as a bounded-memory :class:`StreamingDataset`.
+    """Open a registered dataset as a lazy, bounded-memory :class:`StreamingDataset`.
 
     Accepts the same scale knobs as :func:`load_dataset`.  The built-in
     ``geant``/``totem`` datasets stream through the shared generation specs
-    (same seed ⇒ bit-identical to the cube path); externally registered
-    datasets stream through the chunk factory they registered with
-    :func:`register_dataset_stream`.  A dataset with neither raises a
+    (same seed ⇒ bit-identical to :func:`load_dataset`); externally
+    registered datasets stream through the chunk factory they registered
+    with :func:`register_dataset_stream`.  A dataset with neither raises a
     :class:`ValidationError` naming every registered dataset that *does*
     stream.
     """
     entry = DATASETS.entry(name)  # canonicalises and reports valid choices
-    if entry.name not in _DATASET_SPECS:
-        opener = _STREAM_OPENERS.get(entry.name)
-        if opener is None:
-            raise ValidationError(
-                f"dataset {name!r} has no streaming factory; registered datasets "
-                f"that stream: {list(streamable_dataset_names())} (run without "
-                "--stream, or register a chunk factory with "
-                "repro.synthesis.register_dataset_stream)"
-            )
-        if config is not None:
-            raise ValidationError(
-                "config overrides only apply to the built-in spec-backed datasets"
-            )
-        data = opener(
-            n_weeks=int(n_weeks),
+    if entry.name in _DATASET_SPECS:
+        return _builtin_dataset(
+            entry.name,
+            n_weeks=n_weeks,
             bins_per_week=bins_per_week,
             full_scale=full_scale,
             seed=seed,
             chunk_bins=chunk_bins,
+            memoised_plan=True,
         )
-        if not hasattr(data, "week_stream"):
-            raise ValidationError(
-                f"stream opener for dataset {name!r} returned "
-                f"{type(data).__name__}, which lacks the required week_stream method"
-            )
-        return data
-    spec = _DATASET_SPECS[entry.name]
-    _validate_scale(n_weeks, 2 if bins_per_week is None else bins_per_week)
-    if bins_per_week is None:
-        bins_per_week = spec.full_scale_bins if full_scale else spec.reduced_bins
-    resolved_seed = spec.default_seed if seed is None else int(seed)
-    topology, generator, plan, anomalies = _open_stream_core(
-        entry.name, int(n_weeks), int(bins_per_week), resolved_seed, config
-    )
-    return StreamingDataset(
-        name=spec.name,
-        topology=topology,
-        generator=generator,
-        plan=plan,
-        anomalies=anomalies,
-        n_weeks=n_weeks,
+    opener = _STREAM_OPENERS.get(entry.name)
+    if opener is None:
+        raise ValidationError(
+            f"dataset {name!r} has no streaming factory; registered datasets "
+            f"that stream: {list(streamable_dataset_names())} (run without "
+            "--stream, or register a chunk factory with "
+            "repro.synthesis.register_dataset_stream)"
+        )
+    data = opener(
+        n_weeks=int(n_weeks),
         bins_per_week=bins_per_week,
+        full_scale=full_scale,
+        seed=seed,
         chunk_bins=chunk_bins,
     )
+    if not hasattr(data, "week_stream"):
+        raise ValidationError(
+            f"stream opener for dataset {name!r} returned "
+            f"{type(data).__name__}, which lacks the required week_stream method"
+        )
+    return data

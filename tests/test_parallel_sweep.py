@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.scenarios import InProcessExecutor, LocalPoolExecutor, Scenario, ScenarioRunner
 from repro.scenarios.executors import (
+    _dataset_message,
     _rebuild_dataset,
     _recv_message,
     _roundtrip,
@@ -191,7 +192,8 @@ class TestPreSynthesizedDatasets:
         shipped = load_dataset("geant", n_weeks=2, bins_per_week=36, seed=777)
         with _worker_connection() as sock:
             reply = _roundtrip(
-                sock, {"op": "dataset", "key": key, "kind": "cube", "payload": shipped}
+                sock,
+                {"op": "dataset", "key": key, "kind": "plan", "payload": shipped.export_state()},
             )
             assert reply == {"ok": True}
             result, message = _run_one_cell("gravity", cell, key, sock)
@@ -226,16 +228,40 @@ class TestSharedMemoryShipping:
     """
 
     def test_export_attach_roundtrip_is_bitwise(self):
+        # An in-memory column ships as its plan; the worker's rebuilt dataset
+        # materialises to exactly the weeks the parent's cache holds.
         from repro.synthesis.datasets import load_dataset
 
-        data = load_dataset("geant", n_weeks=2, bins_per_week=36)
-        message = _through_wire({"kind": "cube", "payload": data})
+        data = load_dataset("totem", n_weeks=2, bins_per_week=36)
+        cell = Scenario(dataset="totem", prior="stable_f", n_weeks=2, **SMALL)
+        items, datasets = ScenarioRunner()._prepare_sweep_items([cell])
+        [(_, _, key)] = items
+        column = datasets[key]
+        assert not column.materialized  # the parent only plans the column
+        message = _through_wire(_dataset_message(key, column))
+        assert message["kind"] == "plan"
         rebuilt = _rebuild_dataset(message["kind"], message["payload"])
+        assert not rebuilt.materialized
         assert rebuilt.n_weeks == 2
         assert rebuilt.topology.nodes == data.topology.nodes
-        for original, shipped in zip(data.weeks, rebuilt.weeks):
-            assert np.array_equal(original.values, shipped.values)
-            assert original.bin_seconds == shipped.bin_seconds
+        rebuilt.materialize()
+        for week in range(2):
+            assert np.array_equal(data.week(week).values, rebuilt.week(week).values)
+            assert data.week(week).bin_seconds == rebuilt.week(week).bin_seconds
+
+    def test_in_memory_column_message_is_smaller_than_a_week(self):
+        import pickle
+
+        cell = Scenario(dataset="geant", prior="stable_f", n_weeks=2)
+        items, datasets = ScenarioRunner()._prepare_sweep_items([cell])
+        [(_, _, key)] = items
+        message = _dataset_message(key, datasets[key])
+        week_cube_bytes = datasets[key].bins_per_week * len(datasets[key].nodes) ** 2 * 8
+        assert len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)) < week_cube_bytes
+
+    def test_unknown_dataset_kind_is_rejected(self):
+        with pytest.raises(ValidationError, match="unknown dataset kind 'cube'"):
+            _rebuild_dataset("cube", object())
 
     def test_worker_init_reconstructs_datasets_from_shm(self):
         from repro.synthesis.datasets import open_dataset_stream

@@ -233,7 +233,7 @@ class TestSynthesisBitIdentity:
         data = load_dataset("totem", n_weeks=2, bins_per_week=40)
         stream = open_dataset_stream("totem", n_weeks=2, bins_per_week=40)
         full = stream.full_stream(chunk_bins=17).materialize()
-        assert np.array_equal(full.values, data.full_series().values)
+        assert np.array_equal(full.values, data.full_stream().materialize().values)
 
     def test_trimmed_week_stream_matches_cube_prefix(self):
         data = load_dataset("geant", n_weeks=1, bins_per_week=48)

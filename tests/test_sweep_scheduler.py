@@ -328,16 +328,50 @@ class TestStreamingPlanShipping:
         np.testing.assert_array_equal(from_cache.errors, from_shipped.errors)
 
     def test_run_rejects_mismatched_dataset_kinds(self):
+        # There is one dataset type: only an object without week_stream is
+        # rejected, and a materialised or a lazy dataset of the same plan
+        # gives identical errors in either mode.
         from repro.synthesis.datasets import load_dataset
 
-        streaming = Scenario(dataset="geant", prior="stable_f", stream=True, **SMALL)
-        cube = load_dataset("geant", n_weeks=1, bins_per_week=36)
-        with pytest.raises(ValidationError, match="pass dataset=None"):
-            ScenarioRunner().run(streaming, dataset=cube)
-        in_memory = streaming.replace(stream=False)
-        stream_data = open_dataset_stream("geant", n_weeks=1, bins_per_week=36)
-        with pytest.raises(ValidationError, match="materialised"):
-            ScenarioRunner().run(in_memory, dataset=stream_data)
+        streaming = Scenario(
+            dataset="geant", prior="stable_f", stream=True, target_week=0, **SMALL
+        )
+        with pytest.raises(ValidationError, match="week_stream"):
+            ScenarioRunner().run(streaming, dataset=object())
+        materialised = load_dataset("geant", n_weeks=1, bins_per_week=36)
+        for scenario in (streaming, streaming.replace(stream=False)):
+            lazy = open_dataset_stream("geant", n_weeks=1, bins_per_week=36)
+            from_lazy = ScenarioRunner().run(scenario, dataset=lazy)
+            from_materialised = ScenarioRunner().run(scenario, dataset=materialised)
+            np.testing.assert_array_equal(from_lazy.errors, from_materialised.errors)
+            np.testing.assert_array_equal(from_lazy.prior_errors, from_materialised.prior_errors)
+            # Only the in-memory cell materialises the lazy dataset.
+            assert lazy.materialized == (not scenario.stream)
+
+    def test_in_memory_run_generates_each_bin_once(self, monkeypatch):
+        # A worker's rebuilt column is lazy; an in-memory cell materialises
+        # it in one pass and every later read (measurement, prior fit,
+        # estimation, ground truth) is a view, so no bin is generated twice.
+        from repro.synthesis import generator as generator_module
+
+        generated: list[int] = []
+        original = generator_module.ICTMGenerator.iter_chunks
+
+        def counting(self, plan, **kwargs):
+            for t0, block in original(self, plan, **kwargs):
+                generated.append(block.shape[0])
+                yield t0, block
+
+        shipped = open_dataset_stream("totem", n_weeks=2, bins_per_week=36).checkpoint_noise()
+        rebuilt = streaming_dataset_from_state(shipped.export_state())
+        monkeypatch.setattr(generator_module.ICTMGenerator, "iter_chunks", counting)
+        scenario = Scenario(
+            dataset="totem", prior="stable_fp", n_weeks=2, calibration_week=0, target_week=1,
+            **SMALL,
+        )
+        ScenarioRunner().run(scenario, dataset=rebuilt)
+        ScenarioRunner().run(scenario.replace(prior="stable_f"), dataset=rebuilt)
+        assert sum(generated) == rebuilt.n_bins == 72
 
     def test_run_rejects_too_short_streaming_dataset(self):
         scenario = Scenario(

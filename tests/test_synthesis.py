@@ -8,7 +8,11 @@ import pytest
 from repro.core.ic_model import general_ic_matrix
 from repro.errors import ValidationError
 from repro.synthesis.activity import ActivityModel, DiurnalProfile
-from repro.synthesis.datasets import make_geant_like_dataset, make_totem_like_dataset
+from repro.synthesis.datasets import (
+    load_dataset,
+    make_geant_like_dataset,
+    make_totem_like_dataset,
+)
 from repro.synthesis.generator import GravityTMGenerator, ICTMGenerator, SyntheticTMConfig
 from repro.synthesis.preference import exponential_preferences, lognormal_preferences
 
@@ -178,7 +182,7 @@ class TestDatasets:
 
     def test_full_series_concatenates_weeks(self):
         dataset = make_geant_like_dataset(n_weeks=2, bins_per_week=12, seed=3)
-        assert dataset.full_series().n_timesteps == 24
+        assert dataset.full_stream().materialize().n_timesteps == 24
 
     def test_full_scale_dimensions(self):
         dataset = make_geant_like_dataset(n_weeks=1, full_scale=True, seed=4)
@@ -189,3 +193,21 @@ class TestDatasets:
             make_geant_like_dataset(n_weeks=0, bins_per_week=10)
         with pytest.raises(ValidationError):
             make_geant_like_dataset(n_weeks=1, bins_per_week=1)
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_week_indices_are_validated(self, index):
+        # Negative indices must not wrap around to the last week, and an
+        # index past the end is a ValidationError, not a bare IndexError.
+        dataset = load_dataset("geant", n_weeks=2, bins_per_week=12)
+        with pytest.raises(ValidationError, match="out of range"):
+            dataset.week(index)
+        with pytest.raises(ValidationError, match="out of range"):
+            dataset.week_stream(index)
+
+    def test_factories_materialise_and_default_their_seeds(self):
+        dataset = make_totem_like_dataset(n_weeks=1, bins_per_week=12)
+        assert dataset.materialized
+        np.testing.assert_array_equal(
+            dataset.week(0).values,
+            make_totem_like_dataset(n_weeks=1, bins_per_week=12, seed=23).week(0).values,
+        )
