@@ -1,9 +1,10 @@
-"""Ablation: fitting strategy (plain ALS vs scipy-refined) and model variants.
+"""Ablation: fitting strategy (ALS stopping rule) and model variants.
 
-DESIGN.md calls out the replacement of the paper's Matlab nonlinear program
-with alternating least squares as a design choice worth ablating: the refined
-variant re-optimises f with a bounded scalar search, and the stable-f /
-time-varying variants trade extra degrees of freedom for fit quality.
+The replacement of the paper's Matlab nonlinear program with alternating
+least squares is a design choice worth ablating: the refined variant runs
+ALS for a fixed 100 iterations instead of stopping at the default
+tolerance, and the stable-f / time-varying variants trade extra degrees of
+freedom for fit quality.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ def test_ablation_als_fit(benchmark, fitting_week):
 
 def test_ablation_refined_fit(benchmark, fitting_week):
     fit = benchmark.pedantic(
-        fit_stable_fp, args=(fitting_week,), kwargs={"refine": True}, rounds=1, iterations=1
+        fit_stable_fp,
+        args=(fitting_week,),
+        kwargs={"max_iterations": 100, "tolerance": -np.inf},
+        rounds=1,
+        iterations=1,
     )
     plain = fit_stable_fp(fitting_week)
     print(
@@ -38,7 +43,9 @@ def test_ablation_refined_fit(benchmark, fitting_week):
     )
     benchmark.extra_info["mean_error"] = fit.mean_error
     benchmark.extra_info["plain_mean_error"] = plain.mean_error
-    assert fit.objective <= plain.objective + 1e-6
+    # Stopping at the tolerance loses nothing a longer run would find.
+    assert len(fit.objective_history) == 100
+    assert fit.objective == pytest.approx(plain.objective, rel=1e-6)
 
 
 def test_ablation_model_variant_ordering(benchmark, fitting_week):

@@ -5,7 +5,8 @@ compares maximum-likelihood exponential and lognormal fits, concluding that
 the long-tailed lognormal (``mu ≈ -4.3``, ``sigma ≈ 1.7``) matches the tail
 far better.  This module provides the empirical CCDF, both MLE fits and a
 simple goodness-of-fit comparison (log-likelihood and Kolmogorov-Smirnov
-distance).
+distance).  ``scipy.stats`` is imported by the functions that use it, so
+importing the module (which the CLI does) costs nothing until a fit runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro._validation import as_1d_array
 from repro.errors import ValidationError
@@ -55,6 +55,8 @@ class DistributionFit:
         if self.name == "exponential":
             return np.exp(-x / self.parameters["scale"])
         if self.name == "lognormal":
+            from scipy import stats
+
             return 1.0 - stats.lognorm.cdf(
                 x, s=self.parameters["sigma"], scale=np.exp(self.parameters["mu"])
             )
@@ -86,6 +88,8 @@ def empirical_ccdf(values) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_exponential(values) -> DistributionFit:
     """Maximum-likelihood exponential fit (MLE scale = sample mean)."""
+    from scipy import stats
+
     array = _positive_values(values, "values")
     scale = float(array.mean())
     log_likelihood = float(np.sum(stats.expon.logpdf(array, scale=scale)))
@@ -100,6 +104,8 @@ def fit_exponential(values) -> DistributionFit:
 
 def fit_lognormal(values) -> DistributionFit:
     """Maximum-likelihood lognormal fit (MLE on the log of the data)."""
+    from scipy import stats
+
     array = _positive_values(values, "values")
     logs = np.log(array)
     mu = float(logs.mean())

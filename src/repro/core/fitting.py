@@ -9,8 +9,7 @@ solving the nonlinear program
     \\quad\\text{s.t.}\\quad A_i(t) \\ge 0,\\; P_i \\ge 0,\\; \\sum_i P_i = 1
 
 using the Matlab Optimization Toolbox.  We replace that with an alternating
-least-squares (ALS) scheme built on the model's multilinear structure,
-optionally polished with a ``scipy.optimize`` step:
+least-squares (ALS) scheme built on the model's multilinear structure:
 
 * for fixed ``(f, P)`` the model is linear in each bin's activity ``A(t)``,
 * for fixed ``(f, A)`` it is linear in the preference vector ``P``,
@@ -43,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from repro._validation import require_probability
 from repro.core.ic_model import simplified_ic_series, time_varying_ic_series
@@ -426,7 +424,6 @@ def fit_stable_fp(
     initial_preference=None,
     max_iterations: int = 60,
     tolerance: float = 1e-6,
-    refine: bool = False,
     forward_bounds: tuple[float, float] = (0.0, 0.5),
     cache_bytes: int | None = None,
 ) -> FitResult:
@@ -456,12 +453,6 @@ def fit_stable_fp(
         Cap on alternating-least-squares iterations.
     tolerance:
         Stop when the objective improves by less than this (absolute).
-    refine:
-        When true, run a bounded scalar refinement of ``f`` with
-        ``scipy.optimize.minimize_scalar`` after ALS converges (the ``A`` and
-        ``P`` subproblems are re-solved inside the refinement objective).
-        Useful for small problems and for validating the ALS solution.
-        Cubes only.
     forward_bounds:
         Box constraint on ``f``.  The default upper bound of 0.5 resolves the
         model's mirror ambiguity — ``(f, A, P)`` and ``(1-f, cP, A/c)`` produce
@@ -479,8 +470,6 @@ def fit_stable_fp(
     from repro.streaming import ChunkStream, cache_chunks
 
     if isinstance(source, ChunkStream):
-        if refine:
-            raise ValidationError("refine=True is not supported when fitting a chunk stream")
         stream = cache_chunks(source, budget_bytes=cache_bytes)
         chunks, nodes = stream.chunks, stream.nodes
     else:
@@ -506,39 +495,10 @@ def fit_stable_fp(
         if np.any(warm < 0) or not np.all(np.isfinite(warm)) or warm.sum() <= 0:
             raise ValidationError("initial_preference must be finite, non-negative and sum to > 0")
         preference = warm / warm.sum()
-    fit = _als(
+    return _als(
         "stable-fP", chunks, norms, f, preference, activity,
         bounds, max_iterations, tolerance, nodes,
     )
-    if refine:
-        fit = _refine_forward_fraction(values, norms, fit, bounds)
-    return fit
-
-
-def _refine_forward_fraction(
-    values: np.ndarray, norms: np.ndarray, fit: FitResult, bounds: tuple[float, float]
-) -> FitResult:
-    """Polish ``f`` with a bounded scalar search, re-solving ``A`` and ``P`` inside."""
-
-    def pinned(f_fixed: float, iterations: int) -> FitResult:
-        # Bounds of (f, f) hold f fixed; a tolerance of -inf runs every iteration.
-        preference, activity = _initial_parameters(values, f_fixed)
-        return _als(
-            "stable-fP", lambda: ((0, values),), norms, f_fixed, preference, activity,
-            (f_fixed, f_fixed), iterations, -np.inf, fit.nodes,
-        )
-
-    def objective(f_candidate: float) -> float:
-        return pinned(float(np.clip(f_candidate, bounds[0], bounds[1])), 10).objective
-
-    search_low = max(bounds[0], 0.01)
-    search_high = min(bounds[1], 0.99)
-    result = optimize.minimize_scalar(objective, bounds=(search_low, search_high), method="bounded")
-    f_best = float(result.x) if result.fun <= fit.objective_history[-1] else fit.forward_fraction
-    polished = pinned(f_best, 20)
-    polished.objective_history = fit.objective_history + [polished.objective]
-    polished.converged = fit.converged
-    return polished
 
 
 def fit_stable_f(

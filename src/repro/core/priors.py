@@ -273,10 +273,6 @@ class StableFPrior:
     def forward_fraction(self) -> float:
         return self._forward
 
-    def estimate_parameters(self, ingress, egress) -> tuple[np.ndarray, np.ndarray]:
-        """Per-bin activity and preference estimates (Eqs. 11-12)."""
-        return stable_f_closed_form(self._forward, ingress, egress)
-
     def values(self, ingress, egress) -> np.ndarray:
         """``(T, n, n)`` prior values for one chunk of ``(T, n)`` marginals.
 

@@ -21,7 +21,7 @@ ablation benchmarks.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 
 from repro.errors import ShapeError
 
@@ -89,6 +89,8 @@ def entropy_estimate(
         value = kl + penalty * float(residual @ residual)
         gradient = np.log(x / safe_prior) + (2.0 * penalty / scale) * (matrix.T @ residual)
         return value, gradient
+
+    from scipy import optimize  # here, so importing the CLI does not load it
 
     result = optimize.minimize(
         objective,

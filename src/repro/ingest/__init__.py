@@ -8,13 +8,13 @@ running service (``repro serve``).  The layering mirrors the data path:
 * :mod:`repro.ingest.sources` — the :class:`FlowSource` protocol and its
   connection-population, file-replay and synthetic adapters;
 * :mod:`repro.ingest.binner` — the watermark time binner producing ordered
-  per-bin OD matrices, plus the live :class:`ChunkStream` adapter;
+  per-bin OD matrices;
 * :mod:`repro.ingest.rolling` — the sliding fit window (spilled past a
   budget) and the atomically swapped active prior;
 * :mod:`repro.ingest.service` — the publisher/status/checkpoint loop.
 """
 
-from repro.ingest.binner import FlowBinner, live_chunk_stream
+from repro.ingest.binner import FlowBinner
 from repro.ingest.records import (
     RecordBatch,
     read_flow_file,
@@ -44,7 +44,6 @@ __all__ = [
     "RollingWindow",
     "ServiceStatus",
     "SyntheticFlowSource",
-    "live_chunk_stream",
     "read_flow_file",
     "write_flow_csv",
     "write_flow_jsonl",

@@ -20,25 +20,20 @@ Each batch is reduced with one vectorised ``bincount`` scatter per open bin
 it touches, which is what sustains >100k records/sec in pure numpy (see
 ``bench_ingest_throughput``).
 
-:func:`live_chunk_stream` adapts a finite source + binner pair into the
-repo's :class:`~repro.streaming.ChunkStream` protocol, so
-``TMEstimator.estimate_stream``, ``SeriesAccumulator`` and the streaming
-metrics consume a live binned feed unchanged.  The adapter is single-pass —
-a live feed cannot rewind — so multi-pass consumers wrap it in
-:func:`repro.streaming.cache_chunks` first.
+The service loop of :mod:`repro.ingest.service` takes the closed bins in
+order and estimates them ``chunk_bins`` at a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.ingest.records import RecordBatch
-from repro.streaming import FunctionChunkStream
 
-__all__ = ["FlowBinner", "live_chunk_stream"]
+__all__ = ["FlowBinner"]
 
 
 class FlowBinner:
@@ -204,67 +199,3 @@ class FlowBinner:
         """
         return self._close_until(self._max_bin_seen + 1)
 
-
-def live_chunk_stream(source, binner: FlowBinner, *, n_bins: int, chunk_bins: int | None = None):
-    """Expose a finite binned feed through the :class:`ChunkStream` protocol.
-
-    Pulls ``source.batches()`` through ``binner``, groups the closed bins
-    into ``chunk_bins``-sized blocks and yields them as ``(t0, block)``
-    pairs with ``t0`` counted from the binner's ``start_bin``.  The stream
-    is **single-pass** (a second ``chunks()`` call raises): wrap it in
-    :func:`repro.streaming.cache_chunks` when a multi-pass consumer — the
-    streaming ALS fit, a prior + estimate zip — needs to replay it.
-    """
-    if tuple(source.nodes) != binner.nodes:
-        raise ValidationError("source and binner must agree on the node ordering")
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
-    state = {"consumed": False}
-    base_bin = binner.frontier
-
-    def factory(resolved_chunk: int) -> Iterator[tuple[int, np.ndarray]]:
-        if state["consumed"]:
-            raise ValidationError(
-                "live ingest streams are single-pass (the feed cannot rewind); "
-                "wrap the stream with repro.streaming.cache_chunks to replay it"
-            )
-        state["consumed"] = True
-        pending: list[np.ndarray] = []
-        emitted = 0
-        t0 = 0
-
-        def drain(bins):
-            nonlocal emitted, t0
-            for index, matrix in bins:
-                if emitted + len(pending) >= n_bins:
-                    return
-                if index - base_bin != emitted + len(pending):
-                    raise ValidationError(
-                        f"binned feed skipped to bin {index}; expected "
-                        f"{base_bin + emitted + len(pending)}"
-                    )
-                pending.append(matrix)
-
-        for batch in source.batches():
-            drain(binner.push(batch))
-            while len(pending) >= resolved_chunk:
-                block = np.stack(pending[:resolved_chunk])
-                del pending[:resolved_chunk]
-                yield t0, block
-                t0 += block.shape[0]
-                emitted += block.shape[0]
-        drain(binner.flush())
-        while pending:
-            block = np.stack(pending[:resolved_chunk])
-            del pending[:resolved_chunk]
-            yield t0, block
-            t0 += block.shape[0]
-            emitted += block.shape[0]
-
-    return FunctionChunkStream(
-        factory,
-        n_bins=n_bins,
-        nodes=binner.nodes,
-        bin_seconds=binner.bin_seconds,
-        chunk_bins=chunk_bins,
-    )

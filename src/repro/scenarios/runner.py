@@ -43,7 +43,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -621,10 +621,6 @@ class ScenarioRunner:
             spilled=spilled,
             timing=timing,
         )
-
-    def run_batch(self, scenarios: Iterable[Scenario]) -> list[ScenarioResult]:
-        """Run several scenarios in order, sharing the dataset cache."""
-        return [self.run(scenario) for scenario in scenarios]
 
     def sweep(
         self,

@@ -39,7 +39,6 @@ __all__ = [
     "CachedChunkStream",
     "as_chunk_stream",
     "cache_chunks",
-    "iter_chunks",
     "default_chunk_bins",
     "zip_chunks",
 ]
@@ -341,11 +340,6 @@ def as_chunk_stream(
         bin_seconds=300.0 if bin_seconds is None else bin_seconds,
         chunk_bins=chunk_bins,
     )
-
-
-def iter_chunks(source, *, chunk_bins: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """One pass of ``(t0, block)`` chunks over any cube or stream."""
-    return as_chunk_stream(source, chunk_bins=chunk_bins).chunks()
 
 
 def _stream_label(streams, index: int) -> str:

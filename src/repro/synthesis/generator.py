@@ -189,27 +189,26 @@ class GenerationPlan:
             self.noise_states[position] = copy.deepcopy(rng.bit_generator.state)
 
     def checkpoint_noise_states(self) -> "GenerationPlan":
-        """Populate every noise-state checkpoint of the plan in one pass.
+        """Populate every noise-state checkpoint of the plan.
 
-        Walks the noise stream from the furthest cached anchor to the end of
-        the plan, caching the RNG state at every :data:`_STATE_CACHE_STRIDE`
-        boundary.  Afterwards *any* chunk read — a worker's first, a resume
-        from a week boundary — replays at most one stride of draws instead of
-        the whole prefix.  The sweep scheduler calls this once per dataset
-        column in the parent and ships the (small) state dict to the workers.
+        Caches the RNG state at every :data:`_STATE_CACHE_STRIDE` boundary up
+        to the end of the plan.  Each missing boundary is replayed from the
+        nearest cached state below it, so the gaps a chunked read leaves
+        (it caches only the chunk ends that land on a boundary) are filled
+        too, and the whole walk draws each bin's noise at most once.
+        Afterwards *any* chunk read — a worker's first, a resume from a week
+        boundary — replays at most one stride of draws instead of the whole
+        prefix.  The sweep scheduler calls this once per dataset column in
+        the parent and ships the (small) state dict to the workers.
 
         Returns ``self`` so it chains; a no-op for noise-free plans and for
         plans already checkpointed.
         """
         if self.noise_sigma <= 0:
             return self
-        anchor = max(b for b in self.noise_states if b <= self.n_bins)
-        last_needed = (self.n_bins // _STATE_CACHE_STRIDE) * _STATE_CACHE_STRIDE
-        if anchor >= last_needed:
-            return self
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = copy.deepcopy(self.noise_states[anchor])
-        self._replay_span(rng, anchor, last_needed)
+        for position in range(_STATE_CACHE_STRIDE, self.n_bins + 1, _STATE_CACHE_STRIDE):
+            if position not in self.noise_states:
+                self._noise_rng_at(position)
         return self
 
 

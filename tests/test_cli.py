@@ -18,12 +18,26 @@ from repro.registry import DATASETS, PRIORS
 SMALL = ["--bins-per-week", "36", "--max-bins", "6"]
 
 
-def test_cli_import_needs_no_networkx():
-    """A fresh interpreter imports the CLI without pulling in networkx."""
+def _run_fresh(code: str) -> None:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import repro.cli, sys; assert 'networkx' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cli_import_needs_no_networkx():
+    """A fresh interpreter imports the CLI without pulling in networkx."""
+    _run_fresh("import repro.cli, sys; assert 'networkx' not in sys.modules")
+
+
+def test_cli_start_loads_no_scipy_stats_or_optimize():
+    """Parser and registry set-up leave the fitting-only scipy modules unloaded."""
+    _run_fresh(
+        "import sys, repro.cli, repro.registry\n"
+        "repro.cli.build_parser()\n"
+        "repro.registry.ensure_populated()\n"
+        "loaded = [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
 
 
 class TestParser:

@@ -74,12 +74,6 @@ class TestStableFPFit:
         with pytest.raises(ValidationError):
             fit_stable_fp(series, initial_forward_fraction=1.5)
 
-    def test_refine_does_not_hurt(self, clean_ic_series):
-        series, *_ = clean_ic_series
-        plain = fit_stable_fp(series)
-        refined = fit_stable_fp(series, refine=True)
-        assert refined.objective <= plain.objective + 1e-6
-
     def test_preference_is_normalised(self, clean_ic_series):
         series, *_ = clean_ic_series
         fit = fit_stable_fp(series)

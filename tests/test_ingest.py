@@ -39,12 +39,11 @@ from repro.ingest import (
     RollingFitManager,
     RollingWindow,
     SyntheticFlowSource,
-    live_chunk_stream,
     read_flow_file,
     write_flow_csv,
     write_flow_jsonl,
 )
-from repro.streaming import ArrayChunkStream, cache_chunks
+from repro.streaming import ArrayChunkStream, FunctionChunkStream, cache_chunks
 from repro.synthesis.datasets import open_dataset_stream
 from repro.traces.connections import Connection
 from repro.traces.netflow import od_flows_from_connections
@@ -272,28 +271,30 @@ class TestFlowBinner:
 
 
 class TestLiveChunkStream:
-    def _feed(self):
-        data = open_dataset_stream("geant", n_weeks=1, bins_per_week=12, seed=9)
-        stream = data.week_stream(0)
-        source = SyntheticFlowSource(stream)
-        binner = FlowBinner(stream.nodes, bin_seconds=stream.bin_seconds)
-        return stream, live_chunk_stream(source, binner, n_bins=12, chunk_bins=5)
-
-    def test_reconstructs_ground_truth_and_is_single_pass(self):
-        stream, live = self._feed()
-        truth = np.concatenate([b for _, b in stream.chunks()])
-        chunks = list(live.chunks())
-        assert [t0 for t0, _ in chunks] == [0, 5, 10]
-        assert np.array_equal(np.concatenate([b for _, b in chunks]), truth)
-        with pytest.raises(ValidationError, match="single-pass"):
-            list(live.chunks())
-
     def test_cache_chunks_makes_it_replayable(self):
-        stream, live = self._feed()
+        # A live feed cannot rewind: its factory raises on a second pass.
+        data = open_dataset_stream("geant", n_weeks=1, bins_per_week=12, seed=9)
+        stream = data.week_stream(0, chunk_bins=5)
+        passes = []
+
+        def factory(chunk_bins):
+            if passes:
+                raise ValidationError("live feeds are single-pass")
+            passes.append(chunk_bins)
+            return stream.chunks()
+
+        live = FunctionChunkStream(
+            factory, n_bins=stream.n_bins, nodes=stream.nodes,
+            bin_seconds=stream.bin_seconds, chunk_bins=stream.chunk_bins,
+        )
         cached = cache_chunks(live, budget_bytes=1 << 30)
         first = np.concatenate([b for _, b in cached.chunks()])
         second = np.concatenate([b for _, b in cached.chunks()])
+        assert len(passes) == 1
+        assert np.array_equal(first, np.concatenate([b for _, b in stream.chunks()]))
         assert np.array_equal(first, second)
+        with pytest.raises(ValidationError, match="single-pass"):
+            list(live.chunks())
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.fitting import fit_stable_fp
-from repro.core.gravity import gravity_series
-from repro.core.metrics import rel_l2_spatial_error, rel_l2_temporal_error
-from repro.core.streaming import (
-    SeriesAccumulator,
-    streaming_gravity_errors,
-    streaming_rel_l2_spatial_error,
-    streaming_rel_l2_temporal_error,
-)
 from repro.errors import ValidationError
 from repro.estimation.linear_system import simulate_link_loads
 from repro.estimation.pipeline import TMEstimator
@@ -36,7 +28,6 @@ from repro.streaming import (
     FunctionChunkStream,
     as_chunk_stream,
     default_chunk_bins,
-    iter_chunks,
     zip_chunks,
 )
 from repro.synthesis.datasets import load_dataset, open_dataset_stream
@@ -136,7 +127,7 @@ class TestChunkProtocol:
         values = np.random.default_rng(3).random((9, 3, 3))
         stream = as_chunk_stream(values, chunk_bins=4)
         assert np.array_equal(
-            np.concatenate([b for _, b in iter_chunks(values, chunk_bins=4)]), values
+            np.concatenate([b for _, b in stream.chunks()]), values
         )
         assert np.array_equal(stream.materialize().values, values)
         ingress, egress = stream.marginals()
@@ -272,7 +263,7 @@ class TestSynthesisBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# accumulators and streaming reductions
+# streamed stable-fP fits
 # ---------------------------------------------------------------------------
 
 class TestStreamingReductions:
@@ -281,41 +272,6 @@ class TestStreamingReductions:
         data = load_dataset("geant", n_weeks=1, bins_per_week=48)
         stream = open_dataset_stream("geant", n_weeks=1, bins_per_week=48)
         return data.week(0), stream.week_stream(0, chunk_bins=7)
-
-    def test_series_accumulator_matches_direct_statistics(self, week_and_stream):
-        week, stream = week_and_stream
-        accumulator = SeriesAccumulator.from_source(stream)
-        assert accumulator.n_bins == week.n_timesteps
-        assert np.array_equal(accumulator.ingress, week.ingress)
-        assert np.array_equal(accumulator.egress, week.egress)
-        np.testing.assert_allclose(
-            accumulator.mean_matrix(), week.values.mean(axis=0), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            accumulator.od_variance(), week.values.var(axis=0), rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            accumulator.bin_norms, np.sqrt((week.values**2).sum(axis=(1, 2))), rtol=1e-12
-        )
-
-    def test_streaming_temporal_error_is_exact(self, week_and_stream):
-        week, stream = week_and_stream
-        gravity = gravity_series(week)
-        expected = rel_l2_temporal_error(week, gravity)
-        streamed = streaming_rel_l2_temporal_error(
-            stream, ArrayChunkStream(gravity, chunk_bins=stream.chunk_bins)
-        )
-        assert np.array_equal(expected, streamed)
-        assert np.array_equal(expected, streaming_gravity_errors(stream))
-
-    def test_streaming_spatial_error_matches(self, week_and_stream):
-        week, stream = week_and_stream
-        gravity = gravity_series(week)
-        expected = rel_l2_spatial_error(week.values, np.asarray(gravity.values))
-        streamed = streaming_rel_l2_spatial_error(
-            stream, ArrayChunkStream(gravity, chunk_bins=stream.chunk_bins)
-        )
-        np.testing.assert_allclose(expected, streamed, rtol=1e-12)
 
     def test_streaming_fit_matches_in_memory_fit(self, week_and_stream):
         week, stream = week_and_stream
@@ -353,8 +309,6 @@ class TestStreamingReductions:
         _, stream = week_and_stream
         fit = fit_stable_fp(stream)
         assert fit.model == "stable-fP"
-        with pytest.raises(ValidationError, match="refine"):
-            fit_stable_fp(stream, refine=True)
 
 
 # ---------------------------------------------------------------------------

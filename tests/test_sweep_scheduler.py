@@ -77,6 +77,28 @@ class TestNoiseCheckpoints:
         list(generator.iter_chunks(warm, chunk_bins=32, start_bin=500, stop_bin=532))
         assert sum(replayed) < _STATE_CACHE_STRIDE  # O(chunk), not O(prefix)
 
+    def test_checkpoint_fills_gaps_left_by_a_chunked_read(self, monkeypatch):
+        from repro.synthesis import generator as generator_module
+
+        # A materialised read caches only the chunk ends that land on a
+        # stride anchor; checkpointing must fill the anchors in between.
+        data = open_dataset_stream("geant", n_weeks=3, bins_per_week=700).materialize()
+        data.checkpoint_noise()
+        plan = data._plan  # noqa: SLF001 - the checkpoints are plan state
+        anchors = set(range(0, plan.n_bins + 1, _STATE_CACHE_STRIDE))
+        assert anchors <= set(plan.noise_states)
+
+        replayed: list[int] = []
+        original = generator_module.GenerationPlan._replay_span
+
+        def counting(self, rng, start, stop):
+            replayed.append(stop - start)
+            return original(self, rng, start, stop)
+
+        monkeypatch.setattr(generator_module.GenerationPlan, "_replay_span", counting)
+        plan._noise_rng_at(1400)  # noqa: SLF001
+        assert sum(replayed) <= _STATE_CACHE_STRIDE
+
     def test_repeat_reads_at_same_start_are_replay_free(self, monkeypatch):
         from repro.synthesis import generator as generator_module
 
