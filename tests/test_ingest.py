@@ -19,15 +19,21 @@ The contract under test is the one the service advertises:
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ic_model import simplified_ic_series
 from repro.core.priors import StableFPrior
 from repro.errors import ValidationError
 from repro.estimation.linear_system import simulate_link_loads
 from repro.estimation.pipeline import TMEstimator
+from repro.ingest import records as records_module
 from repro.ingest import (
     CHECKPOINT_FORMAT,
     ConnectionFlowSource,
@@ -49,6 +55,49 @@ from repro.traces.connections import Connection
 from repro.traces.netflow import od_flows_from_connections
 
 
+# Node names that exercise multibyte UTF-8 across block boundaries.
+_TRACE_NODES = ["a", "bb", "\u00c4\u00d6", "\u65e5\u672c\u8a9e"]
+
+
+def _number_text(value: float, style: int) -> str:
+    return (repr(value), f"{value:.6g}", f"{value:.3e}", f"{value:.4E}")[style]
+
+
+@st.composite
+def _csv_traces(draw):
+    """A CSV trace with the per-line rules' corner cases, and its expected columns."""
+    lines = [draw(st.sampled_from(["time,src,dst,bytes", "time, src, dst, bytes"]))]
+    if draw(st.booleans()):
+        lines.insert(0, "# exported trace")
+    expected = {"timestamps": [], "src": [], "dst": [], "volumes": []}
+    n_records = draw(st.integers(0, 40))
+    for _ in range(n_records):
+        extra = draw(st.sampled_from(["plain"] * 6 + ["comment", "blank", "padded"]))
+        if extra == "comment":
+            lines.append("# a comment, with, commas")
+        elif extra == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        time = draw(st.floats(0, 1e9, allow_nan=False))
+        volume = draw(st.floats(0, 1e12, allow_nan=False))
+        time_text = _number_text(time, draw(st.integers(0, 3)))
+        volume_text = _number_text(volume, draw(st.integers(0, 3)))
+        src, dst = draw(st.sampled_from(range(4))), draw(st.sampled_from(range(4)))
+        fields = [time_text, _TRACE_NODES[src], _TRACE_NODES[dst], volume_text]
+        if extra == "padded":
+            fields = [f" {field}\t" for field in fields]
+        lines.append(",".join(fields))
+        expected["timestamps"].append(float(time_text))
+        expected["src"].append(src)
+        expected["dst"].append(dst)
+        expected["volumes"].append(float(volume_text))
+    ending = st.sampled_from(["\n"] * 3 + ["\r\n"])
+    endings = draw(st.lists(ending, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, expected
+
+
 # ---------------------------------------------------------------------------
 # record batches and flow files
 # ---------------------------------------------------------------------------
@@ -68,15 +117,6 @@ class TestRecordBatch:
         columns[column] = [0.0, float("nan")]
         with pytest.raises(ValidationError, match=f"'{column}' must contain only finite"):
             RecordBatch(columns["timestamps"], [0, 1], [1, 0], columns["volumes"])
-
-    def test_from_names_resolves_against_node_ordering(self):
-        batch = RecordBatch.from_names([0.0, 1.0], ["b", "a"], ["a", "b"], [1.0, 2.0], ["a", "b"])
-        assert batch.src.tolist() == [1, 0]
-        assert batch.dst.tolist() == [0, 1]
-
-    def test_from_names_rejects_unknown_node(self):
-        with pytest.raises(ValidationError, match="unknown node 'z'"):
-            RecordBatch.from_names([0.0], ["z"], ["a"], [1.0], ["a", "b"])
 
 
 class TestFlowFiles:
@@ -123,13 +163,104 @@ class TestFlowFiles:
         )
         assert exit_code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: record batch column 'volumes' must contain only finite values"]
+        assert err == [f"error: {path}:3: flow record bytes must be finite, got nan"]
 
     def test_unknown_suffix_rejected(self, tmp_path):
         path = tmp_path / "trace.parquet"
         path.write_text("")
         with pytest.raises(ValidationError, match="suffix"):
             list(read_flow_file(path, ["a", "b"]))
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("60,b,ZZZ,5",
+             "flow record references unknown node 'ZZZ'; the topology defines 2 nodes"),
+            ("inf,b,a,5", "flow record time must be finite, got inf"),
+            ("60,b,a,-5", "flow record bytes must be non-negative, got -5.0"),
+        ],
+    )
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_bad_record_names_path_and_line(self, tmp_path, suffix, line, message):
+        rows = [(0.0, "a", "b", 1.0), (3.0, "b", "a", 2.0)]
+        time, src, dst, volume = line.split(",")
+        rows.append((float(time), src, dst, float(volume)))
+        path = tmp_path / f"bad{suffix}"
+        (write_flow_csv if suffix == ".csv" else write_flow_jsonl)(path, rows)
+        first_line = 4 if suffix == ".csv" else 3
+        with pytest.raises(ValidationError) as info:
+            list(read_flow_file(path, ["a", "b"]))
+        assert str(info.value) == f"{path}:{first_line}: {message}"
+
+    @pytest.mark.parametrize(
+        "suffix,text",
+        [
+            (".csv", b"time,src,dst,bytes\n0,STTL,SNVA,1\n3,\xffSNVA,STTL,2\n"),
+            (".jsonl", b'{"time": 0, "src": "STTL", "dst": "SNVA", "bytes": 1}\n'
+                       b'{"time": 3, "src": "\xffSNVA", "dst": "STTL", "bytes": 2}\n'),
+        ],
+    )
+    def test_serve_rejects_invalid_utf8_with_exit_2(self, tmp_path, capsys, suffix, text):
+        from repro.cli import main
+
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(text)
+        exit_code = main(
+            ["serve", "--source", str(path), "--topology", "abilene",
+             "--sink", str(tmp_path / "sink")]
+        )
+        assert exit_code == 2
+        line = 3 if suffix == ".csv" else 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: flow record is not UTF-8")
+
+    def test_error_after_a_block_boundary_names_its_absolute_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(records_module, "_BLOCK_BYTES", 64)
+        lines = ["time,src,dst,bytes"] + [f"{t},a,b,{t + 1}" for t in range(40)]
+        lines[30] = "30,a,b,abc"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        batches = []
+        with pytest.raises(ValidationError, match=r"bad\.csv:31: malformed CSV flow record"):
+            for batch in read_flow_file(path, ["a", "b"], batch_records=4):
+                batches.append(batch)
+        # Every full batch ahead of the bad line still reaches the consumer.
+        assert [len(b) for b in batches] == [4] * 7
+        np.testing.assert_array_equal(np.concatenate([b.timestamps for b in batches]), range(28))
+
+    def test_short_and_long_lines_do_not_pair_up_into_records(self, tmp_path):
+        # Split together, these two lines give 8 fields that would all convert.
+        path = tmp_path / "bad.csv"
+        path.write_text("time,src,dst,bytes\n0,a,b,1\n1,a,b\n5,2,a,b,3\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv:3: expected 4 CSV fields, got 3"):
+            list(read_flow_file(path, ["a", "b"]))
+
+    @given(
+        trace=_csv_traces(),
+        batch_records=st.integers(1, 9),
+        block=st.sampled_from([7, 64, 4096]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_block_reader_equals_per_line_reader(self, trace, batch_records, block):
+        text, expected = trace
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(records_module, "_BLOCK_BYTES", block):
+                batches = list(read_flow_file(path, _TRACE_NODES, batch_records=batch_records))
+            with mock.patch.object(records_module, "_fast_csv_block", lambda *args: None):
+                per_line = list(read_flow_file(path, _TRACE_NODES, batch_records=batch_records))
+        lengths = [len(b) for b in batches]
+        assert lengths == [len(b) for b in per_line]
+        assert all(k == batch_records for k in lengths[:-1])
+        assert not lengths or 0 < lengths[-1] <= batch_records
+        columns = (("timestamps", float), ("src", np.intp), ("dst", np.intp), ("volumes", float))
+        for name, dtype in columns:
+            column = np.concatenate([getattr(b, name) for b in batches] or [np.empty(0, dtype)])
+            reference = np.concatenate([getattr(b, name) for b in per_line] or [column])
+            assert column.dtype == dtype
+            assert column.tobytes() == np.asarray(expected[name], dtype=dtype).tobytes()
+            assert column.tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------
