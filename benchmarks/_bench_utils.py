@@ -1,56 +1,16 @@
 """Helpers shared by the benchmark modules.
 
-Besides printing the experiment table and attaching headline numbers to the
-pytest-benchmark fixture, :func:`emit` records every benchmark into the
-shared ``BENCH_<rev>.json`` trajectory format from
-:mod:`repro.benchmarking`, so ad-hoc ``pytest benchmarks/`` runs and
-``repro bench`` produce comparable output.  Set ``REPRO_BENCH_JSON`` to a
-file path to have the collected records written there when the pytest
-process exits:
-
-    REPRO_BENCH_JSON=BENCH_adhoc.json pytest benchmarks/ --benchmark-only
+:func:`emit` prints the experiment table and attaches the headline numbers
+to the pytest-benchmark fixture's ``extra_info``.  The timing harness of
+record is ``python3 perfbench/run.py`` (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-
-from repro.benchmarking import BenchmarkRecord, write_bench_json
-
-_collected: list[BenchmarkRecord] = []
-_writer_registered = False
-
-
-def _wall_seconds(benchmark) -> float:
-    """Mean wall time of a completed pytest-benchmark fixture, or NaN."""
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    mean = getattr(stats, "mean", None)
-    return float(mean) if mean is not None else float("nan")
-
-
-def _flush_collected() -> None:
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if path and _collected:
-        write_bench_json(_collected, path=path)
-
-
-def record_benchmark(benchmark, name: str, **extra) -> BenchmarkRecord:
-    """Append one fixture measurement to the shared BENCH record set."""
-    global _writer_registered
-    record = BenchmarkRecord(name=name, wall_seconds=_wall_seconds(benchmark), extra_info=extra)
-    _collected.append(record)
-    if not _writer_registered:
-        atexit.register(_flush_collected)
-        _writer_registered = True
-    return record
-
 
 def emit(benchmark, result, **extra) -> None:
-    """Print the experiment table, attach headline numbers, record BENCH data."""
+    """Print the experiment table and attach headline numbers to the fixture."""
     table = result.format_table()
     print("\n" + table)
     for key, value in extra.items():
         benchmark.extra_info[key] = value
-    name = getattr(benchmark, "name", None) or type(result).__name__
-    record_benchmark(benchmark, str(name), **extra)

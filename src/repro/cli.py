@@ -6,7 +6,6 @@ Usage::
     python -m repro run all
     python -m repro estimate --prior stable_fp --dataset geant
     python -m repro sweep --priors measured stable_f --datasets geant totem --jobs 4
-    python -m repro bench --quick
     python -m repro list priors
 
 ``run`` executes a figure-reproduction experiment, ``estimate`` a single
@@ -15,8 +14,7 @@ declarative scenario, ``sweep`` a priors × datasets grid through the
 parallel with deterministic per-cell seeds; ``--executor remote
 --remote-workers HOST:PORT ...`` shards them across ``repro sweep-worker``
 daemons, or spawns loopback ones with ``--remote-workers spawn:N``),
-``sweep-worker`` runs one such daemon, ``bench`` records a
-``BENCH_<rev>.json`` performance snapshot, ``report`` renders streaming
+``sweep-worker`` runs one such daemon, ``report`` renders streaming
 analytics marts over a sweep ``--spill-dir`` archive or a ``serve`` sink
 (one shard in memory at a time — never the series), ``trace`` inspects,
 merges and exports the JSONL span traces that ``--trace FILE`` (or
@@ -231,35 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit after serving this many client connections "
                              "(0 = serve until killed or a shutdown request)")
     worker.set_defaults(handler=_cmd_sweep_worker)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the benchmark harness and write a BENCH_<rev>.json snapshot",
-        description=(
-            "Time the batched kernels against their per-bin reference loops "
-            "(and, without --quick, the full pytest-benchmark suite under "
-            "benchmarks/), then write the records as a BENCH_<rev>.json "
-            "trajectory file for cross-revision comparison.  With --compare "
-            "A.json B.json, diff two existing snapshots instead: "
-            "per-benchmark ratios are printed and the command exits non-zero "
-            "when any benchmark slowed down beyond the noise threshold."
-        ),
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="only the built-in micro-benchmarks (seconds; used by CI)")
-    bench.add_argument("--output", default=".",
-                       help="directory (or explicit .json path) for the BENCH file")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="best-of repetitions per micro-benchmark")
-    bench.add_argument("--rev", default=None,
-                       help="revision label for the file name (default: git short rev)")
-    bench.add_argument("--compare", nargs=2, metavar=("OLD.json", "NEW.json"), default=None,
-                       help="diff two BENCH_<rev>.json snapshots instead of benchmarking; "
-                            "exits 1 if NEW regresses beyond the threshold")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="relative slowdown treated as noise by --compare "
-                            "(default 0.25 = 25%%)")
-    bench.set_defaults(handler=_cmd_bench)
 
     serve = subparsers.add_parser(
         "serve",
@@ -854,36 +823,9 @@ def _format_metadata_value(value) -> str:
     return str(value)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import benchmarking
-
-    if args.compare is not None:
-        if args.threshold < 0:
-            print("error: --threshold must be >= 0", file=sys.stderr)
-            return USAGE_EXIT_CODE
-        try:
-            comparison = benchmarking.compare_bench_files(
-                args.compare[0], args.compare[1], threshold=args.threshold
-            )
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_EXIT_CODE
-        print(comparison.format_table())
-        return 1 if comparison.has_regressions else 0
-
-    records = benchmarking.run_benchmarks(quick=args.quick, repeat=args.repeat)
-    if str(args.output).endswith(".json"):
-        path = benchmarking.write_bench_json(records, path=args.output, revision=args.rev)
-    else:
-        path = benchmarking.write_bench_json(records, directory=args.output, revision=args.rev)
-    print(benchmarking.format_records(records))
-    print(f"\nwrote {len(records)} benchmark records to {path}")
-    return 0
-
-
 _SUBCOMMANDS = frozenset(
-    {"run", "estimate", "sweep", "sweep-worker", "bench", "serve", "report",
-     "trace", "list", "-h", "--help"}
+    {"run", "estimate", "sweep", "sweep-worker", "serve", "report", "trace",
+     "list", "-h", "--help"}
 )
 
 

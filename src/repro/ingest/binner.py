@@ -18,7 +18,7 @@ standard watermark semantics of streaming systems:
 
 Each batch is reduced with one vectorised ``bincount`` scatter per open bin
 it touches, which is what sustains >100k records/sec in pure numpy (see
-``bench_ingest_throughput``).
+``ingest.records``/``ingest.bin_s`` of perfbench's ``serve-replay``).
 
 The service loop of :mod:`repro.ingest.service` takes the closed bins in
 order and estimates them ``chunk_bins`` at a time.

@@ -33,8 +33,7 @@ stage label      bin    measure  prior  estimate  publish        fit
 Both primitives have no-op twins (:class:`NullTracer`,
 :class:`NullMetricsRegistry`) installed as the ambient default, so
 instrumented hot paths pay ~nothing until a user opts in with
-``--trace``/``REPRO_TRACE``/``--metrics-out`` — the invariant
-``bench_obs_overhead`` guards.
+``--trace``/``REPRO_TRACE``/``--metrics-out``.
 """
 
 from repro.obs.metrics import (

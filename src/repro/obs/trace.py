@@ -27,7 +27,7 @@ each host's ``time.time()``.
 The ambient tracer (:func:`get_tracer`) defaults to the shared
 :class:`NullTracer`, whose ``span()`` hands back a single reusable no-op
 span — the disabled hot path is two attribute lookups and an empty
-``with``, which is what keeps ``bench_obs_overhead`` under budget.
+``with``.
 
 A pipeline stage that also feeds a latency histogram is one
 ``with stage(name, histogram, **attrs) as timed:`` block instead of a

@@ -249,15 +249,15 @@ class ScenarioRunner:
         Replay-cache budget for multi-pass streaming fits (see
         :data:`FIT_CACHE_BYTES`); ``None`` keeps streamed prior fits
         strictly chunk-bounded, regenerating their chunks on every ALS pass
-        (the pre-cache behaviour, used as the benchmark baseline).
+        (the pre-cache behaviour).
     fit_memo:
         Memoise stable-fP fits in the sweep's
         :class:`SweepSharedState`, keyed by the pinned dataset identity, the
         fitted week and bin count, and the fit knobs, so overlapping-window
         grids pay each distinct fit once per worker instead of once per
         cell.  The fit is deterministic in those inputs, so reuse is
-        bit-identical; ``False`` restores the per-cell re-fit (the
-        benchmark baseline).  Single runs (no shared state) never memoise.
+        bit-identical; ``False`` restores the per-cell re-fit.  Single runs
+        (no shared state) never memoise.
     """
 
     def __init__(

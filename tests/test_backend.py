@@ -144,11 +144,6 @@ class TestRegistry:
         with pytest.raises(ImportError):
             import repro.backend  # noqa: F401
 
-    def test_describe_fingerprint(self):
-        from repro.benchmarking import environment_info
-
-        assert set(environment_info()) == {"python", "numpy", "platform"}
-
 
 # ---------------------------------------------------------------------------
 # host results
@@ -436,50 +431,3 @@ class TestScenarioThreading:
                   "--bins-per-week", "36", "--max-bins", "4", "--backend", "torch"])
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# benchmark files
-# ---------------------------------------------------------------------------
-
-def _compare(tmp_path, old, new):
-    from repro.benchmarking import compare_bench_files, write_bench_json
-
-    old_path = write_bench_json(old, path=tmp_path / "old.json", revision="old")
-    new_path = write_bench_json(new, path=tmp_path / "new.json", revision="new")
-    return compare_bench_files(old_path, new_path, threshold=0.25)
-
-
-class TestBenchIntegration:
-    def test_compare_treats_missing_backends_as_non_regressions(self, tmp_path):
-        """An old snapshot's ``ic_series_backend`` is listed as only in old."""
-        from repro.benchmarking import BenchmarkRecord
-
-        old = [
-            BenchmarkRecord("ic_series_kernel", 1.0),
-            BenchmarkRecord(
-                "ic_series_backend", 1.0,
-                extra_info={"backends": {"numpy": 1.0, "torch": 0.1}},
-            ),
-        ]
-        comparison = _compare(tmp_path, old, [BenchmarkRecord("ic_series_kernel", 1.0)])
-        assert [row[0] for row in comparison.rows] == ["ic_series_kernel"]
-        assert comparison.only_old == ["ic_series_backend"]
-        assert comparison.only_new == []
-        assert not comparison.has_regressions
-
-    def test_compare_flags_backend_regression(self, tmp_path):
-        """A record is compared on its wall time alone, never per backend."""
-        from repro.benchmarking import BenchmarkRecord
-
-        def record(wall, numpy_seconds):
-            return BenchmarkRecord(
-                "ic_series_backend", wall, extra_info={"backends": {"numpy": numpy_seconds}}
-            )
-
-        steady = _compare(tmp_path, [record(1.0, 1.0)], [record(1.0, 2.0)])
-        assert [row[0] for row in steady.rows] == ["ic_series_backend"]
-        assert not steady.has_regressions
-        slower = _compare(tmp_path, [record(1.0, 1.0)], [record(2.0, 1.0)])
-        assert slower.has_regressions
-        assert slower.regressions[0][0] == "ic_series_backend"

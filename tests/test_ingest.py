@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from time import perf_counter
 from pathlib import Path
 from unittest import mock
 
@@ -64,15 +65,25 @@ def _number_text(value: float, style: int) -> str:
 
 
 @st.composite
-def _csv_traces(draw):
-    """A CSV trace with the per-line rules' corner cases, and its expected columns."""
-    lines = [draw(st.sampled_from(["time,src,dst,bytes", "time, src, dst, bytes"]))]
-    if draw(st.booleans()):
-        lines.insert(0, "# exported trace")
+def _csv_traces(draw, crlf=False):
+    """A CSV trace with the per-line rules' corner cases, and its expected columns.
+
+    ``crlf=True`` draws a trace of plain records only, every line ending in
+    ``\\r\\n``.
+    """
+    if crlf:
+        lines = ["time,src,dst,bytes"]
+    else:
+        lines = [draw(st.sampled_from(["time,src,dst,bytes", "time, src, dst, bytes"]))]
+        if draw(st.booleans()):
+            lines.insert(0, "# exported trace")
     expected = {"timestamps": [], "src": [], "dst": [], "volumes": []}
     n_records = draw(st.integers(0, 40))
     for _ in range(n_records):
-        extra = draw(st.sampled_from(["plain"] * 6 + ["comment", "blank", "padded"]))
+        if crlf:
+            extra = "plain"
+        else:
+            extra = draw(st.sampled_from(["plain"] * 6 + ["comment", "blank", "padded"]))
         if extra == "comment":
             lines.append("# a comment, with, commas")
         elif extra == "blank":
@@ -90,7 +101,7 @@ def _csv_traces(draw):
         expected["src"].append(src)
         expected["dst"].append(dst)
         expected["volumes"].append(float(volume_text))
-    ending = st.sampled_from(["\n"] * 3 + ["\r\n"])
+    ending = st.just("\r\n") if crlf else st.sampled_from(["\n"] * 3 + ["\r\n"])
     endings = draw(st.lists(ending, min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, endings))
     if draw(st.booleans()):
@@ -236,20 +247,32 @@ class TestFlowFiles:
             list(read_flow_file(path, ["a", "b"]))
 
     @given(
-        trace=_csv_traces(),
+        data=st.data(),
+        crlf=st.booleans(),
         batch_records=st.integers(1, 9),
         block=st.sampled_from([7, 64, 4096]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_block_reader_equals_per_line_reader(self, trace, batch_records, block):
-        text, expected = trace
+    def test_block_reader_equals_per_line_reader(self, data, crlf, batch_records, block):
+        text, expected = data.draw(_csv_traces(crlf=crlf))
+        per_line_blocks = []
+        per_line_block = records_module._per_line_block
+
+        def counted(*args):
+            per_line_blocks.append(args[1])
+            return per_line_block(*args)
+
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.csv"
             path.write_bytes(text.encode("utf-8"))
-            with mock.patch.object(records_module, "_BLOCK_BYTES", block):
+            with mock.patch.object(records_module, "_BLOCK_BYTES", block), \
+                    mock.patch.object(records_module, "_per_line_block", counted):
                 batches = list(read_flow_file(path, _TRACE_NODES, batch_records=batch_records))
             with mock.patch.object(records_module, "_fast_csv_block", lambda *args: None):
                 per_line = list(read_flow_file(path, _TRACE_NODES, batch_records=batch_records))
+        if crlf:
+            # An all-CRLF trace of plain records takes the fast path in every block.
+            assert per_line_blocks == []
         lengths = [len(b) for b in batches]
         assert lengths == [len(b) for b in per_line]
         assert all(k == batch_records for k in lengths[:-1])
@@ -399,6 +422,24 @@ class TestFlowBinner:
         binner = FlowBinner(self.NODES, bin_seconds=10.0, origin=100.0)
         with pytest.raises(ValidationError, match="precede the stream origin"):
             binner.push(self._batch([(5.0, 0, 1, 1.0)]))
+
+    def test_ingest_throughput_benchmark_meets_slo(self):
+        """The service SLO: the binner sustains >= 100k records/s on a pre-built feed."""
+        bins, records_per_pair = 16, 4
+        data = open_dataset_stream("geant", n_weeks=1, bins_per_week=bins, chunk_bins=16)
+        stream = data.week_stream(0)
+        batches = list(SyntheticFlowSource(stream, records_per_pair=records_per_pair).batches())
+        records = sum(len(batch) for batch in batches)
+        assert records == bins * 22 * 22 * records_per_pair
+        seconds = []
+        for _ in range(3):
+            started = perf_counter()
+            binner = FlowBinner(stream.nodes, bin_seconds=stream.bin_seconds, watermark_bins=1)
+            for batch in batches:
+                binner.push(batch)
+            binner.flush()
+            seconds.append(perf_counter() - started)
+        assert records / min(seconds) >= 100_000
 
 
 class TestLiveChunkStream:
