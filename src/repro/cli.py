@@ -32,6 +32,7 @@ accepted and treated as ``run fig3``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -851,10 +852,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with _observability(args, args.command):
-            return args.handler(args)
+            code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT_CODE
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro run fig3 | head``).  Point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        # again, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in tests

@@ -155,46 +155,54 @@ def iterative_proportional_fitting_series(
     rows = rows * (grands / safe_rows)[:, np.newaxis]
     cols = cols * (grands / safe_cols)[:, np.newaxis]
 
-    current = seeds.copy()
-    # Give empty-but-needed rows/columns a uniform seed so they can be scaled.
-    empty_rows = (current.sum(axis=2) <= 0) & (rows > 0)
-    current[empty_rows] = 1.0
-    empty_cols = (current.sum(axis=1) <= 0) & (cols > 0)
-    current = np.where(empty_cols[:, np.newaxis, :], np.maximum(current, 1.0), current)
-
     if iteration_counts is not None:
         if iteration_counts.shape != (t,):
             raise ShapeError(f"iteration_counts must have shape (T,) = ({t},)")
         iteration_counts[:] = 0
 
+    # The active stack is scaled in place; a bin is written back to
+    # ``current`` when it converges, or at the iteration cap.
     active = np.flatnonzero(~zero_bins)
+    sub = seeds[active]
+    sub_rows = rows[active]
+    sub_cols = cols[active]
+    # Give empty-but-needed rows/columns a uniform seed so they can be scaled.
+    empty_rows = (sub.sum(axis=2) <= 0) & (sub_rows > 0)
+    sub[empty_rows] = 1.0
+    empty_cols = (sub.sum(axis=1) <= 0) & (sub_cols > 0)
+    np.maximum(sub, 1.0, out=sub, where=empty_cols[:, np.newaxis, :])
+    current = np.zeros(seeds.shape)
+    row_sums = sub.sum(axis=2)
     for iteration in range(1, max_iterations + 1):
         if active.size == 0:
             break
-        sub = current[active]
-        sub_rows = rows[active]
-        sub_cols = cols[active]
-        row_sums = sub.sum(axis=2)
         row_scale = np.where(
             row_sums > 0, sub_rows / np.where(row_sums > 0, row_sums, 1.0), 0.0
         )
-        sub = sub * row_scale[:, :, np.newaxis]
+        np.multiply(sub, row_scale[:, :, np.newaxis], out=sub)
         col_sums = sub.sum(axis=1)
         col_scale = np.where(
             col_sums > 0, sub_cols / np.where(col_sums > 0, col_sums, 1.0), 0.0
         )
-        sub = sub * col_scale[:, np.newaxis, :]
-        current[active] = sub
+        np.multiply(sub, col_scale[:, np.newaxis, :], out=sub)
         if iteration_counts is not None:
             iteration_counts[active] = iteration
-        row_error = _max_relative_mismatch_rows(sub.sum(axis=2), sub_rows)
+        # The next sweep's row scaling reuses these row sums.
+        row_sums = sub.sum(axis=2)
+        row_error = _max_relative_mismatch_rows(row_sums, sub_rows)
         col_error = _max_relative_mismatch_rows(sub.sum(axis=1), sub_cols)
         # Mirror the scalar loop's ``max(row, col) < tolerance`` check exactly,
         # including its NaN semantics (Python's max returns its first argument
         # unless the second compares greater, and NaN comparisons are False).
         combined = np.where(col_error > row_error, col_error, row_error)
-        active = active[~(combined < tolerance)]
-    current[zero_bins] = 0.0
+        converged = combined < tolerance
+        if converged.any():
+            current[active[converged]] = sub[converged]
+            keep = ~converged
+            active, sub, sub_rows, sub_cols, row_sums = (
+                active[keep], sub[keep], sub_rows[keep], sub_cols[keep], row_sums[keep]
+            )
+    current[active] = sub
     return current
 
 

@@ -24,7 +24,7 @@ from repro.errors import ValidationError
 from repro.estimation.ipf import iterative_proportional_fitting_series
 from repro.estimation.linear_system import LinkLoadSystem
 from repro.estimation.tomogravity import tomogravity_estimate
-from repro.obs import get_tracer
+from repro.obs import get_tracer, stage
 from repro.estimation.entropy import entropy_estimate
 from repro.registry import register_estimator
 
@@ -121,10 +121,13 @@ class TMEstimator:
     def _estimate_block(self, prior_vectors, matrix, observations, ingress, egress, n):
         """Refinement + IPF for one block of bins."""
         refine = tomogravity_estimate if self._method == "tomogravity" else entropy_estimate
-        refined = refine(prior_vectors, matrix, observations)
-        return iterative_proportional_fitting_series(
-            refined.reshape(-1, n, n), ingress, egress, max_iterations=self._ipf_iterations
-        )
+        bins = int(prior_vectors.shape[0])
+        with stage("refine", bins=bins):
+            refined = refine(prior_vectors, matrix, observations)
+        with stage("ipf", bins=bins):
+            return iterative_proportional_fitting_series(
+                refined.reshape(-1, n, n), ingress, egress, max_iterations=self._ipf_iterations
+            )
 
     def estimate(
         self,
@@ -233,8 +236,9 @@ class TMEstimator:
                     chunk_sink(t0, estimates)
                 if errors is not None:
                     truth_block = blocks[1]
-                    errors[t0:stop] = rel_l2_temporal_error(truth_block, estimates)
-                    prior_errors[t0:stop] = rel_l2_temporal_error(truth_block, prior_block)
+                    with stage("error_metrics", bins=int(prior_block.shape[0])):
+                        errors[t0:stop] = rel_l2_temporal_error(truth_block, estimates)
+                        prior_errors[t0:stop] = rel_l2_temporal_error(truth_block, prior_block)
         estimate_series = (
             TrafficMatrixSeries(collected, prior_stream.nodes, bin_seconds=prior_stream.bin_seconds)
             if collected is not None

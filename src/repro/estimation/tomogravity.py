@@ -47,15 +47,40 @@ weight vector, so neither a dense ``n_od x k²`` matrix nor a
 ``(T, m, n_od)`` weighted stack is ever built.  ``B`` is held as CSR: a
 dense argument is converted once, when it is factored.
 
-**Fallback.**  A bin whose reduced gram fails to factor, or whose estimated
+**Fallback.**  A bin whose reduced gram fails to factor, or whose
 reciprocal condition number is below ``1e-10`` (the cut-off the
 pseudo-inverse applies), is refined by the ``m x m`` ``pinv(rcond=1e-10)``
-formulation instead; only those bins pay for it.
+formulation instead; only those bins pay for it.  Most bins never need
+LAPACK's ``dpocon`` estimate to settle that check, because a bound that
+costs one sparse product per block proves they pass it.  With
+``w = diag(W)``, ``λ₀ = λ_min(B_r B_rᵀ)`` and
+``R = |B_r| diag(column sums of |B_r|)``:
 
-**Chunk invariance.**  Every per-bin contraction is a row-ordered sparse
-product or a per-matrix LAPACK call, so a bin's result does not depend on
-which other bins share its chunk: a batch is bit-identical to refining its
-bins one at a time.
+* ``λ_min(G) ≥ min(w) λ₀``, since ``xᵀ G x = Σ_j w_j (b_jᵀ x)² ≥
+  min(w) ‖B_rᵀ x‖²``;
+* ``‖G⁻¹‖₁ ≤ √k ‖G⁻¹‖₂ = √k / λ_min(G)``;
+* ``‖G‖₁ = max_a Σ_b |Σ_j B_aj w_j B_bj| ≤ max(R w)``.
+
+So ``rcond₁(G) ≥ min(w) λ₀ / (√k max(R w))``.  The factor stores ``R``
+(``row_mass``) and a safe floor under ``λ₀`` (``gram_floor``: the
+smallest eigenvalue of the reduced gram minus ``k·eps·λ_max``, clipped at
+0).  Hager's estimator inside ``dpocon`` finds a lower bound on
+``‖G⁻¹‖₁``, so it never reports an rcond smaller than the true one; a bin
+whose bound is at least ``10 x 1e-10`` therefore passes ``dpocon`` and
+skips it.  The tenfold margin covers the rounding of the gram, its
+factor and the bound; it is far above ``eps`` because the bound only
+skips grams conditioned better than ``1e9``.  Every other bin takes the
+exact path: the gram's 1-norm from ``incidence``, then ``dpocon``, then
+the cut-off.  Every bin still checks ``dpotrf``'s ``info``.  Skipping an
+estimate that would pass changes no decision, so no output bit moves.
+
+**Block invariance.**  A batch is refined in blocks of
+``max(1, 2 MiB // (8 k²))`` bins, capped at the batch: one reused
+``(block, k, k)`` gram buffer that stays in cache (about 29 bins for
+geant's ``k = 94``, one bin at ``k = 1000``), and no ``(T, k, k)`` stack.
+Every per-bin contraction is a row-ordered sparse product or a per-matrix
+LAPACK call, so a bin's result does not depend on which other bins share
+its block: a batch is bit-identical to refining its bins one at a time.
 """
 
 from __future__ import annotations
@@ -94,6 +119,11 @@ class ObservationFactor:
     incidence:
         ``incidence @ |upper|`` gives the gram's absolute column sums, the
         1-norm the condition estimate needs.
+    gram_floor:
+        A safe lower bound on ``λ_min(B_r B_rᵀ)`` (0 when none is proven).
+    row_mass:
+        ``|B_r| diag(column sums of |B_r|)`` (CSR): ``max(row_mass @ w)``
+        bounds the 1-norm of ``B_r diag(w) B_rᵀ`` from above.
     """
 
     matrix: sparse.csr_matrix
@@ -102,6 +132,8 @@ class ObservationFactor:
     projector: sparse.csr_matrix
     outer: sparse.csr_matrix
     incidence: sparse.csr_matrix
+    gram_floor: float
+    row_mass: sparse.csr_matrix
 
     @property
     def rank(self) -> int:
@@ -129,11 +161,17 @@ def factor_observation_operator(observation_matrix) -> ObservationFactor:
     rows = _row_basis(gram)
     k = rows.size
     basis = matrix[rows]
+    gram_floor = 0.0
     if k:
-        coefficients = np.linalg.solve(gram[np.ix_(rows, rows)], gram[rows]).T
+        reduced = gram[np.ix_(rows, rows)]
+        coefficients = np.linalg.solve(reduced, gram[rows]).T
         projector = np.linalg.pinv(coefficients)
+        eigenvalues = np.linalg.eigvalsh(reduced)
+        gram_floor = max(float(eigenvalues[0] - k * np.finfo(float).eps * eigenvalues[-1]), 0.0)
     else:
         projector = np.zeros((0, matrix.shape[0]))
+    magnitude = abs(basis)
+    column_mass = np.asarray(magnitude.sum(axis=0)).ravel()
     upper, lower = np.triu_indices(k)
     off_diagonal = upper != lower
     pairs = np.arange(upper.size)
@@ -152,6 +190,8 @@ def factor_observation_operator(observation_matrix) -> ObservationFactor:
         projector=sparse.csr_matrix(projector),
         outer=_outer_product_operator(basis),
         incidence=incidence,
+        gram_floor=gram_floor,
+        row_mass=sparse.csr_matrix(magnitude.multiply(column_mass[np.newaxis, :])),
     )
 
 
@@ -254,25 +294,14 @@ def tomogravity_estimate(
         if not np.all(np.isfinite(values)):
             raise ValidationError(f"{name} must contain only finite values (no nan/inf)")
 
-    k = factor.rank
-    per_bin = 8 * (k * k + factor.outer.shape[0] + 4 * n_od + n_obs)
-    estimates = np.empty_like(prior_batch)
-    for start, stop in _chunks(prior_batch.shape[0], per_bin):
-        estimates[start:stop] = _refine_chunk(
-            prior_batch[start:stop], factor, obs_batch[start:stop], weight_floor
-        )
+    estimates = _refine(prior_batch, factor, obs_batch, weight_floor)
     return estimates[0] if single else estimates
 
 
-# Memory budget (bytes) of one refinement chunk.
-_CHUNK_BYTES = 128 * 1024 * 1024
-
-
-def _chunks(n_bins: int, per_bin_bytes: int):
-    """Yield ``(start, stop)`` chunk bounds sized to the memory budget."""
-    size = max(int(_CHUNK_BYTES // max(per_bin_bytes, 1)), 1)
-    for start in range(0, n_bins, size):
-        yield start, min(start + size, n_bins)
+# Byte budget of one block's reduced grams: small enough to stay in cache.
+_BLOCK_BYTES = 2 * 1024 * 1024
+# A bin whose proven rcond bound reaches this skips the ``dpocon`` estimate.
+_PROVEN_RCOND = 10 * _RCOND
 
 
 def _weight_floors(priors: np.ndarray, weight_floor: float | None) -> np.ndarray:
@@ -283,27 +312,59 @@ def _weight_floors(priors: np.ndarray, weight_floor: float | None) -> np.ndarray
     return np.maximum(means * 1e-3, _EPS)
 
 
-def _refine_chunk(
+def _rcond_bounds(factor: ObservationFactor, weights: np.ndarray) -> np.ndarray:
+    """Per-bin lower bounds on ``rcond₁(B_r diag(w) B_rᵀ)`` (module docstring)."""
+    norm_bounds = (factor.row_mass @ weights.T).max(axis=0)
+    return weights.min(axis=1) * factor.gram_floor / (np.sqrt(factor.rank) * norm_bounds)
+
+
+def _refine(
     priors: np.ndarray, factor: ObservationFactor, observed: np.ndarray, weight_floor: float | None
 ) -> np.ndarray:
-    """Refine a ``(T, n_od)`` chunk through the rank-reduced solve."""
-    weights = np.maximum(priors, _weight_floors(priors, weight_floor)[:, np.newaxis])
+    """Refine a ``(T, n_od)`` batch through the rank-reduced solve, block by block."""
     k = factor.rank
     if k == 0:  # B = 0: nothing is observed, so nothing is corrected
         return np.clip(priors, 0.0, None)
-    upper = (factor.outer @ weights.T).T  # the grams' upper triangles
-    norms = (factor.incidence @ np.abs(upper).T).max(axis=0)
+    n_bins = priors.shape[0]
+    size = max(1, min(n_bins, _BLOCK_BYTES // (8 * k * k)))
+    grams = np.zeros((size, k, k))
+    estimates = np.empty_like(priors)
+    for start in range(0, n_bins, size):
+        block = slice(start, min(start + size, n_bins))
+        estimates[block] = _refine_block(
+            priors[block], factor, observed[block], weight_floor, grams
+        )
+    return estimates
+
+
+def _refine_block(
+    priors: np.ndarray,
+    factor: ObservationFactor,
+    observed: np.ndarray,
+    weight_floor: float | None,
+    buffer: np.ndarray,
+) -> np.ndarray:
+    """Refine one block of bins, its reduced grams factored in ``buffer``."""
+    weights = np.maximum(priors, _weight_floors(priors, weight_floor)[:, np.newaxis])
+    k = factor.rank
+    upper = factor.outer @ weights.T  # the grams' upper triangles, one column per bin
     rows, cols = np.triu_indices(k)
-    grams = np.zeros((priors.shape[0], k, k))
+    grams = buffer[: priors.shape[0]]
     # Written into the lower triangle of C-ordered storage, so each
     # ``grams[t].T`` is a Fortran-ordered matrix with the triangle in "U".
-    grams[:, cols, rows] = upper
+    grams[:, cols, rows] = upper.T
     projected = (factor.projector @ observed.T).T - (factor.basis @ priors.T).T
+    bounds = _rcond_bounds(factor, weights)
+    unproven = np.flatnonzero(bounds < _PROVEN_RCOND)
+    norms = np.zeros(priors.shape[0])
+    if unproven.size:
+        norms[unproven] = (factor.incidence @ np.abs(upper[:, unproven])).max(axis=0)
     solved = np.zeros((priors.shape[0], k))
     fallback = []
     for t in range(priors.shape[0]):
         chol, info = lapack.dpotrf(grams[t].T, lower=0, clean=0, overwrite_a=1)
-        if info == 0:
+        rcond = bounds[t]  # a proven lower bound; dpocon runs where it is too low to decide
+        if info == 0 and rcond < _PROVEN_RCOND:
             rcond, info = lapack.dpocon(chol, norms[t])
         if info != 0 or not rcond >= _RCOND:
             fallback.append(t)

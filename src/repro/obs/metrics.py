@@ -28,7 +28,6 @@ import sys
 import threading
 import zlib
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 __all__ = [
     "Counter",
@@ -364,23 +363,29 @@ def use_metrics(registry):
         set_metrics(previous)
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    registry: MetricsRegistry  # injected by MetricsServer
+def _metrics_handler(registry: MetricsRegistry):
+    """A request handler class serving ``registry`` at ``/`` and ``/metrics``."""
+    # Imported here: only ``--metrics-port`` serves HTTP, and http.server
+    # (with the email package it pulls in) would cost every start.
+    from http.server import BaseHTTPRequestHandler
 
-    def do_GET(self):  # noqa: N802 - http.server API
-        if self.path.split("?", 1)[0] in ("/", "/metrics"):
-            body = self.registry.to_prometheus().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_response(404)
-            self.end_headers()
+    class MetricsHandler(BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802 - http.server API
+            if self.path.split("?", 1)[0] in ("/", "/metrics"):
+                body = registry.to_prometheus().encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            else:
+                self.send_response(404)
+                self.end_headers()
 
-    def log_message(self, format, *args):  # noqa: A002 - http.server API
-        pass
+        def log_message(self, format, *args):  # noqa: A002 - http.server API
+            pass
+
+    return MetricsHandler
 
 
 class MetricsServer:
@@ -392,8 +397,9 @@ class MetricsServer:
     """
 
     def __init__(self, registry, *, host: str = "127.0.0.1", port: int = 0):
-        handler = type("BoundMetricsHandler", (_MetricsHandler,), {"registry": registry})
-        self._server = ThreadingHTTPServer((host, int(port)), handler)
+        from http.server import ThreadingHTTPServer
+
+        self._server = ThreadingHTTPServer((host, int(port)), _metrics_handler(registry))
         self.host, self.port = self._server.server_address[:2]
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="repro-metrics", daemon=True

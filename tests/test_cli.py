@@ -40,6 +40,37 @@ def test_cli_start_loads_no_scipy_stats_or_optimize():
     )
 
 
+def test_cli_start_imports_no_http_server():
+    """Only ``--metrics-port`` serves HTTP, so no other start loads ``http.server``."""
+    _run_fresh(
+        "import sys, repro.cli, repro.registry\n"
+        "repro.cli.build_parser()\n"
+        "repro.registry.ensure_populated()\n"
+        "assert 'http.server' not in sys.modules\n"
+    )
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """``repro run fig3 | head`` exits 1 with no traceback when the reader goes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command prints
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "fig3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    stderr = completed.stderr.decode()
+    assert "Traceback" not in stderr, stderr
+    assert completed.returncode == 1
+
+
 class TestParser:
     def test_run_experiment_choices_cover_registry(self):
         parser = build_parser()

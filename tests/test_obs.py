@@ -346,6 +346,24 @@ class TestCliObservability:
         assert summarize_trace(events).coverage >= 0.95
         capsys.readouterr()
 
+    def test_traced_estimate_times_the_kernels_in_every_chunk(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "estimate.jsonl"
+        assert main(["estimate", "--prior", "gravity", "--dataset", "geant",
+                     *SMALL, "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        spans = _spans(load_trace_file(trace))
+        chunks = [s for s in spans if s["name"] == "estimate_chunk"]
+        assert chunks
+        for chunk in chunks:
+            kernels = [s for s in spans if s["parent"] == chunk["span"]]
+            assert sorted(s["name"] for s in kernels) == ["error_metrics", "ipf", "refine"]
+            assert all(s["attrs"]["bins"] == chunk["attrs"]["bins"] for s in kernels)
+        assert main(["trace", "summary", str(trace)]) == 0
+        summary = capsys.readouterr().out.split()
+        assert {"refine", "ipf", "error_metrics"} <= set(summary)
+
     def test_traced_run_is_bit_identical_to_untraced(self, tmp_path, capsys):
         from repro.cli import main
 

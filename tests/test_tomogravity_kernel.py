@@ -4,17 +4,23 @@ The kernel solves a ``k x k`` system per bin through the exact identity
 ``(C G Cᵀ)⁺ = C⁺ᵀ G⁻¹ C⁺`` (see :mod:`repro.estimation.tomogravity`).  Every
 case here checks it against the per-bin pseudo-inverse formulation it
 replaces, on noisy (inconsistent) observations, within a relative budget of
-1e-10; plus the per-bin fallback, chunk invariance and the lifetime of the
-factors cached on the routing matrix.
+1e-10; plus the per-bin fallback and the condition bound that decides which
+bins need a condition estimate, block invariance, the refinement's memory
+peak and the lifetime of the factors cached on the routing matrix.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import lapack
 
 from repro.core.gravity import gravity_series
 from repro.core.traffic_matrix import TrafficMatrixSeries
@@ -54,6 +60,12 @@ def _noisy(matrix, truth, seed, noise=0.02):
     rng = np.random.default_rng(seed)
     clean = np.asarray(matrix @ truth.T).T
     return clean * rng.normal(1.0, noise, clean.shape)
+
+
+def _rank_deficient(rng, n_od=40, rank=9):
+    """14 rows of rank <= 9, drawn as in the random-operator pinv test."""
+    base = rng.random((rank, n_od)) * (rng.random((rank, n_od)) < 0.5)
+    return np.vstack([base, base[:3] + base[3:6], 2.0 * base[6:8]])
 
 
 def ring_with_chords(n_nodes: int) -> Topology:
@@ -146,6 +158,80 @@ def test_ill_conditioned_bin_alone_falls_back_to_pinv(monkeypatch, weight_floor)
     assert np.array_equal(estimates, singles)
 
 
+def _dpocon_fallbacks(factor, weights):
+    """Bins that fail the cut-off when ``dpocon`` runs on every bin."""
+    k = factor.rank
+    rows, cols = np.triu_indices(k)
+    upper = factor.outer @ weights.T
+    norms = (factor.incidence @ np.abs(upper)).max(axis=0)
+    fallbacks = []
+    for t in range(weights.shape[0]):
+        gram = np.zeros((k, k))
+        gram[cols, rows] = upper[:, t]
+        chol, info = lapack.dpotrf(gram.T, lower=0, clean=0, overwrite_a=1)
+        if info == 0:
+            rcond, info = lapack.dpocon(chol, norms[t])
+        if info != 0 or not rcond >= tomogravity._RCOND:
+            fallbacks.append(t)
+    return fallbacks
+
+
+# Weights of 1 to 10 with a random share of OD pairs scaled by up to 1e12:
+# the draws reach all three paths (bound proves the cut-off, dpocon passes,
+# pinv fallback).
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_skew=st.floats(min_value=0.0, max_value=12.0),
+    heavy_share=st.floats(min_value=0.0, max_value=0.3),
+)
+@settings(max_examples=60, deadline=None)
+def test_dpocon_is_skipped_only_where_the_bound_proves_the_cut_off(seed, log_skew, heavy_share):
+    rng = np.random.default_rng(seed)
+    matrix = _rank_deficient(rng)
+    n_bins, n_od = 6, matrix.shape[1]
+    heavy = rng.random((n_bins, n_od)) < heavy_share
+    weights = np.where(heavy, 10.0**log_skew, 1.0) * rng.uniform(1.0, 10.0, (n_bins, n_od))
+    observed = _noisy(matrix, weights, seed)
+    factor = factor_observation_operator(matrix)
+
+    calls = []
+    original = tomogravity._pinv_refine
+
+    def counting(prior, *args):
+        calls.append(next(t for t in range(n_bins) if np.array_equal(prior, weights[t])))
+        return original(prior, *args)
+
+    with mock.patch.object(tomogravity, "_pinv_refine", counting):
+        # A floor of 1 leaves the weights equal to the priors.
+        tomogravity_estimate(weights, factor, observed, weight_floor=1.0)
+    assert calls == _dpocon_fallbacks(factor, weights)
+
+    bounds = tomogravity._rcond_bounds(factor, weights)
+    basis = factor.basis.toarray()
+    for t in range(n_bins):
+        rcond = 1.0 / np.linalg.cond((basis * weights[t]) @ basis.T, 1)
+        # The dense reference is itself rounded: its rcond is good to ~eps.
+        assert bounds[t] <= rcond * (1 + 1e-6) + 16 * np.finfo(float).eps
+
+
+def test_refining_a_full_geant_week_peaks_below_four_prior_stacks():
+    data = load_dataset("geant", n_weeks=1, bins_per_week=2016)
+    week = data.week(0)
+    system = simulate_link_loads(data.topology, week, noise_std=0.02, seed=3)
+    _, observed = system.augmented_system()
+    factor = system.routing.observation_factor()
+    priors = gravity_series(week).to_vectors()
+    assert priors.shape == (2016, 484)
+    tracemalloc.start()
+    try:
+        tomogravity_estimate(priors, factor, observed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The output is one prior stack; a (T, k, k) gram stack alone was 16.
+    assert peak <= 4 * priors.nbytes
+
+
 def test_ring_with_chords_sparse_operator_matches_pinv():
     topology = ring_with_chords(50)
     routing = build_routing_matrix(topology)
@@ -168,7 +254,7 @@ def test_chunk_boundaries_do_not_change_any_bit(monkeypatch):
     _, observed = system.augmented_system()
     priors = gravity_series(week).to_vectors()
     whole = tomogravity_estimate(priors, factor, observed)
-    monkeypatch.setattr(tomogravity, "_CHUNK_BYTES", 1)  # one bin per chunk
+    monkeypatch.setattr(tomogravity, "_BLOCK_BYTES", 1)  # one bin per block
     assert np.array_equal(tomogravity_estimate(priors, factor, observed), whole)
 
 
