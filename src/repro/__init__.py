@@ -22,7 +22,7 @@ every substrate the paper's evaluation depends on:
 * one experiment driver per figure of the paper (:mod:`repro.experiments`).
 
 The package's composition layer is the Scenario API: named components
-(models, priors, estimators, datasets, topologies) live in the registries of
+(priors, estimators, datasets, topologies) live in the registries of
 :mod:`repro.registry`, and :mod:`repro.scenarios` provides the declarative
 :class:`Scenario` configuration plus the :class:`ScenarioRunner` that
 executes one scenario or a whole grid.  The ``repro`` CLI
@@ -37,12 +37,7 @@ The public API is re-exported here for convenience::
 
 from repro.core.traffic_matrix import TrafficMatrix, TrafficMatrixSeries
 from repro.core.ic_model import (
-    GeneralICModel,
-    ICParameters,
-    SimplifiedICModel,
-    StableFICModel,
     StableFPICModel,
-    TimeVaryingICModel,
     degrees_of_freedom,
     general_ic_matrix,
     general_ic_series,
@@ -73,13 +68,11 @@ from repro.errors import RegistryError, ReproError, ShapeError, ValidationError
 from repro.registry import (
     DATASETS,
     ESTIMATORS,
-    MODELS,
     PRIORS,
     TOPOLOGIES,
     Registry,
     register_dataset,
     register_estimator,
-    register_model,
     register_prior,
     register_topology,
 )
@@ -97,11 +90,6 @@ __version__ = "1.1.0"
 __all__ = [
     "TrafficMatrix",
     "TrafficMatrixSeries",
-    "ICParameters",
-    "GeneralICModel",
-    "SimplifiedICModel",
-    "TimeVaryingICModel",
-    "StableFICModel",
     "StableFPICModel",
     "degrees_of_freedom",
     "general_ic_matrix",
@@ -130,12 +118,10 @@ __all__ = [
     "ShapeError",
     "ValidationError",
     "Registry",
-    "MODELS",
     "PRIORS",
     "ESTIMATORS",
     "DATASETS",
     "TOPOLOGIES",
-    "register_model",
     "register_prior",
     "register_estimator",
     "register_dataset",

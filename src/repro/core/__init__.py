@@ -23,12 +23,7 @@ from repro.core.metrics import (
     rel_l2_temporal_error,
 )
 from repro.core.ic_model import (
-    GeneralICModel,
-    ICParameters,
-    SimplifiedICModel,
-    StableFICModel,
     StableFPICModel,
-    TimeVaryingICModel,
     degrees_of_freedom,
     general_ic_matrix,
     general_ic_series,
@@ -52,11 +47,6 @@ __all__ = [
     "rel_l2_spatial_error",
     "percent_improvement",
     "mean_relative_error",
-    "ICParameters",
-    "GeneralICModel",
-    "SimplifiedICModel",
-    "TimeVaryingICModel",
-    "StableFICModel",
     "StableFPICModel",
     "degrees_of_freedom",
     "general_ic_matrix",

@@ -22,7 +22,6 @@ import numpy as np
 from repro._validation import as_1d_array, require_nonnegative
 from repro.core.traffic_matrix import TrafficMatrix, TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
-from repro.registry import register_model
 
 __all__ = ["gravity_matrix", "gravity_series_values", "gravity_series", "GravityModel"]
 
@@ -84,9 +83,8 @@ def gravity_series(series) -> TrafficMatrixSeries:
     return TrafficMatrixSeries(estimates, series.nodes, bin_seconds=series.bin_seconds)
 
 
-@register_model("gravity", description="Gravity model: independent ingress/egress (the accuracy baseline)")
 class GravityModel:
-    """Object-style wrapper mirroring the IC model classes.
+    """Object-style wrapper mirroring :class:`~repro.core.ic_model.StableFPICModel`.
 
     ``GravityModel`` carries node names only; the gravity estimate is fully
     determined by the marginals handed to :meth:`matrix` / :meth:`series`.

@@ -16,15 +16,15 @@ Temporal variants (Eqs. 3-5) restrict which parameters may vary with time:
 * stable-f      — ``f`` fixed, ``A_i(t), P_i(t)`` vary,
 * stable-fP     — ``f`` and ``P_i`` fixed, only ``A_i(t)`` varies.
 
-This module provides plain functions (:func:`general_ic_matrix`,
-:func:`simplified_ic_matrix`) as the numerical workhorses and small model
-classes that bundle parameters with generation logic, plus the
-degrees-of-freedom accounting used in Section 5.1.
+This module provides the per-bin functions (:func:`general_ic_matrix`,
+:func:`simplified_ic_matrix`), the batched ``*_ic_series`` kernels that the
+fits, priors and synthesis run on, one model class
+(:class:`StableFPICModel`, the synthetic-generation recipe of Section 5.5)
+and the degrees-of-freedom accounting used in Section 5.1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -39,19 +39,13 @@ from repro._validation import (
 )
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
-from repro.registry import register_model
 
 __all__ = [
-    "ICParameters",
     "general_ic_matrix",
     "simplified_ic_matrix",
     "general_ic_series",
     "simplified_ic_series",
     "time_varying_ic_series",
-    "GeneralICModel",
-    "SimplifiedICModel",
-    "TimeVaryingICModel",
-    "StableFICModel",
     "StableFPICModel",
     "degrees_of_freedom",
 ]
@@ -237,101 +231,18 @@ def time_varying_ic_series(forward_series, activity_series, preference_series) -
 
 
 # ---------------------------------------------------------------------------
-# parameter container
+# model class
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ICParameters:
-    """A complete parameterisation of the simplified IC model at one instant.
+class StableFPICModel:
+    """Stable-fP IC model (Eq. 5): ``f`` and ``P`` fixed, ``A_i(t)`` varies.
 
-    Attributes
-    ----------
-    forward_fraction:
-        Network-wide forward fraction ``f``.
-    preference:
-        Normalised preference vector ``P`` (sums to one).
-    activity:
-        Activity vector ``A`` in bytes per bin.
+    Bundles the fitted (or chosen) ``f`` and preference vector with node
+    names, so a what-if scenario or a synthetic series is one
+    :meth:`series` call on an activity series.
     """
 
-    forward_fraction: float
-    preference: np.ndarray
-    activity: np.ndarray
-    nodes: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        f = require_probability(self.forward_fraction, "forward_fraction")
-        p = require_nonnegative(as_1d_array(self.preference, "preference"), "preference")
-        p = normalized(p, "preference")
-        a = require_nonnegative(
-            as_1d_array(self.activity, "activity", length=p.shape[0]), "activity"
-        )
-        object.__setattr__(self, "forward_fraction", f)
-        object.__setattr__(self, "preference", p)
-        object.__setattr__(self, "activity", a)
-        if self.nodes and len(self.nodes) != p.shape[0]:
-            raise ShapeError("nodes must match the parameter dimension")
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of access points."""
-        return self.preference.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """The traffic matrix implied by these parameters."""
-        return simplified_ic_matrix(self.forward_fraction, self.activity, self.preference)
-
-
-# ---------------------------------------------------------------------------
-# model classes
-# ---------------------------------------------------------------------------
-
-@register_model("general", description="General IC model: per-pair forward fractions f_ij (Eq. 1)")
-class GeneralICModel:
-    """General IC model with a full ``f_ij`` matrix and fixed preferences.
-
-    Activity is supplied per call, which matches the paper's framing where
-    activity is the (only) intrinsically time-varying quantity.
-    """
-
-    def __init__(self, forward_fraction, preference, nodes: Sequence[str] | None = None):
-        f = as_square_matrix(forward_fraction, "forward_fraction")
-        if np.any(f < 0.0) or np.any(f > 1.0):
-            raise ValidationError("forward_fraction entries must lie in [0, 1]")
-        self._forward = f
-        p = require_nonnegative(
-            as_1d_array(preference, "preference", length=f.shape[0]), "preference"
-        )
-        self._preference = normalized(p, "preference")
-        self._nodes = tuple(nodes) if nodes is not None else tuple(
-            f"node{i:02d}" for i in range(f.shape[0])
-        )
-
-    @property
-    def n_nodes(self) -> int:
-        return self._forward.shape[0]
-
-    @property
-    def forward_fraction(self) -> np.ndarray:
-        return self._forward.copy()
-
-    @property
-    def preference(self) -> np.ndarray:
-        return self._preference.copy()
-
-    def matrix(self, activity) -> np.ndarray:
-        """Traffic matrix for one time bin with the given activity vector."""
-        return general_ic_matrix(self._forward, activity, self._preference)
-
-    def series(self, activity_series, *, bin_seconds: float = 300.0) -> TrafficMatrixSeries:
-        """Traffic-matrix series for a ``(T, n)`` activity series (vectorised)."""
-        matrices = general_ic_series(self._forward, activity_series, self._preference)
-        return TrafficMatrixSeries(matrices, self._nodes, bin_seconds=bin_seconds)
-
-
-@register_model("simplified", description="Simplified IC model: one network-wide f (Eq. 2)")
-class SimplifiedICModel:
-    """Simplified IC model: scalar ``f``, fixed preferences, activity per call."""
+    name = "stable-fP"
 
     def __init__(self, forward_fraction: float, preference, nodes: Sequence[str] | None = None):
         self._forward = require_probability(forward_fraction, "forward_fraction")
@@ -353,105 +264,14 @@ class SimplifiedICModel:
     def preference(self) -> np.ndarray:
         return self._preference.copy()
 
-    def matrix(self, activity) -> np.ndarray:
-        """Traffic matrix for one time bin with the given activity vector."""
-        return simplified_ic_matrix(self._forward, activity, self._preference)
-
     def series(self, activity_series, *, bin_seconds: float = 300.0) -> TrafficMatrixSeries:
         """Traffic-matrix series for a ``(T, n)`` activity series (vectorised)."""
         matrices = simplified_ic_series(self._forward, activity_series, self._preference)
         return TrafficMatrixSeries(matrices, self._nodes, bin_seconds=bin_seconds)
 
-
-@register_model("stable_fp", description="Stable-fP IC model: f and P fixed, A_i(t) varies (Eq. 5)")
-class StableFPICModel(SimplifiedICModel):
-    """Stable-fP IC model (Eq. 5): ``f`` and ``P`` fixed, ``A_i(t)`` varies.
-
-    This is behaviourally the same as :class:`SimplifiedICModel`; the separate
-    class exists to make the modelling assumption explicit in user code and to
-    carry the model's degrees-of-freedom accounting.
-    """
-
-    name = "stable-fP"
-
     def degrees_of_freedom(self, timesteps: int) -> int:
         """Inputs needed to describe ``timesteps`` bins: ``n*t + n + 1``."""
         return degrees_of_freedom(self.name, self.n_nodes, timesteps)
-
-
-@register_model("stable_f", description="Stable-f IC model: f fixed, A_i(t) and P_i(t) vary (Eq. 4)")
-class StableFICModel:
-    """Stable-f IC model (Eq. 4): ``f`` fixed; ``A_i(t)`` and ``P_i(t)`` vary."""
-
-    name = "stable-f"
-
-    def __init__(self, forward_fraction: float, nodes: Sequence[str] | None = None):
-        self._forward = require_probability(forward_fraction, "forward_fraction")
-        self._nodes = tuple(nodes) if nodes is not None else None
-
-    @property
-    def forward_fraction(self) -> float:
-        return self._forward
-
-    def matrix(self, activity, preference) -> np.ndarray:
-        """Traffic matrix for one bin from that bin's activity and preference."""
-        return simplified_ic_matrix(self._forward, activity, preference)
-
-    def series(
-        self, activity_series, preference_series, *, bin_seconds: float = 300.0
-    ) -> TrafficMatrixSeries:
-        """Series from per-bin activity ``(T, n)`` and preference ``(T, n)`` (vectorised)."""
-        a = np.atleast_2d(np.asarray(activity_series, dtype=float))
-        p = np.atleast_2d(np.asarray(preference_series, dtype=float))
-        if a.shape != p.shape:
-            raise ShapeError(
-                f"activity and preference series must match, got {a.shape} vs {p.shape}"
-            )
-        matrices = time_varying_ic_series(self._forward, a, p)
-        return TrafficMatrixSeries(matrices, self._nodes, bin_seconds=bin_seconds)
-
-    def degrees_of_freedom(self, n_nodes: int, timesteps: int) -> int:
-        """Inputs needed for ``timesteps`` bins: ``2*n*t + 1``."""
-        return degrees_of_freedom(self.name, n_nodes, timesteps)
-
-
-@register_model("time_varying", description="Time-varying IC model: f(t), A_i(t), P_i(t) all vary (Eq. 3)")
-class TimeVaryingICModel:
-    """Time-varying IC model (Eq. 3): ``f(t)``, ``A_i(t)`` and ``P_i(t)`` all vary."""
-
-    name = "time-varying"
-
-    def __init__(self, nodes: Sequence[str] | None = None):
-        self._nodes = tuple(nodes) if nodes is not None else None
-
-    def matrix(self, forward_fraction: float, activity, preference) -> np.ndarray:
-        """Traffic matrix for one bin from that bin's complete parameter set."""
-        return simplified_ic_matrix(forward_fraction, activity, preference)
-
-    def series(
-        self,
-        forward_series,
-        activity_series,
-        preference_series,
-        *,
-        bin_seconds: float = 300.0,
-    ) -> TrafficMatrixSeries:
-        """Series from per-bin ``f(t)``, ``A(t)`` and ``P(t)`` (vectorised)."""
-        f = np.atleast_1d(np.asarray(forward_series, dtype=float))
-        a = np.atleast_2d(np.asarray(activity_series, dtype=float))
-        p = np.atleast_2d(np.asarray(preference_series, dtype=float))
-        if not (f.shape[0] == a.shape[0] == p.shape[0]):
-            raise ShapeError("f, activity and preference series must have the same length")
-        if a.shape != p.shape:
-            raise ShapeError(
-                f"activity and preference series must match, got {a.shape} vs {p.shape}"
-            )
-        matrices = time_varying_ic_series(f, a, p)
-        return TrafficMatrixSeries(matrices, self._nodes, bin_seconds=bin_seconds)
-
-    def degrees_of_freedom(self, n_nodes: int, timesteps: int) -> int:
-        """Inputs needed for ``timesteps`` bins: ``3*n*t``."""
-        return degrees_of_freedom(self.name, n_nodes, timesteps)
 
 
 # ---------------------------------------------------------------------------

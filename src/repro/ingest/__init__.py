@@ -6,7 +6,7 @@ running service (``repro serve``).  The layering mirrors the data path:
 * :mod:`repro.ingest.records` — columnar :class:`RecordBatch` batches and
   the ``.csv``/``.jsonl`` replay formats;
 * :mod:`repro.ingest.sources` — the :class:`FlowSource` protocol and its
-  connection-population, file-replay and synthetic adapters;
+  file-replay and synthetic adapters;
 * :mod:`repro.ingest.binner` — the watermark time binner producing ordered
   per-bin OD matrices;
 * :mod:`repro.ingest.rolling` — the sliding fit window (spilled past a
@@ -24,7 +24,6 @@ from repro.ingest.records import (
 from repro.ingest.rolling import ActivePrior, PRIOR_MODES, RollingFitManager, RollingWindow
 from repro.ingest.service import CHECKPOINT_FORMAT, IngestService, ServiceStatus
 from repro.ingest.sources import (
-    ConnectionFlowSource,
     FileReplaySource,
     FlowSource,
     SyntheticFlowSource,
@@ -33,7 +32,6 @@ from repro.ingest.sources import (
 __all__ = [
     "ActivePrior",
     "CHECKPOINT_FORMAT",
-    "ConnectionFlowSource",
     "FileReplaySource",
     "FlowBinner",
     "FlowSource",

@@ -1,15 +1,9 @@
 """Flow-record sources: the feeds a live ingestion service can run on.
 
 A :class:`FlowSource` is anything that names its node ordering and yields
-:class:`~repro.ingest.records.RecordBatch` batches.  Three adapters cover
+:class:`~repro.ingest.records.RecordBatch` batches.  Two adapters cover
 the spectrum from offline experiment to load test:
 
-* :class:`ConnectionFlowSource` replays the NetFlow-style
-  :class:`~repro.traces.connections.Connection` populations of
-  :mod:`repro.traces` — each connection contributes its forward bytes as an
-  (initiator → responder) record and its reverse bytes as the opposite
-  record, the same IC decomposition as
-  :func:`~repro.traces.netflow.od_flows_from_connections`;
 * :class:`FileReplaySource` replays a ``.csv``/``.jsonl`` trace file with a
   configurable speed-up, optionally pacing emission against the wall clock
   so a week of records can exercise the service in minutes;
@@ -34,7 +28,6 @@ from repro.ingest.records import RecordBatch, read_flow_file
 
 __all__ = [
     "FlowSource",
-    "ConnectionFlowSource",
     "FileReplaySource",
     "SyntheticFlowSource",
 ]
@@ -65,63 +58,6 @@ class FlowSource:
     def batches(self) -> Iterator[RecordBatch]:
         """One pass of record batches, in arrival order."""
         raise NotImplementedError
-
-
-class ConnectionFlowSource(FlowSource):
-    """Adapter replaying a ``repro.traces`` connection population.
-
-    Each connection emits two records at its start time: forward bytes on
-    (initiator → responder) and reverse bytes on (responder → initiator).
-    Connections whose endpoints map to the same node are rejected unless
-    ``keep_self_pairs`` is set, mirroring
-    :func:`~repro.traces.netflow.od_flows_from_connections`.
-    """
-
-    def __init__(
-        self,
-        connections,
-        nodes: Sequence[str],
-        *,
-        keep_self_pairs: bool = False,
-        batch_records: int = 4096,
-    ):
-        super().__init__(nodes)
-        if batch_records < 1:
-            raise ValidationError("batch_records must be >= 1")
-        self._connections = list(connections)
-        self._keep_self_pairs = bool(keep_self_pairs)
-        self._batch_records = int(batch_records)
-
-    def batches(self) -> Iterator[RecordBatch]:
-        index = {name: i for i, name in enumerate(self._nodes)}
-        times: list[float] = []
-        srcs: list[int] = []
-        dsts: list[int] = []
-        vols: list[float] = []
-        for connection in self._connections:
-            try:
-                origin = index[connection.initiator_node]
-                destination = index[connection.responder_node]
-            except KeyError as exc:
-                raise ValidationError(
-                    f"connection references unknown node {exc.args[0]!r}"
-                ) from exc
-            if origin == destination and not self._keep_self_pairs:
-                raise ValidationError(
-                    f"connection {connection.initiator_node!r} -> "
-                    f"{connection.responder_node!r} maps both endpoints to the same "
-                    "node; intra-node traffic lands on the TM diagonal (pass "
-                    "keep_self_pairs=True to keep it)"
-                )
-            times.extend((connection.start, connection.start))
-            srcs.extend((origin, destination))
-            dsts.extend((destination, origin))
-            vols.extend((connection.forward_bytes, connection.reverse_bytes))
-            if len(times) >= self._batch_records:
-                yield RecordBatch(times, srcs, dsts, vols)
-                times, srcs, dsts, vols = [], [], [], []
-        if times:
-            yield RecordBatch(times, srcs, dsts, vols)
 
 
 class FileReplaySource(FlowSource):

@@ -104,12 +104,17 @@ class SweepArchive:
             return {}
         entries = {}
         with path.open() as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
-                label = entry.get("label", "").replace("/", "-").replace(" ", "_")
+                try:
+                    entry = json.loads(line)
+                    label = entry.get("label", "").replace("/", "-").replace(" ", "_")
+                except (ValueError, AttributeError) as exc:
+                    raise ValidationError(
+                        f"{path}:{number}: not a manifest entry ({exc})"
+                    ) from exc
                 entries[label] = entry
         return entries
 
@@ -177,12 +182,18 @@ class ServeArchive:
         buffer_start: int | None = None
         expected: int | None = None
         with self._jsonl.open() as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
-                bin_index = int(record["bin"])
+                try:
+                    record = json.loads(line)
+                    bin_index = int(record["bin"])
+                    estimate = record["estimate"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValidationError(
+                        f"{self._jsonl}:{number}: not an estimate record ({exc})"
+                    ) from exc
                 if expected is not None and bin_index != expected:
                     raise ValidationError(
                         f"{self._jsonl} is not bin-contiguous: expected bin "
@@ -193,7 +204,7 @@ class ServeArchive:
                     continue
                 if buffer_start is None:
                     buffer_start = bin_index
-                buffer.append(record["estimate"])
+                buffer.append(estimate)
                 if len(buffer) >= chunk_bins:
                     yield buffer_start, np.asarray(buffer, dtype=float)
                     buffer, buffer_start = [], None

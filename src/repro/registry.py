@@ -1,6 +1,6 @@
 """Pluggable component registries: the backbone of the Scenario API.
 
-Every interchangeable piece of the reproduction — models, priors, estimators,
+Every interchangeable piece of the reproduction — priors, estimators,
 datasets, topologies and experiment drivers — is registered here under a
 short name, so that scenarios, the CLI and future extensions can compose them
 by name instead of hard-wiring imports:
@@ -38,14 +38,12 @@ __all__ = [
     "RegistryEntry",
     "canonical_name",
     "ensure_populated",
-    "MODELS",
     "PRIORS",
     "ESTIMATORS",
     "DATASETS",
     "TOPOLOGIES",
     "EXPERIMENTS_REGISTRY",
     "REGISTRIES",
-    "register_model",
     "register_prior",
     "register_estimator",
     "register_dataset",
@@ -176,7 +174,6 @@ class Registry:
         return f"Registry({self.kind!r}, entries={list(self._entries)})"
 
 
-MODELS = Registry("model")
 PRIORS = Registry("prior")
 ESTIMATORS = Registry("estimator")
 DATASETS = Registry("dataset")
@@ -185,7 +182,6 @@ EXPERIMENTS_REGISTRY = Registry("experiment")
 
 #: Registries by their plural name, as surfaced by ``repro list <kind>``.
 REGISTRIES: dict[str, Registry] = {
-    "models": MODELS,
     "priors": PRIORS,
     "estimators": ESTIMATORS,
     "datasets": DATASETS,
@@ -193,7 +189,6 @@ REGISTRIES: dict[str, Registry] = {
     "experiments": EXPERIMENTS_REGISTRY,
 }
 
-register_model = MODELS.register
 register_prior = PRIORS.register
 register_estimator = ESTIMATORS.register
 register_dataset = DATASETS.register
@@ -203,8 +198,6 @@ register_experiment = EXPERIMENTS_REGISTRY.register
 # Modules whose import populates the registries.  Kept here (rather than in
 # each registry) so a lookup against any registry pulls in the whole set.
 _COMPONENT_MODULES: tuple[str, ...] = (
-    "repro.core.gravity",
-    "repro.core.ic_model",
     "repro.core.priors",
     "repro.estimation.pipeline",
     "repro.synthesis.datasets",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +68,16 @@ def _shard_shape(path) -> tuple:
         return shape
     except (KeyError, ValueError, OSError, zipfile.BadZipFile):
         # Unrecognised layout: fall back to actually loading the shard.
+        return _read_values(path).shape
+
+
+def _read_values(path) -> np.ndarray:
+    """A shard's ``values`` array; a torn or corrupt shard raises naming its path."""
+    try:
         with np.load(path) as payload:
-            return payload["values"].shape
+            return payload["values"]
+    except (zipfile.BadZipFile, zlib.error, ValueError, KeyError, EOFError) as exc:
+        raise ValidationError(f"cannot read spill shard {path}: {exc}") from exc
 
 # A streamed run whose per-bin series reach this many bins spills them to
 # disk automatically (an explicit spill directory always spills).
@@ -155,8 +164,7 @@ class SpilledSeries:
             return self._loaded[starts[index] : stop]
         if self._shard_cursor is not None and self._shard_cursor[0] == index:
             return self._shard_cursor[1]
-        with np.load(self._paths[index]) as payload:
-            values = payload["values"]
+        values = _read_values(self._paths[index])
         self._shard_cursor = (index, values)
         return values
 
@@ -196,10 +204,7 @@ class SpilledSeries:
     def load(self) -> np.ndarray:
         """Read and concatenate the shards (cached after the first call)."""
         if self._loaded is None:
-            parts = []
-            for path in self._paths:
-                with np.load(path) as payload:
-                    parts.append(payload["values"])
+            parts = [_read_values(path) for path in self._paths]
             values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
             if values.shape != self._shape:
                 raise ValidationError(

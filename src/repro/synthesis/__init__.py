@@ -6,8 +6,7 @@ draw long-tailed (lognormal) preference values, generate diurnal activity
 time series and compose them with Eq. 5.  This subpackage implements that
 recipe and uses it to build the synthetic stand-ins for the paper's datasets:
 
-* :mod:`repro.synthesis.preference` — lognormal / exponential preference
-  generators,
+* :mod:`repro.synthesis.preference` — the lognormal preference generator,
 * :mod:`repro.synthesis.activity` — a cyclostationary diurnal activity model
   (daily periodicity, weekend dips, per-node scale heterogeneity, noise),
 * :mod:`repro.synthesis.generator` — IC-based and gravity-based synthetic TM
@@ -16,10 +15,7 @@ recipe and uses it to build the synthetic stand-ins for the paper's datasets:
   multi-week dataset factories with known ground truth.
 """
 
-from repro.synthesis.preference import (
-    exponential_preferences,
-    lognormal_preferences,
-)
+from repro.synthesis.preference import lognormal_preferences
 from repro.synthesis.activity import ActivityModel, DiurnalProfile
 from repro.synthesis.generator import (
     GravityTMGenerator,
@@ -38,7 +34,6 @@ from repro.synthesis.datasets import (
 
 __all__ = [
     "lognormal_preferences",
-    "exponential_preferences",
     "ActivityModel",
     "DiurnalProfile",
     "SyntheticTMConfig",

@@ -3,8 +3,8 @@
 The paper finds the empirical preference values ``{P_i}`` to be long-tailed:
 most are small, a few are up to ten times larger than typical, and a
 lognormal with ``mu ≈ -4.3`` and ``sigma ≈ 1.7`` approximates their tail far
-better than an exponential (Figure 7).  Both distributions are provided so
-the synthetic-generation ablations can compare them.
+better than an exponential (Figure 7), so synthesis draws them from that
+lognormal.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["lognormal_preferences", "exponential_preferences"]
+__all__ = ["lognormal_preferences"]
 
 #: Maximum-likelihood lognormal parameters the paper reports for both datasets.
 PAPER_LOGNORMAL_MU = -4.3
@@ -40,27 +40,3 @@ def lognormal_preferences(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     values = rng.lognormal(mu, sigma, int(n_nodes))
     return values / values.sum()
-
-
-def exponential_preferences(
-    n_nodes: int,
-    *,
-    scale: float = 0.05,
-    seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """Draw a normalised preference vector from an exponential distribution.
-
-    Provided as the short-tailed alternative the paper compares against
-    (following Roughan's suggestion of exponential node loads for gravity
-    synthesis).
-    """
-    if n_nodes < 1:
-        raise ValidationError("n_nodes must be >= 1")
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values = rng.exponential(scale, int(n_nodes))
-    total = values.sum()
-    if total <= 0:  # pragma: no cover - essentially impossible
-        return np.full(int(n_nodes), 1.0 / n_nodes)
-    return values / total

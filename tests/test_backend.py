@@ -100,7 +100,7 @@ class TestRegistry:
         from repro.registry import REGISTRIES
 
         assert sorted(REGISTRIES) == [
-            "datasets", "estimators", "experiments", "models", "priors", "topologies",
+            "datasets", "estimators", "experiments", "priors", "topologies",
         ]
 
     def test_unknown_backend_names_choices(self, capsys):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.ic_model import (
-    GeneralICModel,
-    ICParameters,
-    SimplifiedICModel,
-    StableFICModel,
     StableFPICModel,
-    TimeVaryingICModel,
     degrees_of_freedom,
     general_ic_matrix,
     simplified_ic_matrix,
@@ -108,49 +103,13 @@ class TestSeriesHelpers:
         assert result.shape == (1, 3, 3)
 
 
-class TestICParameters:
-    def test_normalises_preference(self):
-        params = ICParameters(0.2, [2.0, 2.0], [1.0, 1.0])
-        np.testing.assert_allclose(params.preference, [0.5, 0.5])
-
-    def test_matrix_consistent_with_function(self):
-        params = ICParameters(0.3, [1.0, 3.0], [10.0, 20.0])
-        np.testing.assert_allclose(
-            params.matrix(), simplified_ic_matrix(0.3, [10.0, 20.0], [1.0, 3.0])
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            ICParameters(0.3, [1.0, 1.0], [1.0, 1.0, 1.0])
-
-
 class TestModelClasses:
     def test_simplified_series_shape(self):
-        model = SimplifiedICModel(0.25, [1.0, 2.0, 3.0], nodes=["a", "b", "c"])
+        model = StableFPICModel(0.25, [1.0, 2.0, 3.0], nodes=["a", "b", "c"])
         series = model.series(np.ones((5, 3)), bin_seconds=60.0)
         assert series.n_timesteps == 5
         assert series.nodes == ("a", "b", "c")
         assert series.bin_seconds == 60.0
-
-    def test_general_model_series(self):
-        model = GeneralICModel(np.full((2, 2), 0.4), [1.0, 1.0])
-        series = model.series(np.ones((3, 2)))
-        assert series.n_timesteps == 3
-
-    def test_stable_f_model_requires_matching_series(self):
-        model = StableFICModel(0.25)
-        with pytest.raises(ShapeError):
-            model.series(np.ones((3, 2)), np.ones((3, 3)))
-
-    def test_time_varying_model_series(self):
-        model = TimeVaryingICModel(nodes=["a", "b"])
-        series = model.series([0.2, 0.3], np.ones((2, 2)), np.ones((2, 2)) / 2)
-        assert series.n_timesteps == 2
-
-    def test_time_varying_length_mismatch(self):
-        model = TimeVaryingICModel()
-        with pytest.raises(ShapeError):
-            model.series([0.2], np.ones((2, 2)), np.ones((2, 2)))
 
     def test_stable_fp_dof_method(self):
         model = StableFPICModel(0.25, np.ones(4))

@@ -37,7 +37,6 @@ from repro.estimation.pipeline import TMEstimator
 from repro.ingest import records as records_module
 from repro.ingest import (
     CHECKPOINT_FORMAT,
-    ConnectionFlowSource,
     FileReplaySource,
     FlowBinner,
     FlowSource,
@@ -52,8 +51,6 @@ from repro.ingest import (
 )
 from repro.streaming import ArrayChunkStream, FunctionChunkStream, cache_chunks
 from repro.synthesis.datasets import open_dataset_stream
-from repro.traces.connections import Connection
-from repro.traces.netflow import od_flows_from_connections
 
 
 # Node names that exercise multibyte UTF-8 across block boundaries.
@@ -299,30 +296,6 @@ def _total_matrix(source) -> np.ndarray:
     for _, matrix in binner.flush():
         total += matrix
     return total
-
-
-class TestConnectionFlowSource:
-    def test_totals_match_od_flow_aggregation(self):
-        rng = np.random.default_rng(3)
-        nodes = ["A", "B", "C"]
-        connections = [
-            Connection("h", "s", 1, 2, nodes[i], nodes[j], rng.uniform(1, 9), rng.uniform(1, 9),
-                       float(k), 1.0)
-            for k, (i, j) in enumerate([(0, 1), (1, 2), (2, 0), (0, 2)])
-        ]
-        source = ConnectionFlowSource(connections, nodes, batch_records=3)
-        np.testing.assert_allclose(
-            _total_matrix(source), od_flows_from_connections(connections, nodes)
-        )
-
-    def test_self_pair_rejected_with_escape_hatch(self):
-        connections = [Connection("h", "s", 1, 2, "A", "A", 5.0, 3.0, 0.0, 1.0)]
-        with pytest.raises(ValidationError, match="same\\s+node"):
-            list(ConnectionFlowSource(connections, ["A", "B"]).batches())
-        total = _total_matrix(
-            ConnectionFlowSource(connections, ["A", "B"], keep_self_pairs=True)
-        )
-        assert total[0, 0] == 8.0
 
 
 class TestSyntheticFlowSource:

@@ -569,3 +569,33 @@ class TestReportCli:
     def test_cli_nonexistent_archive_errors_cleanly(self, tmp_path, capsys):
         assert cli_main(["report", str(tmp_path / "missing")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact", ["shard", "shard_body", "manifest", "serve_jsonl"])
+    def test_cli_torn_file_exits_2_naming_it(self, tmp_path, capsys, artifact):
+        """A half-written shard, manifest or sink is an error naming the file."""
+        if artifact == "serve_jsonl":
+            torn = tmp_path / "estimates.jsonl"
+            torn.write_text("".join(
+                json.dumps({"bin": index, "estimate": [[1.0, 2.0], [3.0, 4.0]]}) + "\n"
+                for index in range(3)
+            ))
+        else:
+            _sweep_archive(tmp_path)
+            torn = tmp_path / "geant-gravity" / "estimate-00000000.npz"
+            if artifact == "manifest":
+                torn = tmp_path / "manifest.jsonl"
+                torn.write_text(
+                    json.dumps({"label": "geant-gravity", "ok": True, "bins": 60}) + "\n"
+                )
+        size = torn.stat().st_size
+        with torn.open("r+b") as handle:
+            if artifact == "shard_body":
+                # The zip directory survives, so only decompression fails.
+                handle.seek(size // 2)
+                handle.write(b"\0" * 64)
+            else:
+                handle.truncate(size // 2 if artifact == "shard" else size - 30)
+        assert cli_main(["report", str(tmp_path), "--format", "json"]) == 2
+        err = capsys.readouterr().err
+        assert str(torn) in err
+        assert "Traceback" not in err

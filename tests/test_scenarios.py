@@ -9,7 +9,6 @@ from repro.errors import RegistryError, ValidationError
 from repro.registry import (
     DATASETS,
     ESTIMATORS,
-    MODELS,
     PRIORS,
     TOPOLOGIES,
     Registry,
@@ -120,10 +119,6 @@ class TestPopulatedRegistries:
 
     def test_topologies_registered(self):
         assert {"geant", "totem", "abilene", "random"} <= set(TOPOLOGIES.names())
-
-    def test_models_cover_model_family(self):
-        expected = {"gravity", "general", "simplified", "stable_f", "stable_fp", "time_varying"}
-        assert expected <= set(MODELS.names())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.synthesis.datasets import (
     make_totem_like_dataset,
 )
 from repro.synthesis.generator import GravityTMGenerator, ICTMGenerator, SyntheticTMConfig
-from repro.synthesis.preference import exponential_preferences, lognormal_preferences
+from repro.synthesis.preference import lognormal_preferences
 
 
 class TestPreferenceGenerators:
@@ -31,17 +31,11 @@ class TestPreferenceGenerators:
         preference = lognormal_preferences(200, seed=1)
         assert preference.max() / np.median(preference) > 5.0
 
-    def test_exponential_normalised(self):
-        preference = exponential_preferences(15, seed=2)
-        assert preference.sum() == pytest.approx(1.0)
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             lognormal_preferences(0)
         with pytest.raises(ValidationError):
             lognormal_preferences(5, sigma=-1.0)
-        with pytest.raises(ValidationError):
-            exponential_preferences(5, scale=0.0)
 
 
 class TestDiurnalProfile:
