@@ -154,7 +154,10 @@ class TrafficMatrixSeries:
     ----------
     values:
         Array-like of shape ``(T, n, n)``; a single ``(n, n)`` matrix is
-        promoted to ``T = 1``.
+        promoted to ``T = 1``.  A float array with no negative entry is
+        wrapped without a copy, so the series shares the caller's buffer
+        (:attr:`values` is a read-only view of it); entries within the
+        ``-1e-9`` tolerance are clipped to zero in a copy.
     nodes:
         Optional node names shared by every timestep.
     bin_seconds:
@@ -219,7 +222,7 @@ class TrafficMatrixSeries:
                 self._values[index], self._nodes, bin_seconds=self._bin_seconds
             )
         t = int(index)
-        return TrafficMatrix(self._values[t], self._nodes)
+        return TrafficMatrix(self.values[t], self._nodes)
 
     # -- marginals ---------------------------------------------------------
 

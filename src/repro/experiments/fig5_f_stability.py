@@ -2,7 +2,9 @@
 
 The stable-fP fit is run independently on each week of the Totem-like
 dataset (seven weeks in the paper); the fitted ``f`` values should be close
-to one another and in the 0.2 range.
+to one another and in the 0.2 range.  The weeks are walked with
+:meth:`~repro.synthesis.datasets.StreamingDataset.iter_weeks`, so the fit
+holds one week at a time and the dataset memo keeps only the plan.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def run_f_stability(
     """Fit the stable-fP model to each week and summarise the stability of ``f``."""
     data = load_dataset(dataset, n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale)
     weekly_f = np.array(
-        [float(fit_stable_fp(data.week(i)).forward_fraction) for i in range(data.n_weeks)]
+        [float(fit_stable_fp(week).forward_fraction) for week in data.iter_weeks()]
     )
     return FStabilityResult(
         dataset=dataset,

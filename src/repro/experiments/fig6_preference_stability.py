@@ -3,7 +3,9 @@
 The preference vector ``{P_i}`` is fitted independently per week (three weeks
 of Geant, seven of Totem in the paper).  The per-node values should be nearly
 identical across weeks — while being highly variable across nodes, with a few
-nodes up to ten times more preferred than typical.
+nodes up to ten times more preferred than typical.  As in Fig. 5, the weeks
+are walked with
+:meth:`~repro.synthesis.datasets.StreamingDataset.iter_weeks`, one at a time.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def run_preference_stability(
 ) -> PreferenceStabilityResult:
     """Fit each week independently and summarise preference stability."""
     data = load_dataset(dataset, n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale)
-    weekly = np.stack([fit_stable_fp(data.week(i)).preference for i in range(data.n_weeks)])
+    weekly = np.stack([fit_stable_fp(week).preference for week in data.iter_weeks()])
     truth = data.ground_truths[0].preference
     mean_fitted = weekly.mean(axis=0)
     positive = mean_fitted[mean_fitted > 0]

@@ -23,15 +23,17 @@ draw order), and it is either *lazy* — week streams are
 :class:`repro.streaming.ChunkStream` objects regenerated chunk by chunk
 from deterministic RNG state, month-scale series in O(chunk) memory — or
 *materialised* — every week generated once, in one pass, and cached, so
-week streams are views over the cached weeks:
+week streams are views over the cached weeks.  Every dataset starts lazy:
 
 * :func:`load_dataset` (and the registered ``make_*_like_dataset``
-  factories behind it) return a materialised dataset, while
-* :func:`open_dataset_stream` returns a lazy one.
+  factories behind it) return a lazy dataset from a fresh plan, which its
+  first :meth:`StreamingDataset.week` call materialises;
+* :func:`open_dataset_stream` returns a lazy one from a memoised plan.
 
-The same seed gives bit-identical numbers either way;
-:meth:`StreamingDataset.materialize` turns a lazy dataset into a
-materialised one.
+:meth:`StreamingDataset.iter_weeks` walks the weeks in order from one pass
+and caches none of them, which is how the per-week fits of Figs 5 and 6
+hold one week at a time.  The same seed gives bit-identical numbers every
+way.
 """
 
 from __future__ import annotations
@@ -289,7 +291,9 @@ def make_geant_like_dataset(
 ) -> "StreamingDataset":
     """Synthetic stand-in for the D1 (Geant) dataset: 22 PoPs, 5-minute bins.
 
-    Returns a materialised dataset: every week is generated here, once.
+    Returns a lazy dataset: only the generation plan is drawn here.  The
+    first :meth:`StreamingDataset.week` call generates and caches every
+    week, once; :meth:`StreamingDataset.iter_weeks` walks them uncached.
 
     Parameters
     ----------
@@ -306,7 +310,7 @@ def make_geant_like_dataset(
     """
     return _builtin_dataset(
         "geant", n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale, seed=seed
-    ).materialize()
+    )
 
 
 @register_dataset(
@@ -323,15 +327,17 @@ def make_totem_like_dataset(
 ) -> "StreamingDataset":
     """Synthetic stand-in for the D2 (Totem) dataset: 23 PoPs, 15-minute bins.
 
-    Returns a materialised dataset.  Defaults to a reduced 96 bins per week
-    (one day at 15-minute bins); ``full_scale=True`` selects the paper's 672.
+    Returns a lazy dataset, like :func:`make_geant_like_dataset`; its first
+    :meth:`StreamingDataset.week` call materialises it.  Defaults to a
+    reduced 96 bins per week (one day at 15-minute bins);
+    ``full_scale=True`` selects the paper's 672.
     ``seed=None`` selects the published default (23).  A small rate of
     measurement anomalies is injected, mirroring the documented artefacts in
     the public Totem data.
     """
     return _builtin_dataset(
         "totem", n_weeks=n_weeks, bins_per_week=bins_per_week, full_scale=full_scale, seed=seed
-    ).materialize()
+    )
 
 
 @lru_cache(maxsize=16)
@@ -348,7 +354,11 @@ def load_dataset(
     This is the shared cache behind both the experiment drivers and the
     scenario runner, so a sweep over many priors reuses one synthesis run per
     dataset cell instead of regenerating the traffic for every scenario.
-    The built-in datasets come back materialised.
+    The built-in datasets come back lazy: the memo holds their generation
+    plan, and the weeks once the first :meth:`StreamingDataset.week` call
+    (or an explicit :meth:`StreamingDataset.materialize`) has cached them.
+    A caller that walks the weeks with :meth:`StreamingDataset.iter_weeks`
+    leaves only the plan in the memo.
 
     Parameters
     ----------
@@ -377,10 +387,12 @@ class StreamingDataset:
     While *lazy*, every ``(T_chunk, n, n)`` traffic block is regenerated on
     demand from cached noise-stream state; week streams are re-iterable, so
     multi-pass consumers (ALS fitting, prior + estimation passes) work
-    without ever materialising a week.  :meth:`materialize` (and the first
-    :meth:`week` call) generates every week once, in one pass, and caches
-    it; from then on :meth:`week_stream` serves views over the cached weeks.
-    Both states hold bit-identical numbers.
+    without ever materialising a week, and :meth:`iter_weeks` yields each
+    week as a cube from one pass without keeping any.  :meth:`materialize`
+    (and the first :meth:`week` call) caches every week that pass yields;
+    from then on :meth:`week_stream` serves views over the cached weeks and
+    :meth:`iter_weeks` yields the cached weeks.  Both states hold
+    bit-identical numbers.
     """
 
     def __init__(
@@ -447,17 +459,20 @@ class StreamingDataset:
             )
         return index
 
-    def materialize(self) -> "StreamingDataset":
-        """Generate every week once and cache it (chainable; idempotent).
+    def iter_weeks(self) -> Iterator[TrafficMatrixSeries]:
+        """Yield every week in order as a series, one at a time.
 
-        One :meth:`full_stream` pass fills the weeks in order, splitting a
-        chunk that straddles a week boundary; building week by week would
-        re-enter the noise stream at every boundary.
+        A lazy dataset fills each week from one :meth:`full_stream` pass,
+        splitting a chunk that straddles a week boundary (building week by
+        week would re-enter the noise stream at every boundary), and keeps
+        none of them: a caller that drops each week before asking for the
+        next holds one week, not all.  A materialised dataset yields its
+        cached weeks.
         """
         if self._weeks is not None:
-            return self
+            yield from self._weeks
+            return
         n, per_week = len(self.nodes), self._bins_per_week
-        weeks: list[TrafficMatrixSeries] = []
         filled = 0
         for _, block in self.full_stream(chunk_bins=_GENERATE_CHUNK_BINS).chunks():
             while block.shape[0]:
@@ -467,11 +482,13 @@ class StreamingDataset:
                 buffer[filled : filled + take] = block[:take]
                 block, filled = block[take:], filled + take
                 if filled == per_week:
-                    weeks.append(
-                        TrafficMatrixSeries(buffer, self.nodes, bin_seconds=self.bin_seconds)
-                    )
+                    yield TrafficMatrixSeries(buffer, self.nodes, bin_seconds=self.bin_seconds)
                     filled = 0
-        self._weeks = weeks
+
+    def materialize(self) -> "StreamingDataset":
+        """Cache every week :meth:`iter_weeks` yields (chainable; idempotent)."""
+        if self._weeks is None:
+            self._weeks = list(self.iter_weeks())
         return self
 
     def week(self, index: int) -> TrafficMatrixSeries:

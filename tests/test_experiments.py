@@ -8,9 +8,12 @@ absolute numbers.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.fitting import fit_stable_fp
 from repro.experiments import EXPERIMENTS
 from repro.experiments.example_network import run_example_network
 from repro.experiments.fig3_model_fit import run_model_fit
@@ -24,6 +27,8 @@ from repro.experiments.fig10_routing_asymmetry import run_routing_asymmetry
 from repro.experiments.fig11_estimation_measured import run_estimation_measured
 from repro.experiments.fig12_estimation_stable_fp import run_estimation_stable_fp
 from repro.experiments.fig13_estimation_stable_f import run_estimation_stable_f
+from repro.registry import DATASETS
+from repro.synthesis.datasets import load_dataset
 
 SMALL = {"bins_per_week": 36}
 
@@ -124,6 +129,42 @@ class TestFig6PreferenceStability:
     def test_format_table(self):
         table = run_preference_stability("geant", n_weeks=2, bins_per_week=36).format_table()
         assert "week-to-week correlation" in table
+
+
+class TestStabilityWeekWalk:
+    """Figs 5 and 6 fit the weeks one at a time, with the numbers unchanged."""
+
+    @pytest.mark.parametrize("dataset", ["geant", "totem"])
+    def test_fits_equal_a_materialised_oracle(self, dataset):
+        knobs = {"n_weeks": 3, "bins_per_week": 40, "full_scale": False}
+        f_result = run_f_stability(dataset, **knobs)
+        p_result = run_preference_stability(dataset, **knobs)
+        # The walk leaves the memoised dataset lazy: only its plan is kept.
+        hits = load_dataset.cache_info().hits
+        assert not load_dataset(dataset, **knobs).materialized
+        assert load_dataset.cache_info().hits == hits + 1
+        oracle = DATASETS.get(dataset)(knobs["n_weeks"], bins_per_week=40).materialize()
+        fits = [fit_stable_fp(oracle.week(index)) for index in range(oracle.n_weeks)]
+        expected_f = np.array([float(fit.forward_fraction) for fit in fits])
+        expected_p = np.stack([fit.preference for fit in fits])
+        assert f_result.weekly_f.tobytes() == expected_f.tobytes()
+        assert p_result.weekly_preference.tobytes() == expected_p.tobytes()
+
+    def test_peak_memory_holds_one_week_not_all(self):
+        week_bytes = 672 * 22 * 22 * 8  # one geant week at 672 bins
+
+        def traced_peak(n_weeks):
+            load_dataset.cache_clear()
+            tracemalloc.start()
+            try:
+                run_f_stability("geant", n_weeks=n_weeks, bins_per_week=672)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two, six = traced_peak(2), traced_peak(6)
+        # Caching every week grows the peak by four weeks from 2 to 6.
+        assert six - two < week_bytes
 
 
 class TestFig7PreferenceCCDF:

@@ -199,9 +199,32 @@ class TestDatasets:
             dataset.week_stream(index)
 
     def test_factories_materialise_and_default_their_seeds(self):
-        dataset = make_totem_like_dataset(n_weeks=1, bins_per_week=12)
+        # A factory only plans; the first week() call generates and caches
+        # every week, and seed=None is the published default seed.
+        dataset = make_totem_like_dataset(n_weeks=2, bins_per_week=12)
+        assert not dataset.materialized
+        first = dataset.week(0)
         assert dataset.materialized
+        assert dataset.week(0) is first
         np.testing.assert_array_equal(
-            dataset.week(0).values,
-            make_totem_like_dataset(n_weeks=1, bins_per_week=12, seed=23).week(0).values,
+            dataset.week(1).values,
+            make_totem_like_dataset(n_weeks=2, bins_per_week=12, seed=23).week(1).values,
+        )
+
+    @pytest.mark.parametrize("name", ["geant", "totem"])
+    def test_iter_weeks_matches_materialise_and_stays_lazy(self, name):
+        # 300 bins per week: the 512-bin generation chunks straddle the week
+        # boundaries, and totem's anomalies land in every week.
+        factory = {"geant": make_geant_like_dataset, "totem": make_totem_like_dataset}[name]
+        lazy = factory(n_weeks=3, bins_per_week=300, seed=5)
+        walked = [week.values for week in lazy.iter_weeks()]
+        assert not lazy.materialized
+        cached = factory(n_weeks=3, bins_per_week=300, seed=5).materialize()
+        assert len(walked) == 3
+        for index, values in enumerate(walked):
+            assert values.tobytes() == cached.week(index).values.tobytes()
+        # A materialised dataset yields its cached weeks.
+        assert all(
+            walked_week is cached.week(index)
+            for index, walked_week in enumerate(cached.iter_weeks())
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,32 @@ class TestTrafficMatrixSeries:
         view = self.series.values
         with pytest.raises(ValueError):
             view[0, 0, 0] = 99.0
+
+    def test_indexed_matrix_is_read_only(self):
+        # The series shares its input buffer, so a matrix taken from it is
+        # a read-only view rather than a writable alias of that buffer.
+        with pytest.raises(ValueError):
+            self.series[0].values[0, 0] = 99.0
+
+    def test_wrapping_a_nonnegative_cube_does_not_copy_it(self):
+        cube = np.random.default_rng(0).random((512, 22, 22))
+        tracemalloc.start()
+        try:
+            series = TrafficMatrixSeries(cube, bin_seconds=300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * cube.nbytes
+        assert np.shares_memory(series.values, cube)
+
+    def test_tiny_negatives_are_still_clipped_into_a_copy(self):
+        cube = np.ones((4, 3, 3))
+        cube[1, 0, 2] = cube[3, 2, 2] = -1e-12
+        series = TrafficMatrixSeries(cube)
+        assert series.values.min() == 0.0
+        assert series.values[1, 0, 2] == 0.0
+        assert cube[1, 0, 2] == -1e-12  # the caller's cube is left as it was
+        assert not np.shares_memory(series.values, cube)
 
     def test_marginals_shapes(self):
         assert self.series.ingress.shape == (6, 2)
