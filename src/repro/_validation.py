@@ -16,16 +16,6 @@ import numpy as np
 from repro.errors import ShapeError, ValidationError
 
 
-def _all_finite(array: np.ndarray) -> bool:
-    """Whether every entry is finite, checked without an array-sized mask.
-
-    ``min`` and ``max`` propagate nan and reach any infinity, so two
-    reductions decide it where ``np.isfinite`` would allocate a mask of
-    one byte per entry.
-    """
-    return array.size == 0 or bool(np.isfinite(array.min()) and np.isfinite(array.max()))
-
-
 def as_1d_array(values: Iterable[float], name: str, *, length: int | None = None) -> np.ndarray:
     """Convert ``values`` to a 1-D float array, optionally checking its length."""
     array = np.asarray(values, dtype=float)
@@ -33,7 +23,7 @@ def as_1d_array(values: Iterable[float], name: str, *, length: int | None = None
         raise ShapeError(f"{name} must be one-dimensional, got shape {array.shape}")
     if length is not None and array.shape[0] != length:
         raise ShapeError(f"{name} must have length {length}, got {array.shape[0]}")
-    if not _all_finite(array):
+    if not np.all(np.isfinite(array)):
         raise ValidationError(f"{name} must contain only finite values")
     return array
 
@@ -45,7 +35,7 @@ def as_square_matrix(values: Iterable[Iterable[float]], name: str, *, size: int 
         raise ShapeError(f"{name} must be a square matrix, got shape {array.shape}")
     if size is not None and array.shape[0] != size:
         raise ShapeError(f"{name} must be {size}x{size}, got {array.shape[0]}x{array.shape[1]}")
-    if not _all_finite(array):
+    if not np.all(np.isfinite(array)):
         raise ValidationError(f"{name} must contain only finite values")
     return array
 
@@ -61,7 +51,7 @@ def as_series_array(values, name: str, *, nodes: int | None = None) -> np.ndarra
         )
     if nodes is not None and array.shape[1] != nodes:
         raise ShapeError(f"{name} must have n={nodes} nodes, got {array.shape[1]}")
-    if not _all_finite(array):
+    if not np.all(np.isfinite(array)):
         raise ValidationError(f"{name} must contain only finite values")
     return array
 

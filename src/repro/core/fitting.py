@@ -152,18 +152,9 @@ def _forward_start(
     return float(np.clip(f, low, high)), (low, high)
 
 
-# Bins per block of _bin_norms: squaring a block at a time keeps the
-# temporary a fraction of a week's cube instead of a second cube.
-_NORM_BLOCK_BINS = 512
-
-
 def _bin_norms(values: np.ndarray) -> np.ndarray:
-    """Per-bin Frobenius norms ``||X(t)||``, squared block by block of bins."""
-    squares = np.empty(values.shape[0])
-    for start in range(0, values.shape[0], _NORM_BLOCK_BINS):
-        block = values[start : start + _NORM_BLOCK_BINS]
-        squares[start : start + block.shape[0]] = (block**2).sum(axis=(1, 2))
-    return np.sqrt(squares)
+    """Per-bin Frobenius norms ``||X(t)||``."""
+    return np.sqrt((values**2).sum(axis=(1, 2)))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -54,7 +54,9 @@ class TrafficMatrix:
     ----------
     values:
         Square array-like where entry ``(i, j)`` is the traffic volume (bytes)
-        from origin ``i`` to destination ``j``.
+        from origin ``i`` to destination ``j``.  A float array with no
+        negative entry is not copied: :attr:`values` is a read-only view of
+        the caller's buffer.
     nodes:
         Optional node names; defaults to ``node00``, ``node01``, ...
     """
@@ -64,7 +66,8 @@ class TrafficMatrix:
 
     def __init__(self, values, nodes: Sequence[str] | None = None):
         matrix = as_square_matrix(values, "traffic matrix")
-        matrix = require_nonnegative(matrix, "traffic matrix", tolerance=1e-9)
+        matrix = require_nonnegative(matrix, "traffic matrix", tolerance=1e-9).view()
+        matrix.flags.writeable = False
         object.__setattr__(self, "values", matrix)
         object.__setattr__(self, "nodes", node_names(nodes, matrix.shape[0]))
 
@@ -248,9 +251,12 @@ class TrafficMatrixSeries:
     # -- reshaping ---------------------------------------------------------
 
     def to_vectors(self) -> np.ndarray:
-        """Flatten each timestep to a row vector; result has shape ``(T, n*n)``."""
+        """Flatten each timestep to a row vector; result has shape ``(T, n*n)``.
+
+        Like :attr:`values`, the result is a read-only view.
+        """
         t, n, _ = self._values.shape
-        return self._values.reshape(t, n * n)
+        return self.values.reshape(t, n * n)
 
     @classmethod
     def from_vectors(

@@ -22,7 +22,7 @@ come from one :class:`~repro.synthesis.generator.GenerationPlan` (one RNG
 draw order), and it is either *lazy* — week streams are
 :class:`repro.streaming.ChunkStream` objects regenerated chunk by chunk
 from deterministic RNG state, month-scale series in O(chunk) memory — or
-*materialised* — every week generated once, in one pass, and cached, so
+*materialised* — every week generated once, in order, and cached, so
 week streams are views over the cached weeks.  Every dataset starts lazy:
 
 * :func:`load_dataset` (and the registered ``make_*_like_dataset``
@@ -30,10 +30,11 @@ week streams are views over the cached weeks.  Every dataset starts lazy:
   first :meth:`StreamingDataset.week` call materialises;
 * :func:`open_dataset_stream` returns a lazy one from a memoised plan.
 
-:meth:`StreamingDataset.iter_weeks` walks the weeks in order from one pass
-and caches none of them, which is how the per-week fits of Figs 5 and 6
-hold one week at a time.  The same seed gives bit-identical numbers every
-way.
+:meth:`StreamingDataset.iter_weeks` generates the weeks in order, one
+:meth:`ICTMGenerator.generate <repro.synthesis.generator.ICTMGenerator.generate>`
+call each, and caches none of them, which is how the per-week fits of
+Figs 5 and 6 hold one week at a time.  The same seed gives bit-identical
+numbers every way.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from repro.streaming import (
     default_chunk_bins,
 )
 from repro.synthesis.generator import (
-    _GENERATE_CHUNK_BINS,
     GenerationPlan,
     GroundTruth,
     ICTMGenerator,
@@ -95,7 +95,7 @@ def _trimmed_bins(n_bins: int, max_bins: int | None) -> int:
 
 def _plan_anomalies(
     seed: int, n_weeks: int, bins_per_week: int, n_nodes: int, rate: float
-) -> list[list[tuple[int, int, int, float]]]:
+) -> tuple[tuple[int, int, int, float], ...]:
     """Pre-draw the anomaly events of every week, in the historical RNG order.
 
     The public Totem dataset documents measurement anomalies; a small rate of
@@ -103,33 +103,22 @@ def _plan_anomalies(
     draws (bin, origin, destination, factor) happen week by week from one
     generator seeded ``seed + 7919``, exactly as the former per-week
     ``_inject_anomalies`` loop drew them, so applying the returned events in
-    order reproduces its values bit for bit.
+    order reproduces its values bit for bit.  Bins are plan bins (the week's
+    first bin plus the drawn offset), the form
+    :attr:`~repro.synthesis.generator.GenerationPlan.events` applies.
     """
     if rate <= 0:
-        return [[] for _ in range(n_weeks)]
+        return ()
     rng = np.random.default_rng(seed + 7919)
     n_anomalies = int(rate * bins_per_week)
-    events: list[list[tuple[int, int, int, float]]] = []
-    for _ in range(n_weeks):
-        week_events = []
+    events: list[tuple[int, int, int, float]] = []
+    for week in range(n_weeks):
         for _ in range(n_anomalies):
             bin_index = int(rng.integers(0, bins_per_week))
             i, j = int(rng.integers(0, n_nodes)), int(rng.integers(0, n_nodes))
             factor = float(rng.choice((0.0, 3.0, 5.0)))
-            week_events.append((bin_index, i, j, factor))
-        events.append(week_events)
-    return events
-
-
-def _apply_anomalies(
-    block: np.ndarray, events: list[tuple[int, int, int, float]], start: int
-) -> np.ndarray:
-    """Apply the planned events that fall into ``block`` (bins ``start + k``)."""
-    stop = start + block.shape[0]
-    for bin_index, i, j, factor in events:
-        if start <= bin_index < stop:
-            block[bin_index - start, i, j] *= factor
-    return block
+            events.append((week * bins_per_week + bin_index, i, j, factor))
+    return tuple(events)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +227,10 @@ def _plan_dataset(key: str, n_weeks: int, bins_per_week: int, seed: int):
     plan = generator.plan(
         n_weeks * bins_per_week, bin_seconds=spec.bin_seconds, start_seconds=0.0
     )
-    anomalies = _plan_anomalies(
+    plan.events = _plan_anomalies(
         seed, n_weeks, bins_per_week, len(topology.nodes), spec.anomaly_rate
     )
-    return topology, generator, plan, anomalies
+    return topology, generator, plan
 
 
 # Memoised plans behind open_dataset_stream.  The factories (and so
@@ -264,13 +253,12 @@ def _builtin_dataset(
     spec = _DATASET_SPECS[key]
     n_weeks, bins_per_week, seed = _resolve_scale(spec, n_weeks, bins_per_week, full_scale, seed)
     planner = _open_stream_core if memoised_plan else _plan_dataset
-    topology, generator, plan, anomalies = planner(key, n_weeks, bins_per_week, seed)
+    topology, generator, plan = planner(key, n_weeks, bins_per_week, seed)
     return StreamingDataset(
         name=spec.name,
         topology=topology,
         generator=generator,
         plan=plan,
-        anomalies=anomalies,
         n_weeks=n_weeks,
         bins_per_week=bins_per_week,
         chunk_bins=chunk_bins,
@@ -388,8 +376,8 @@ class StreamingDataset:
     demand from cached noise-stream state; week streams are re-iterable, so
     multi-pass consumers (ALS fitting, prior + estimation passes) work
     without ever materialising a week, and :meth:`iter_weeks` yields each
-    week as a cube from one pass without keeping any.  :meth:`materialize`
-    (and the first :meth:`week` call) caches every week that pass yields;
+    week as a cube, in order, without keeping any.  :meth:`materialize`
+    (and the first :meth:`week` call) caches every week that walk yields;
     from then on :meth:`week_stream` serves views over the cached weeks and
     :meth:`iter_weeks` yields the cached weeks.  Both states hold
     bit-identical numbers.
@@ -402,7 +390,6 @@ class StreamingDataset:
         topology: Topology,
         generator: ICTMGenerator,
         plan: GenerationPlan,
-        anomalies: list[list[tuple[int, int, int, float]]],
         n_weeks: int,
         bins_per_week: int,
         chunk_bins: int | None = None,
@@ -411,7 +398,6 @@ class StreamingDataset:
         self.topology = topology
         self._generator = generator
         self._plan = plan
-        self._anomalies = anomalies
         self._n_weeks = int(n_weeks)
         self._bins_per_week = int(bins_per_week)
         self._chunk_bins = (
@@ -462,28 +448,22 @@ class StreamingDataset:
     def iter_weeks(self) -> Iterator[TrafficMatrixSeries]:
         """Yield every week in order as a series, one at a time.
 
-        A lazy dataset fills each week from one :meth:`full_stream` pass,
-        splitting a chunk that straddles a week boundary (building week by
-        week would re-enter the noise stream at every boundary), and keeps
-        none of them: a caller that drops each week before asking for the
-        next holds one week, not all.  A materialised dataset yields its
-        cached weeks.
+        A lazy dataset generates each week with one
+        :meth:`ICTMGenerator.generate <repro.synthesis.generator.ICTMGenerator.generate>`
+        call over its plan, each resuming the noise stream where the week
+        before stopped, so no draw is made twice; it keeps none of them, and
+        a caller that drops each week before asking for the next holds one
+        week, not all.  A materialised dataset yields its cached weeks.
         """
         if self._weeks is not None:
             yield from self._weeks
             return
-        n, per_week = len(self.nodes), self._bins_per_week
-        filled = 0
-        for _, block in self.full_stream(chunk_bins=_GENERATE_CHUNK_BINS).chunks():
-            while block.shape[0]:
-                if filled == 0:
-                    buffer = np.empty((per_week, n, n))
-                take = min(per_week - filled, block.shape[0])
-                buffer[filled : filled + take] = block[:take]
-                block, filled = block[take:], filled + take
-                if filled == per_week:
-                    yield TrafficMatrixSeries(buffer, self.nodes, bin_seconds=self.bin_seconds)
-                    filled = 0
+        per_week = self._bins_per_week
+        for index in range(self._n_weeks):
+            week, _ = self._generator.generate(
+                per_week, plan=self._plan, start_bin=index * per_week
+            )
+            yield week
 
     def materialize(self) -> "StreamingDataset":
         """Cache every week :meth:`iter_weeks` yields (chainable; idempotent)."""
@@ -521,14 +501,12 @@ class StreamingDataset:
             )
         start = index * self._bins_per_week
         stop = start + n_bins
-        events = self._anomalies[index]
         generator, plan = self._generator, self._plan
 
         def factory(resolved_chunk: int) -> Iterator[tuple[int, np.ndarray]]:
-            for t0, block in generator.iter_chunks(
+            return generator.iter_chunks(
                 plan, chunk_bins=resolved_chunk, start_bin=start, stop_bin=stop
-            ):
-                yield t0, _apply_anomalies(block, events, t0)
+            )
 
         return FunctionChunkStream(
             factory,
@@ -577,7 +555,7 @@ class StreamingDataset:
             bin_seconds=plan.bin_seconds,
             noise_sigma=plan.noise_sigma,
             noise_states={k: copy.deepcopy(v) for k, v in plan.noise_states.items()},
-            anomalies=self._anomalies,
+            events=plan.events,
             preference=plan.preference,
             activity=plan.activity,
             forward_fraction_matrix=plan.forward_fraction_matrix,
@@ -587,23 +565,9 @@ class StreamingDataset:
     def full_stream(self, *, chunk_bins: int | None = None) -> ChunkStream:
         """All weeks as one continuous chunk stream, regenerated chunk by chunk."""
         generator, plan = self._generator, self._plan
-        bins_per_week = self._bins_per_week
-        anomalies = self._anomalies
 
         def factory(resolved_chunk: int) -> Iterator[tuple[int, np.ndarray]]:
-            for t0, block in generator.iter_chunks(plan, chunk_bins=resolved_chunk):
-                # A chunk may straddle week boundaries; apply each week's
-                # events against its own week-relative bin offsets.
-                first_week = t0 // bins_per_week
-                last_week = (t0 + block.shape[0] - 1) // bins_per_week
-                for week_index in range(first_week, last_week + 1):
-                    week_start = week_index * bins_per_week
-                    _apply_anomalies(
-                        block[max(week_start - t0, 0) :],
-                        anomalies[week_index],
-                        max(t0 - week_start, 0),
-                    )
-                yield t0, block
+            return generator.iter_chunks(plan, chunk_bins=resolved_chunk)
 
         return FunctionChunkStream(
             factory,
@@ -634,7 +598,7 @@ class StreamingDatasetState:
     bin_seconds: float
     noise_sigma: float
     noise_states: dict[int, dict]
-    anomalies: list[list[tuple[int, int, int, float]]]
+    events: tuple[tuple[int, int, int, float], ...]
     preference: np.ndarray | None = None
     activity: np.ndarray | None = None
     forward_fraction_matrix: np.ndarray | None = None
@@ -661,6 +625,7 @@ def streaming_dataset_from_state(state: StreamingDatasetState) -> StreamingDatas
         spatial_bias=state.spatial_bias,
         noise_sigma=state.noise_sigma,
         noise_states=state.noise_states,
+        events=state.events,
     )
     generator = ICTMGenerator(state.topology.nodes, state.config, seed=state.seed)
     return StreamingDataset(
@@ -668,7 +633,6 @@ def streaming_dataset_from_state(state: StreamingDatasetState) -> StreamingDatas
         topology=state.topology,
         generator=generator,
         plan=plan,
-        anomalies=state.anomalies,
         n_weeks=state.n_weeks,
         bins_per_week=state.bins_per_week,
         chunk_bins=state.chunk_bins,

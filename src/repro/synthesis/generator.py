@@ -20,7 +20,7 @@ ablation benchmarks.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -118,6 +118,9 @@ class GenerationPlan:
 
     ``noise_states`` caches the RNG state at bin offsets already visited, so
     re-streaming from a week boundary does not replay the whole noise stream.
+    ``events`` are measurement anomalies ``(bin, origin, destination,
+    factor)``: each multiplies one entry of one bin after the noise, in
+    order, whichever chunk the bin falls into.
     """
 
     n_bins: int
@@ -128,6 +131,7 @@ class GenerationPlan:
     spatial_bias: np.ndarray
     noise_sigma: float
     noise_states: dict[int, dict] = field(default_factory=dict)
+    events: tuple[tuple[int, int, int, float], ...] = ()
 
     @property
     def n_nodes(self) -> int:
@@ -322,7 +326,9 @@ class ICTMGenerator:
         plan streams with chunk offsets starting at zero.  Chunks carry the
         exact values the full cube would: the IC kernel is evaluated on the
         chunk's activity rows and the noise stream is resumed from the cached
-        RNG state at ``start_bin``.
+        RNG state at ``start_bin``.  A read that ends before the plan does
+        caches the state it stopped at, so a read resuming there (the next
+        week of a walk) replays no draws.
         """
         stop = plan.n_bins if stop_bin is None else min(int(stop_bin), plan.n_bins)
         start = int(start_bin)
@@ -342,7 +348,12 @@ class ICTMGenerator:
             if rng is not None:
                 block *= rng.lognormal(0.0, plan.noise_sigma, size=block.shape)
                 plan._maybe_cache_state(t1, rng)
+            for bin_index, i, j, factor in plan.events:
+                if t0 <= bin_index < t1:
+                    block[bin_index - t0, i, j] *= factor
             yield t0 - start, block
+        if rng is not None and stop < plan.n_bins and stop not in plan.noise_states:
+            plan.noise_states[stop] = copy.deepcopy(rng.bit_generator.state)
 
     def generate(
         self,
@@ -350,6 +361,8 @@ class ICTMGenerator:
         *,
         bin_seconds: float = 300.0,
         start_seconds: float = 0.0,
+        plan: GenerationPlan | None = None,
+        start_bin: int = 0,
     ) -> tuple[TrafficMatrixSeries, GroundTruth]:
         """Generate ``n_bins`` of traffic together with the ground truth behind it.
 
@@ -357,14 +370,30 @@ class ICTMGenerator:
         is bit-identical to the historical per-bin loop (the chunked IC
         kernel and the chunk-split noise draws both reproduce the one-shot
         values exactly).
+
+        Given a ``plan`` (one this generator drew), no new plan is drawn:
+        the series is bins ``[start_bin, start_bin + n_bins)`` of ``plan``,
+        at its bin width, and ``bin_seconds`` and ``start_seconds`` are
+        unused.  That is how a dataset generates one week of its multi-week
+        plan; weeks generated in order resume the noise stream where the
+        previous one stopped.
         """
-        plan = self.plan(n_bins, bin_seconds=bin_seconds, start_seconds=start_seconds)
+        if plan is None:
+            plan = self.plan(n_bins, bin_seconds=bin_seconds, start_seconds=start_seconds)
+        stop_bin = int(start_bin) + int(n_bins)
+        if stop_bin > plan.n_bins:
+            raise ValidationError(
+                f"bins [{start_bin}, {stop_bin}) run past the planned {plan.n_bins} bins"
+            )
         n = len(self._nodes)
         matrices = np.empty((n_bins, n, n))
-        for t0, block in self.iter_chunks(plan, chunk_bins=_GENERATE_CHUNK_BINS):
+        for t0, block in self.iter_chunks(
+            plan, chunk_bins=_GENERATE_CHUNK_BINS, start_bin=start_bin, stop_bin=stop_bin
+        ):
             matrices[t0 : t0 + block.shape[0]] = block
-        series = TrafficMatrixSeries(matrices, self._nodes, bin_seconds=bin_seconds)
-        return series, plan.truth(self._config.forward_fraction)
+        series = TrafficMatrixSeries(matrices, self._nodes, bin_seconds=plan.bin_seconds)
+        truth = plan.truth(self._config.forward_fraction)
+        return series, replace(truth, activity=plan.activity[start_bin:stop_bin])
 
 
 class GravityTMGenerator:

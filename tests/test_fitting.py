@@ -305,27 +305,3 @@ def test_near_exact_fit_is_scored_exactly(clean_ic_series):
     """The expanded score cancels to ~1e-7 here; the exact re-score keeps it."""
     series, *_ = clean_ic_series
     assert fit_stable_fp(series).objective < 1e-10
-
-
-def test_bin_norms_blocks_match_the_one_shot_reduction():
-    from repro.core.fitting import _bin_norms
-
-    values = np.random.default_rng(3).lognormal(10.0, 2.0, (1100, 9, 9))
-    expected = np.sqrt((values**2).sum(axis=(1, 2)))
-    assert _bin_norms(values).tobytes() == expected.tobytes()
-
-
-def test_cube_fit_allocates_no_cube_sized_temporary():
-    import tracemalloc
-
-    from repro.synthesis.datasets import load_dataset
-
-    week = load_dataset("geant", n_weeks=1, full_scale=True).week(0)
-    for source in (week, week.values):
-        tracemalloc.start()
-        try:
-            fit_stable_fp(source)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= week.values.nbytes

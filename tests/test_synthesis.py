@@ -120,6 +120,32 @@ class TestICTMGenerator:
         b = ICTMGenerator(["x", "y", "z"], seed=5).generate(5)[0]
         np.testing.assert_allclose(a.values, b.values)
 
+    def test_plan_ranges_concatenate_to_the_whole_series_without_replay(self, monkeypatch):
+        from repro.synthesis import generator as generator_module
+
+        replayed: list[int] = []
+        original = generator_module.GenerationPlan._replay_span
+
+        def counting(self, rng, start, stop):
+            replayed.append(stop - start)
+            return original(self, rng, start, stop)
+
+        generator = ICTMGenerator([f"n{i}" for i in range(5)], seed=4)
+        whole, truth = generator.generate(700)
+        plan = generator.plan(700)
+        monkeypatch.setattr(generator_module.GenerationPlan, "_replay_span", counting)
+        # 300-bin ranges: the state-cache anchors (every 256 bins) never
+        # land on a range boundary, so only the cached stop state avoids
+        # replaying draws.
+        parts = [generator.generate(300, plan=plan, start_bin=start) for start in (0, 300)]
+        parts.append(generator.generate(100, plan=plan, start_bin=600))
+        assert sum(replayed) == 0
+        joined = np.concatenate([series.values for series, _ in parts])
+        assert joined.tobytes() == whole.values.tobytes()
+        np.testing.assert_array_equal(parts[1][1].activity, truth.activity[300:600])
+        with pytest.raises(ValidationError):
+            generator.generate(200, plan=plan, start_bin=600)
+
     def test_requires_two_nodes(self):
         with pytest.raises(ValidationError):
             ICTMGenerator(["only"])
@@ -223,6 +249,21 @@ class TestDatasets:
         assert len(walked) == 3
         for index, values in enumerate(walked):
             assert values.tobytes() == cached.week(index).values.tobytes()
+        # Each lazy week is one ICTMGenerator.generate call over the plan,
+        # so the week walk is timed wherever that call is.
+        calls: list[int] = []
+        original = ICTMGenerator.generate
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs["start_bin"])
+            return original(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ICTMGenerator, "generate", counting)
+            fresh = factory(n_weeks=3, bins_per_week=300, seed=5)
+            rewalked = [week.values for week in fresh.iter_weeks()]
+        assert calls == [0, 300, 600]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rewalked, walked))
         # A materialised dataset yields its cached weeks.
         assert all(
             walked_week is cached.week(index)
