@@ -35,21 +35,19 @@ The public API is re-exported here for convenience::
     result = ScenarioRunner().run(Scenario(dataset="geant", prior="stable_fp"))
 """
 
-from repro.core.traffic_matrix import TrafficMatrix, TrafficMatrixSeries
+from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.core.ic_model import (
     StableFPICModel,
     degrees_of_freedom,
     general_ic_matrix,
     general_ic_series,
-    simplified_ic_matrix,
     simplified_ic_series,
     time_varying_ic_series,
 )
-from repro.core.gravity import GravityModel, gravity_matrix, gravity_series, gravity_series_values
+from repro.core.gravity import gravity_series, gravity_series_values
 from repro.core.metrics import (
     mean_relative_error,
     percent_improvement,
-    rel_l2_spatial_error,
     rel_l2_temporal_error,
 )
 from repro.core.fitting import (
@@ -60,7 +58,6 @@ from repro.core.fitting import (
 )
 from repro.core.priors import (
     GravityPrior,
-    MeasuredParameterPrior,
     StableFPPrior,
     StableFPrior,
 )
@@ -81,28 +78,21 @@ from repro.scenarios import (
     ScenarioResult,
     ScenarioRunner,
     SweepResult,
-    run_scenario,
-    sweep,
 )
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "TrafficMatrix",
     "TrafficMatrixSeries",
     "StableFPICModel",
     "degrees_of_freedom",
     "general_ic_matrix",
     "general_ic_series",
-    "simplified_ic_matrix",
     "simplified_ic_series",
     "time_varying_ic_series",
-    "GravityModel",
-    "gravity_matrix",
     "gravity_series",
     "gravity_series_values",
     "rel_l2_temporal_error",
-    "rel_l2_spatial_error",
     "percent_improvement",
     "mean_relative_error",
     "FitResult",
@@ -110,7 +100,6 @@ __all__ = [
     "fit_stable_f",
     "fit_time_varying",
     "GravityPrior",
-    "MeasuredParameterPrior",
     "StableFPPrior",
     "StableFPrior",
     "ReproError",
@@ -130,7 +119,5 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "SweepResult",
-    "run_scenario",
-    "sweep",
     "__version__",
 ]

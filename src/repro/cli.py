@@ -628,7 +628,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.ingest import FileReplaySource, IngestService, SyntheticFlowSource
-    from repro.registry import ESTIMATORS, TOPOLOGIES
+    from repro.registry import ESTIMATORS
+    from repro.topology.library import build_named_topology
 
     if args.source == "synthetic":
         from repro.synthesis.datasets import open_dataset_stream
@@ -641,7 +642,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             chunk_bins=args.chunk_bins,
         )
         topology = (
-            TOPOLOGIES.entry(args.topology).obj() if args.topology else data.topology
+            build_named_topology(args.topology) if args.topology else data.topology
         )
         stream = data.full_stream(chunk_bins=args.chunk_bins)
         source = SyntheticFlowSource(stream)
@@ -649,7 +650,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         if args.topology is None:
             raise ReproError("--topology is required for file sources")
-        topology = TOPOLOGIES.entry(args.topology).obj()
+        topology = build_named_topology(args.topology)
         bin_seconds = args.bin_seconds or 300.0
         source = FileReplaySource(
             args.source,

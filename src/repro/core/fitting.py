@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._validation import require_probability
-from repro.core.ic_model import simplified_ic_series, time_varying_ic_series
+from repro.core.ic_model import time_varying_ic_series
 from repro.core.metrics import rel_l2_temporal_error
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import FittingError, ValidationError
@@ -107,25 +107,6 @@ class FitResult:
     def objective(self) -> float:
         """Final value of the fitting objective (sum of per-bin errors)."""
         return float(np.sum(self.errors))
-
-    def predicted_series(self, *, bin_seconds: float = 300.0) -> TrafficMatrixSeries:
-        """The traffic-matrix series implied by the fitted parameters."""
-        matrices = self.predicted_values()
-        return TrafficMatrixSeries(matrices, self.nodes or None, bin_seconds=bin_seconds)
-
-    def predicted_values(self) -> np.ndarray:
-        """The fitted model's ``(T, n, n)`` traffic array (vectorised over bins)."""
-        if self.model == "stable-fP":
-            return simplified_ic_series(float(self.forward_fraction), self.activity, self.preference)
-        t = self.activity.shape[0]
-        if np.isscalar(self.forward_fraction) or np.ndim(self.forward_fraction) == 0:
-            forward = np.full(t, float(self.forward_fraction))
-        else:
-            forward = np.asarray(self.forward_fraction, dtype=float)
-        preference = self.preference
-        if preference.ndim == 1:
-            preference = np.broadcast_to(preference, self.activity.shape)
-        return time_varying_ic_series(forward, self.activity, preference)
 
 
 # ---------------------------------------------------------------------------

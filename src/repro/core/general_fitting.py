@@ -71,16 +71,6 @@ class GeneralFitResult:
         f = self.forward_fraction_matrix
         return (f - f.T) / 2.0
 
-    def predicted_values(self) -> np.ndarray:
-        """The fitted general model's ``(T, n, n)`` traffic array."""
-        t = self.activity.shape[0]
-        matrices = np.empty((t, self.preference.shape[0], self.preference.shape[0]))
-        for step in range(t):
-            matrices[step] = general_ic_matrix(
-                self.forward_fraction_matrix, self.activity[step], self.preference
-            )
-        return matrices
-
 
 def fit_pairwise_forward_fractions(
     values: np.ndarray,

@@ -16,9 +16,9 @@ Temporal variants (Eqs. 3-5) restrict which parameters may vary with time:
 * stable-f      — ``f`` fixed, ``A_i(t), P_i(t)`` vary,
 * stable-fP     — ``f`` and ``P_i`` fixed, only ``A_i(t)`` varies.
 
-This module provides the per-bin functions (:func:`general_ic_matrix`,
-:func:`simplified_ic_matrix`), the batched ``*_ic_series`` kernels that the
-fits, priors and synthesis run on, one model class
+This module provides the batched ``*_ic_series`` kernels that the fits,
+priors and synthesis run on, the per-bin :func:`general_ic_matrix` that the
+general-model fit evaluates, one model class
 (:class:`StableFPICModel`, the synthetic-generation recipe of Section 5.5)
 and the degrees-of-freedom accounting used in Section 5.1.
 """
@@ -42,7 +42,6 @@ from repro.errors import ShapeError, ValidationError
 
 __all__ = [
     "general_ic_matrix",
-    "simplified_ic_matrix",
     "general_ic_series",
     "simplified_ic_series",
     "time_varying_ic_series",
@@ -102,20 +101,6 @@ def general_ic_matrix(forward_fraction, activity, preference) -> np.ndarray:
     return forward + reverse
 
 
-def simplified_ic_matrix(forward_fraction: float, activity, preference) -> np.ndarray:
-    """Evaluate the simplified IC model (Eq. 2) for one time bin.
-
-    Identical to :func:`general_ic_matrix` with a scalar network-wide ``f``.
-    """
-    f = require_probability(forward_fraction, "forward_fraction")
-    a = require_nonnegative(as_1d_array(activity, "activity"), "activity")
-    p = require_nonnegative(
-        as_1d_array(preference, "preference", length=a.shape[0]), "preference"
-    )
-    p = normalized(p, "preference")
-    return f * np.outer(a, p) + (1.0 - f) * np.outer(p, a)
-
-
 # Per-chunk working-set budget for the series kernels: bins are processed in
 # blocks whose (chunk, n, n) outer-product stack fits the cache, which keeps
 # the scale / transpose / accumulate passes in L2 instead of main memory.
@@ -129,16 +114,13 @@ def _kernel_chunk(n: int) -> int:
 def simplified_ic_series(forward_fraction: float, activity_series, preference) -> np.ndarray:
     """Vectorised simplified IC model over a ``(T, n)`` activity series.
 
-    Returns a ``(T, n, n)`` array that is bit-identical to stacking
-    :func:`simplified_ic_matrix` per bin; used by the stable-fP model and by
-    the fitting code where speed matters.
+    Bin ``t`` is ``f * outer(A(t), P) + (1 - f) * outer(P, A(t))`` with
+    ``P`` normalised to sum to one (Eq. 2 with stable ``f`` and ``P``).
+    Returns a ``(T, n, n)`` array; used by the stable-fP model, the fits,
+    the priors and synthesis.
     """
     f = require_probability(forward_fraction, "forward_fraction")
-    a = np.asarray(activity_series, dtype=float)
-    if a.ndim == 1:
-        a = a[np.newaxis, :]
-    if a.ndim != 2:
-        raise ShapeError(f"activity_series must have shape (T, n), got {a.shape}")
+    a = _as_series_2d(activity_series, "activity_series")
     p = require_nonnegative(
         as_1d_array(preference, "preference", length=a.shape[1]), "preference"
     )
@@ -187,11 +169,11 @@ def general_ic_series(forward_fraction, activity_series, preference) -> np.ndarr
 def time_varying_ic_series(forward_series, activity_series, preference_series) -> np.ndarray:
     """Vectorised simplified IC model with per-bin ``f(t)``/``A(t)``/``P(t)``.
 
-    Batched equivalent of stacking ``simplified_ic_matrix(f[t], a[t], p[t])``
-    per bin (Eqs. 3-4): the preference of each bin is normalised to sum to
+    Bin ``t`` is ``f(t) * outer(A(t), P(t)) + (1 - f(t)) * outer(P(t), A(t))``
+    (Eqs. 3-4): the preference of each bin is normalised to sum to
     one independently.  ``forward_series`` may be a scalar (stable-f, Eq. 4)
     or a length-``T`` array (time-varying, Eq. 3).  Returns a ``(T, n, n)``
-    array that is bit-identical to the per-bin loop.
+    array.
     """
     a = _as_series_2d(activity_series, "activity_series")
     p = _as_series_2d(preference_series, "preference_series", length=a.shape[1])

@@ -8,10 +8,7 @@ The headline metric is the relative L2 *temporal* error of Equation (6):
                       {\\sqrt{\\sum_{ij} X_{ij}(t)^2}}
 
 which is computed for every time bin ``t`` and compared between the IC model
-and the gravity model (as a percentage improvement).  The relative L2
-*spatial* error — the same ratio computed per OD pair across time — is also
-provided because it is the standard companion metric in the TM-estimation
-literature the paper builds on.
+and the gravity model (as a percentage improvement).
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from repro.errors import ShapeError
 
 __all__ = [
     "rel_l2_temporal_error",
-    "rel_l2_spatial_error",
     "percent_improvement",
     "mean_relative_error",
     "summarize_improvement",
@@ -63,22 +59,6 @@ def rel_l2_temporal_error(actual, estimate) -> np.ndarray:
     _check_same_shape(actual, estimate)
     diff = np.sqrt(((actual - estimate) ** 2).sum(axis=(1, 2)))
     norm = np.sqrt((actual**2).sum(axis=(1, 2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        error = np.where(norm > 0, diff / np.where(norm > 0, norm, 1.0), np.where(diff > 0, np.inf, 0.0))
-    return error
-
-
-def rel_l2_spatial_error(actual, estimate) -> np.ndarray:
-    """Relative L2 spatial error: one value per OD pair, computed across time.
-
-    Returns an ``(n, n)`` array where entry ``(i, j)`` is
-    ``||X_ij(.) - X̂_ij(.)||_2 / ||X_ij(.)||_2``.
-    """
-    actual = _to_array(actual)
-    estimate = _to_array(estimate)
-    _check_same_shape(actual, estimate)
-    diff = np.sqrt(((actual - estimate) ** 2).sum(axis=0))
-    norm = np.sqrt((actual**2).sum(axis=0))
     with np.errstate(divide="ignore", invalid="ignore"):
         error = np.where(norm > 0, diff / np.where(norm > 0, norm, 1.0), np.where(diff > 0, np.inf, 0.0))
     return error

@@ -5,10 +5,11 @@ traffic matrix, refine it against the link counts (tomogravity-style least
 squares), then apply iterative proportional fitting.  This module implements
 the *prior* builders; the refinement steps live in :mod:`repro.estimation`.
 
-Four priors are provided, ordered by how much side information they assume:
+Four priors are registered, ordered by how much side information they assume:
 
-* :class:`MeasuredParameterPrior` (Section 6.1) — ``f``, ``{P_i}`` and
-  ``{A_i(t)}`` are all measured (in practice: fitted to the same week).
+* ``measured`` (Section 6.1) — ``f``, ``{P_i}`` and ``{A_i(t)}`` are all
+  measured (in practice: fitted to the same week); its builder composes the
+  prior from the fit with :func:`~repro.core.ic_model.simplified_ic_series`.
 * :class:`StableFPPrior` (Section 6.2) — ``f`` and ``{P_i}`` come from a
   previous calibration week; ``{A_i(t)}`` is recovered from the current
   ingress/egress counts with the pseudo-inverse construction of Eqs. 7-9
@@ -46,13 +47,11 @@ from repro.registry import register_prior
 
 __all__ = [
     "GravityPrior",
-    "MeasuredParameterPrior",
     "StableFPPrior",
     "StableFPrior",
     "PriorContext",
     "ic_design_matrix",
     "marginal_operators",
-    "estimate_activity_from_marginals",
     "stable_f_closed_form",
 ]
 
@@ -95,18 +94,6 @@ def marginal_operators(n_nodes: int):
     h = sparse.csr_matrix((ones, (origins, pairs)), shape=(n, n * n))
     g = sparse.csr_matrix((ones, (destinations, pairs)), shape=(n, n * n))
     return h, g, sparse.vstack([h, g], format="csr")
-
-
-def estimate_activity_from_marginals(
-    forward_fraction: float, preference, ingress, egress
-) -> np.ndarray:
-    """Recover per-bin activity from ingress/egress counts (Eq. 8).
-
-    Solves ``Ã = pinv(QΦ) [ingress; egress]`` in the least-squares sense and
-    clips the result to be non-negative.  Accepts either single-bin vectors of
-    length ``n`` or ``(T, n)`` series; the return shape mirrors the input.
-    """
-    return StableFPPrior(forward_fraction, preference).estimate_activity(ingress, egress)
 
 
 def stable_f_closed_form(forward_fraction: float, ingress, egress) -> tuple[np.ndarray, np.ndarray]:
@@ -159,42 +146,6 @@ class GravityPrior:
         if ingress.shape != egress.shape:
             raise ShapeError("ingress and egress series must have the same shape")
         matrices = gravity_series_values(ingress, egress)
-        return TrafficMatrixSeries(matrices, nodes, bin_seconds=bin_seconds)
-
-
-class MeasuredParameterPrior:
-    """Section 6.1 prior: all IC parameters are measured/known.
-
-    Typically the parameters come from a :class:`repro.core.fitting.FitResult`
-    on the same week of data ("thought experiment" bounding the achievable
-    gain), or from direct per-access-point measurement infrastructure.
-    """
-
-    name = "ic-measured"
-
-    def __init__(self, forward_fraction: float, preference, activity):
-        self._forward = require_probability(forward_fraction, "forward_fraction")
-        p = require_nonnegative(as_1d_array(preference, "preference"), "preference")
-        self._preference = normalized(p, "preference")
-        activity = np.asarray(activity, dtype=float)
-        if activity.ndim == 1:
-            activity = activity[np.newaxis, :]
-        if activity.ndim != 2 or activity.shape[1] != self._preference.shape[0]:
-            raise ShapeError(
-                f"activity must have shape (T, n={self._preference.shape[0]}), got {activity.shape}"
-            )
-        self._activity = np.clip(activity, 0.0, None)
-
-    @classmethod
-    def from_fit(cls, fit) -> "MeasuredParameterPrior":
-        """Build the prior directly from a stable-fP :class:`FitResult`."""
-        if fit.model != "stable-fP":
-            raise ValidationError("MeasuredParameterPrior.from_fit expects a stable-fP fit")
-        return cls(float(fit.forward_fraction), fit.preference, fit.activity)
-
-    def series(self, *, nodes=None, bin_seconds: float = 300.0) -> TrafficMatrixSeries:
-        """The prior traffic-matrix series implied by the measured parameters."""
-        matrices = simplified_ic_series(self._forward, self._activity, self._preference)
         return TrafficMatrixSeries(matrices, nodes, bin_seconds=bin_seconds)
 
 

@@ -19,7 +19,6 @@ from repro.ingest.records import (
     RecordBatch,
     read_flow_file,
     write_flow_csv,
-    write_flow_jsonl,
 )
 from repro.ingest.rolling import ActivePrior, PRIOR_MODES, RollingFitManager, RollingWindow
 from repro.ingest.service import CHECKPOINT_FORMAT, IngestService, ServiceStatus
@@ -44,5 +43,4 @@ __all__ = [
     "SyntheticFlowSource",
     "read_flow_file",
     "write_flow_csv",
-    "write_flow_jsonl",
 ]

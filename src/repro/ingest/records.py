@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["RecordBatch", "read_flow_file", "write_flow_csv", "write_flow_jsonl"]
+__all__ = ["RecordBatch", "read_flow_file", "write_flow_csv"]
 
 CSV_HEADER = "time,src,dst,bytes"
 _CSV_HEADER_LINES = ((CSV_HEADER + "\n").encode(), (CSV_HEADER + "\r\n").encode())
@@ -339,21 +339,5 @@ def write_flow_csv(path, rows) -> int:
         handle.write(CSV_HEADER + "\n")
         for time, src, dst, volume in rows:
             handle.write(f"{float(time):.6g},{src},{dst},{float(volume):.10g}\n")
-            count += 1
-    return count
-
-
-def write_flow_jsonl(path, rows) -> int:
-    """Write ``(time, src, dst, bytes)`` rows as a replayable JSONL trace."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for time, src, dst, volume in rows:
-            handle.write(
-                json.dumps(
-                    {"time": float(time), "src": str(src), "dst": str(dst), "bytes": float(volume)}
-                )
-                + "\n"
-            )
             count += 1
     return count

@@ -2,7 +2,7 @@
 
 The operator-facing query layer of the reproduction: composable streaming
 reducers (:mod:`~repro.marts.marts`) over ``.npz`` shard archives and live
-chunk streams, mergeable sketches with tested accuracy bounds
+chunk streams, sketches with tested accuracy bounds
 (:mod:`~repro.marts.sketches`), archive readers
 (:mod:`~repro.marts.archive`), the ``repro report`` rendering layer
 (:mod:`~repro.marts.report`) and the streaming sweep result sink
@@ -21,7 +21,6 @@ from repro.marts.marts import (
     TopTalkersMart,
     TrafficByHourMart,
     build_mart,
-    mart_from_state,
 )
 from repro.marts.report import REPORT_FORMATS, build_report, render_report
 from repro.marts.sink import ArchiveResultSink
@@ -37,7 +36,6 @@ __all__ = [
     "OdCcdfMart",
     "ErrorQuantilesMart",
     "build_mart",
-    "mart_from_state",
     "QuantileSketch",
     "CCDFSketch",
     "TopK",

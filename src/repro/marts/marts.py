@@ -1,11 +1,12 @@
 """The mart catalogue: single-pass reducers over ``(t0, block)`` streams.
 
-A mart consumes a series chunk by chunk (`update`), merges with a mart of
-the same type built over other bins or cells (`merge`), and renders a
+A mart consumes a series chunk by chunk (`update`) and renders a
 JSON-able summary (`result`).  Cube marts reduce ``(T, n, n)`` estimate
 archives; series marts reduce per-bin scalar series (errors,
-improvements).  State round-trips through ``to_state``/``from_state`` so
-per-cell partials persist next to the spill archive and re-merge later.
+improvements).  :class:`ErrorQuantilesMart` also merges with a mart built
+over other cells (`merge`) and writes its state (`to_state`): the archive
+sink folds per-cell partials into the archive-level ``marts.json``, which
+`repro report` does not read back (it re-reduces from the shards).
 
 Exactness contract: every statistic that can be exact, is.  Per-OD totals
 fold bin by bin through
@@ -55,17 +56,7 @@ class Mart:
     def update(self, t0: int, block: np.ndarray) -> None:
         raise NotImplementedError
 
-    def merge(self, other: "Mart") -> "Mart":
-        raise NotImplementedError
-
     def result(self) -> dict:
-        raise NotImplementedError
-
-    def to_state(self) -> dict:
-        raise NotImplementedError
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Mart":
         raise NotImplementedError
 
     def consume(self, blocks) -> "Mart":
@@ -73,12 +64,6 @@ class Mart:
         for t0, block in blocks:
             self.update(t0, np.asarray(block))
         return self
-
-    def _check_merge(self, other: "Mart") -> None:
-        if type(other) is not type(self):
-            raise ValidationError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
 
 
 class _CubeMart(Mart):
@@ -101,24 +86,6 @@ class _CubeMart(Mart):
         sequential_bin_fold(self._od_sum, block)
         self._n_bins += block.shape[0]
 
-    def _merge_fold(self, other: "_CubeMart") -> None:
-        if other._od_sum is not None:
-            if self._od_sum is None:
-                self._od_sum = other._od_sum.copy()
-            else:
-                self._od_sum += other._od_sum
-        self._n_bins += other._n_bins
-
-    def _od_state(self) -> dict:
-        return {
-            "n_bins": self._n_bins,
-            "od_sum": None if self._od_sum is None else self._od_sum.tolist(),
-        }
-
-    def _load_od_state(self, state: dict) -> None:
-        self._n_bins = int(state["n_bins"])
-        self._od_sum = None if state["od_sum"] is None else np.asarray(state["od_sum"])
-
 
 class OverviewMart(_CubeMart):
     """Archive-wide totals: bins, nodes, total/mean/extreme bin traffic."""
@@ -137,13 +104,6 @@ class OverviewMart(_CubeMart):
         self._max_bin_total = max(self._max_bin_total, float(totals.max()))
         self._min_bin_total = min(self._min_bin_total, float(totals.min()))
 
-    def merge(self, other: Mart) -> "OverviewMart":
-        self._check_merge(other)
-        self._merge_fold(other)
-        self._max_bin_total = max(self._max_bin_total, other._max_bin_total)
-        self._min_bin_total = min(self._min_bin_total, other._min_bin_total)
-        return self
-
     def result(self) -> dict:
         if self._n_bins == 0:
             return {"n_bins": 0}
@@ -157,29 +117,13 @@ class OverviewMart(_CubeMart):
             "min_bin_total": self._min_bin_total,
         }
 
-    def to_state(self) -> dict:
-        return {
-            **self._od_state(),
-            "max_bin_total": self._max_bin_total,
-            "min_bin_total": self._min_bin_total,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "OverviewMart":
-        mart = cls()
-        mart._load_od_state(state)
-        mart._max_bin_total = float(state["max_bin_total"])
-        mart._min_bin_total = float(state["min_bin_total"])
-        return mart
-
 
 class TopTalkersMart(_CubeMart):
     """The K heaviest OD flows by total traffic, with ingress/egress totals.
 
     The ranking reads off the exact per-OD sums, so it matches the
     materialised ``cube.sum(axis=0)`` oracle bit for bit; the bounded heap
-    only enters at result time (and when merging partials whose OD sums
-    were discarded).
+    only enters at result time.
     """
 
     name = "top_talkers"
@@ -193,13 +137,6 @@ class TopTalkersMart(_CubeMart):
 
     def update(self, t0: int, block: np.ndarray) -> None:
         self._fold(block)
-
-    def merge(self, other: Mart) -> "TopTalkersMart":
-        self._check_merge(other)
-        if other.k != self.k:
-            raise ValidationError("cannot merge top_talkers marts with different k")
-        self._merge_fold(other)
-        return self
 
     def result(self) -> dict:
         if self._n_bins == 0:
@@ -231,15 +168,6 @@ class TopTalkersMart(_CubeMart):
             "egress_totals": egress.tolist(),
         }
 
-    def to_state(self) -> dict:
-        return {**self._od_state(), "k": self.k}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TopTalkersMart":
-        mart = cls(k=int(state["k"]))
-        mart._load_od_state(state)
-        return mart
-
 
 class TrafficByHourMart(Mart):
     """Hour-of-day rollup of per-bin traffic totals.
@@ -269,16 +197,6 @@ class TrafficByHourMart(Mart):
         np.add.at(self._sums, hours, totals)
         np.add.at(self._counts, hours, 1)
 
-    def merge(self, other: Mart) -> "TrafficByHourMart":
-        self._check_merge(other)
-        if other.bins_per_hour != self.bins_per_hour:
-            raise ValidationError(
-                "cannot merge traffic_by_hour marts with different bins_per_hour"
-            )
-        self._sums += other._sums
-        self._counts += other._counts
-        return self
-
     def result(self) -> dict:
         rows = [
             {
@@ -295,20 +213,6 @@ class TrafficByHourMart(Mart):
             if self._counts[hour]
         ]
         return {"bins_per_hour": self.bins_per_hour, "rows": rows}
-
-    def to_state(self) -> dict:
-        return {
-            "bins_per_hour": self.bins_per_hour,
-            "sums": self._sums.tolist(),
-            "counts": self._counts.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TrafficByHourMart":
-        mart = cls(bins_per_hour=int(state["bins_per_hour"]))
-        mart._sums = np.asarray(state["sums"], dtype=float)
-        mart._counts = np.asarray(state["counts"], dtype=np.int64)
-        return mart
 
 
 class OdCcdfMart(Mart):
@@ -331,11 +235,6 @@ class OdCcdfMart(Mart):
             raise ValidationError(f"expected a (T, n, n) block, got {block.shape}")
         self._sketch.update(block)
 
-    def merge(self, other: Mart) -> "OdCcdfMart":
-        self._check_merge(other)
-        self._sketch.merge(other._sketch)
-        return self
-
     def result(self) -> dict:
         points = self._sketch.ccdf()
         if len(points) > self.max_points:
@@ -355,15 +254,6 @@ class OdCcdfMart(Mart):
                 for edge, count, fraction in points
             ],
         }
-
-    def to_state(self) -> dict:
-        return {"max_points": self.max_points, "sketch": self._sketch.to_state()}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "OdCcdfMart":
-        mart = cls(max_points=int(state["max_points"]))
-        mart._sketch = CCDFSketch.from_state(state["sketch"])
-        return mart
 
 
 class ErrorQuantilesMart(Mart):
@@ -390,7 +280,10 @@ class ErrorQuantilesMart(Mart):
         self._sketch.update(values)
 
     def merge(self, other: Mart) -> "ErrorQuantilesMart":
-        self._check_merge(other)
+        if type(other) is not type(self):
+            raise ValidationError(
+                f"cannot merge {type(other).__name__} into {type(self).__name__}"
+            )
         self._sum += other._sum
         self._count += other._count
         self._sketch.merge(other._sketch)
@@ -412,14 +305,6 @@ class ErrorQuantilesMart(Mart):
 
     def to_state(self) -> dict:
         return {"sum": self._sum, "count": self._count, "sketch": self._sketch.to_state()}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ErrorQuantilesMart":
-        mart = cls()
-        mart._sum = float(state["sum"])
-        mart._count = int(state["count"])
-        mart._sketch = QuantileSketch.from_state(state["sketch"])
-        return mart
 
 
 class MartSpec:
@@ -463,17 +348,6 @@ MART_REGISTRY: dict[str, MartSpec] = {
     ),
 }
 
-_MART_TYPES = {
-    mart.name: mart
-    for mart in (
-        OverviewMart,
-        TopTalkersMart,
-        TrafficByHourMart,
-        OdCcdfMart,
-        ErrorQuantilesMart,
-    )
-}
-
 
 def build_mart(name: str, options: dict | None = None) -> Mart:
     """Instantiate a registered mart with the report-level options."""
@@ -481,11 +355,3 @@ def build_mart(name: str, options: dict | None = None) -> Mart:
         known = ", ".join(sorted(MART_REGISTRY))
         raise ValidationError(f"unknown mart {name!r} (registered: {known})")
     return MART_REGISTRY[name].factory(options or {})
-
-
-def mart_from_state(name: str, state: dict) -> Mart:
-    """Rehydrate a mart partial persisted by an archive sink."""
-    if name not in _MART_TYPES:
-        known = ", ".join(sorted(_MART_TYPES))
-        raise ValidationError(f"unknown mart {name!r} (known: {known})")
-    return _MART_TYPES[name].from_state(state)

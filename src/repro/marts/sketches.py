@@ -1,4 +1,4 @@
-"""Mergeable streaming sketches: quantiles, log-binned CCDFs, top-K.
+"""Streaming sketches: quantiles, log-binned CCDFs, top-K.
 
 The exact marts reduce to sums that fit in ``O(n^2)``; everything
 distributional — error quantiles, per-OD flow CCDFs, top talkers — needs a
@@ -11,18 +11,14 @@ cover the catalogue:
   summary's guaranteed bound is the *sum* of the operands' bounds (tracked
   on the instance as :attr:`~QuantileSketch.rank_error_epsilon`), and the
   merge is deterministic, so ``merge(a, b)`` and ``merge(b, a)`` answer
-  every query identically.
+  every query identically.  Its JSON-able :meth:`~QuantileSketch.to_state`
+  is what the archive sink writes into ``marts.json``.
 * :class:`CCDFSketch` — exact integer counts over globally fixed
   log-spaced bins (``10^(k / bins_per_decade)``), so the empirical CCDF
   evaluated at any bin edge is *exact* for values that do not sit on an
-  edge, and merging is plain counter addition — bitwise associative and
-  commutative.
+  edge.
 * :class:`TopK` — a bounded min-heap of ``(score, key)`` pairs; with
-  distinct keys the merge is order-independent.
-
-All three serialise to plain JSON-able state (:meth:`to_state` /
-``from_state``), which is how per-cell mart partials land next to the
-spill archive.
+  distinct keys the retained set is order-independent.
 """
 
 from __future__ import annotations
@@ -209,17 +205,6 @@ class QuantileSketch:
             "entries": [list(entry) for entry in self._entries],
         }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "QuantileSketch":
-        sketch = cls(epsilon=state["epsilon"])
-        sketch.rank_error_epsilon = float(state["rank_error_epsilon"])
-        sketch._count = int(state["count"])
-        sketch.nan_count = int(state["nan_count"])
-        sketch._entries = [
-            [float(value), int(g), int(delta)] for value, g, delta in state["entries"]
-        ]
-        return sketch
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QuantileSketch(count={self.count}, entries={len(self._entries)}, "
@@ -231,12 +216,11 @@ class CCDFSketch:
     """Exact counts of positive values over fixed log-spaced bins.
 
     Bin ``k`` covers ``[10^(k/bins_per_decade), 10^((k+1)/bins_per_decade))``
-    — the edges are global constants, so two sketches over different data
-    share the same bins and merge by integer addition (bitwise associative
-    and commutative).  The CCDF evaluated *at a bin edge* is exact for
-    values strictly inside bins; any quantile is recovered within one bin,
-    i.e. a relative value error of ``10^(1/bins_per_decade) - 1``.  Zeros,
-    negatives and NaNs are counted separately (log bins cannot hold them).
+    — the edges are global constants, shared by every sketch.  The CCDF
+    evaluated *at a bin edge* is exact for values strictly inside bins; any
+    quantile is recovered within one bin, i.e. a relative value error of
+    ``10^(1/bins_per_decade) - 1``.  Zeros, negatives and NaNs are counted
+    separately (log bins cannot hold them).
     """
 
     def __init__(self, bins_per_decade: int = 20):
@@ -312,43 +296,12 @@ class CCDFSketch:
                 return float(10.0 ** ((key + 0.5) / self.bins_per_decade))
         return self.edge(max(self.counts) + 1)
 
-    def merge(self, other: "CCDFSketch") -> "CCDFSketch":
-        if other.bins_per_decade != self.bins_per_decade:
-            raise ValidationError(
-                "cannot merge CCDF sketches with different bins_per_decade "
-                f"({self.bins_per_decade} vs {other.bins_per_decade})"
-            )
-        for key, value in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + value
-        self.zero_count += other.zero_count
-        self.negative_count += other.negative_count
-        self.nan_count += other.nan_count
-        return self
-
-    def to_state(self) -> dict:
-        return {
-            "bins_per_decade": self.bins_per_decade,
-            "counts": {str(key): value for key, value in self.counts.items()},
-            "zero_count": self.zero_count,
-            "negative_count": self.negative_count,
-            "nan_count": self.nan_count,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "CCDFSketch":
-        sketch = cls(bins_per_decade=state["bins_per_decade"])
-        sketch.counts = {int(key): int(value) for key, value in state["counts"].items()}
-        sketch.zero_count = int(state["zero_count"])
-        sketch.negative_count = int(state["negative_count"])
-        sketch.nan_count = int(state["nan_count"])
-        return sketch
-
 
 class TopK:
     """Bounded min-heap of the ``k`` largest ``(score, key)`` pairs.
 
     With distinct keys the retained set is a pure function of the inputs,
-    so updates and merges commute.
+    so the order of updates does not matter.
     """
 
     def __init__(self, k: int):
@@ -366,21 +319,6 @@ class TopK:
             elif entry > self._heap[0]:
                 heapq.heapreplace(self._heap, entry)
 
-    def merge(self, other: "TopK") -> "TopK":
-        if other.k != self.k:
-            raise ValidationError(f"cannot merge TopK({other.k}) into TopK({self.k})")
-        self.update(other._heap)
-        return self
-
     def result(self) -> list:
         """``(score, key)`` pairs, largest first."""
         return sorted(self._heap, reverse=True)
-
-    def to_state(self) -> dict:
-        return {"k": self.k, "items": [[score, list(key)] for score, key in self.result()]}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TopK":
-        top = cls(k=state["k"])
-        top.update((score, tuple(key)) for score, key in state["items"])
-        return top

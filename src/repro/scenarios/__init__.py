@@ -37,8 +37,6 @@ from repro.scenarios.runner import (
     ScenarioRunner,
     SweepResult,
     SweepSharedState,
-    run_scenario,
-    sweep,
 )
 from repro.scenarios.spill import (
     SPILL_AUTO_MIN_BINS,
@@ -66,6 +64,4 @@ __all__ = [
     "discover_spilled_series",
     "SPILL_AUTO_MIN_BINS",
     "FIT_CACHE_BYTES",
-    "run_scenario",
-    "sweep",
 ]

@@ -58,7 +58,6 @@ from repro.registry import (
     DATASETS,
     ESTIMATORS,
     PRIORS,
-    TOPOLOGIES,
     RegistryEntry,
     canonical_name,
 )
@@ -66,14 +65,13 @@ from repro.scenarios.scenario import Scenario
 from repro.scenarios.spill import SPILL_AUTO_MIN_BINS, SpillStore
 from repro.streaming import as_chunk_stream
 from repro.synthesis.datasets import load_dataset, open_dataset_stream
+from repro.topology.library import build_named_topology
 
 __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "SweepResult",
     "SweepSharedState",
-    "run_scenario",
-    "sweep",
     "FIT_CACHE_BYTES",
 ]
 
@@ -308,13 +306,7 @@ class ScenarioRunner:
         """
         if scenario.topology is None:
             return data.topology
-        entry = TOPOLOGIES.entry(scenario.topology)
-        if entry.metadata.get("parameterized"):
-            raise ValidationError(
-                f"topology {scenario.topology!r} takes parameters and cannot be "
-                "used as a scenario override; register a concrete instance instead"
-            )
-        topology = entry.obj()
+        topology = build_named_topology(scenario.topology)
         if tuple(topology.nodes) != tuple(data.topology.nodes):
             raise ValidationError(
                 f"topology {scenario.topology!r} has nodes {topology.nodes[:4]}... "
@@ -991,26 +983,3 @@ class SweepResult:
             for result in self.results
         ]
         return format_rows(["scenario", "dataset s", "prior s", "estimation s", "total s"], rows)
-
-
-def run_scenario(scenario: Scenario | dict, **runner_kwargs) -> ScenarioResult:
-    """Convenience wrapper: run one scenario (or scenario dict)."""
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
-    return ScenarioRunner(**runner_kwargs).run(scenario)
-
-
-def sweep(
-    *,
-    priors: Sequence[str],
-    datasets: Sequence[str],
-    base: Scenario | dict | None = None,
-    jobs: int | None = 1,
-    executor=None,
-    **overrides,
-) -> SweepResult:
-    """Convenience wrapper around :meth:`ScenarioRunner.sweep`."""
-    return ScenarioRunner().sweep(
-        priors=priors, datasets=datasets, base=base, jobs=jobs, executor=executor,
-        **overrides,
-    )

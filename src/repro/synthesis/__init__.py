@@ -28,7 +28,6 @@ from repro.synthesis.datasets import (
     make_geant_like_dataset,
     make_totem_like_dataset,
     open_dataset_stream,
-    register_dataset_stream,
     streamable_dataset_names,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "StreamingDataset",
     "load_dataset",
     "open_dataset_stream",
-    "register_dataset_stream",
     "streamable_dataset_names",
     "make_geant_like_dataset",
     "make_totem_like_dataset",

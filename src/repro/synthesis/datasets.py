@@ -47,8 +47,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.core.traffic_matrix import TrafficMatrixSeries
-from repro.errors import RegistryError, ValidationError
-from repro.registry import DATASETS, canonical_name, register_dataset
+from repro.errors import ValidationError
+from repro.registry import DATASETS, register_dataset
 from repro.streaming import (
     ArrayChunkStream,
     ChunkStream,
@@ -71,7 +71,6 @@ __all__ = [
     "make_totem_like_dataset",
     "load_dataset",
     "open_dataset_stream",
-    "register_dataset_stream",
     "streaming_dataset_from_state",
     "streamable_dataset_names",
 ]
@@ -639,60 +638,9 @@ def streaming_dataset_from_state(state: StreamingDatasetState) -> StreamingDatas
     )
 
 
-# Chunk-stream openers for externally registered datasets, keyed by the
-# canonical dataset name.  Built-in datasets stream through _DATASET_SPECS;
-# third-party datasets opt in here with a factory of their own.
-_STREAM_OPENERS: dict[str, Callable] = {}
-
-
-def register_dataset_stream(name: str, opener: Callable | None = None, *, overwrite: bool = False):
-    """Let an externally registered dataset opt into :func:`open_dataset_stream`.
-
-    ``opener`` is called as ``opener(n_weeks=..., bins_per_week=...,
-    full_scale=..., seed=..., chunk_bins=...)`` and must return an object
-    with the :class:`StreamingDataset` surface — at minimum ``topology``,
-    ``nodes``, ``n_weeks``, ``bin_seconds`` and ``week_stream(index,
-    max_bins=...)`` returning a :class:`repro.streaming.ChunkStream` (the
-    protocol is fully generic; :class:`repro.streaming.FunctionChunkStream`
-    over your own chunk generator is usually all you need).  ``bins_per_week``
-    and ``seed`` arrive as ``None`` when the caller kept the defaults.
-
-    Usable as a decorator::
-
-        @register_dataset_stream("my_dataset")
-        def open_my_dataset_stream(*, n_weeks, bins_per_week, full_scale, seed, chunk_bins):
-            ...
-
-    The dataset itself must already be registered with
-    :func:`repro.registry.register_dataset`; registering a stream opener for
-    a built-in (spec-backed) dataset is rejected because those stream through
-    the shared generation specs that keep them bit-identical to
-    :func:`load_dataset`.
-    """
-
-    def decorate(target: Callable) -> Callable:
-        key = canonical_name(name)
-        if key in _DATASET_SPECS:
-            raise RegistryError(
-                f"dataset {name!r} is a built-in with a spec-backed stream; "
-                "its opener cannot be replaced"
-            )
-        if key in _STREAM_OPENERS and not overwrite:
-            raise RegistryError(
-                f"dataset {name!r} already has a stream opener; "
-                "pass overwrite=True to replace it"
-            )
-        _STREAM_OPENERS[key] = target
-        return target
-
-    if opener is None:
-        return decorate
-    return decorate(opener)
-
-
 def streamable_dataset_names() -> tuple[str, ...]:
     """Every dataset name :func:`open_dataset_stream` accepts, sorted."""
-    return tuple(sorted(set(_DATASET_SPECS) | set(_STREAM_OPENERS)))
+    return tuple(sorted(_DATASET_SPECS))
 
 
 def open_dataset_stream(
@@ -708,41 +656,23 @@ def open_dataset_stream(
 
     Accepts the same scale knobs as :func:`load_dataset`.  The built-in
     ``geant``/``totem`` datasets stream through the shared generation specs
-    (same seed ⇒ bit-identical to :func:`load_dataset`); externally
-    registered datasets stream through the chunk factory they registered
-    with :func:`register_dataset_stream`.  A dataset with neither raises a
-    :class:`ValidationError` naming every registered dataset that *does*
-    stream.
+    (same seed ⇒ bit-identical to :func:`load_dataset`).  Any other
+    registered dataset raises a :class:`ValidationError` naming every
+    dataset that *does* stream.
     """
     entry = DATASETS.entry(name)  # canonicalises and reports valid choices
-    if entry.name in _DATASET_SPECS:
-        return _builtin_dataset(
-            entry.name,
-            n_weeks=n_weeks,
-            bins_per_week=bins_per_week,
-            full_scale=full_scale,
-            seed=seed,
-            chunk_bins=chunk_bins,
-            memoised_plan=True,
-        )
-    opener = _STREAM_OPENERS.get(entry.name)
-    if opener is None:
+    if entry.name not in _DATASET_SPECS:
         raise ValidationError(
             f"dataset {name!r} has no streaming factory; registered datasets "
             f"that stream: {list(streamable_dataset_names())} (run without "
-            "--stream, or register a chunk factory with "
-            "repro.synthesis.register_dataset_stream)"
+            "--stream)"
         )
-    data = opener(
-        n_weeks=int(n_weeks),
+    return _builtin_dataset(
+        entry.name,
+        n_weeks=n_weeks,
         bins_per_week=bins_per_week,
         full_scale=full_scale,
         seed=seed,
         chunk_bins=chunk_bins,
+        memoised_plan=True,
     )
-    if not hasattr(data, "week_stream"):
-        raise ValidationError(
-            f"stream opener for dataset {name!r} returned "
-            f"{type(data).__name__}, which lacks the required week_stream method"
-        )
-    return data

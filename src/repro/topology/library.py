@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import TopologyError
-from repro.registry import register_topology
+from repro.errors import TopologyError, ValidationError
+from repro.registry import TOPOLOGIES, register_topology
 from repro.topology.topology import Link, Topology
 
 __all__ = ["geant_topology", "totem_topology", "abilene_topology", "random_topology"]
@@ -136,6 +136,23 @@ def abilene_topology() -> Topology:
         topology.add_bidirectional_link(a, b, weight=weight, capacity=10e9)
     topology.validate_connected()
     return topology
+
+
+def build_named_topology(name: str) -> Topology:
+    """Build the registered topology ``name`` from its name alone.
+
+    ``estimate``, ``sweep`` and ``serve`` take a topology by name, so a
+    factory registered as ``parameterized`` (``random`` needs ``n_nodes``)
+    is rejected with a :class:`ValidationError` instead of being called
+    without its arguments.
+    """
+    entry = TOPOLOGIES.entry(name)
+    if entry.metadata.get("parameterized"):
+        raise ValidationError(
+            f"topology {name!r} takes parameters and cannot be built by name; "
+            "register a concrete instance instead"
+        )
+    return entry.obj()
 
 
 @register_topology("random", description="Seeded random ring-plus-chords topology for scaling studies", metadata={"parameterized": True})

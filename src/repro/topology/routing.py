@@ -1,11 +1,11 @@
 """Shortest-path routing and routing-matrix construction.
 
 The estimation problem of Section 6 is ``Y = R x`` where ``x`` is the
-vectorised traffic matrix (row-major OD order, see
-:func:`repro.core.traffic_matrix.od_pairs`), ``Y`` the vector of per-link byte
-counts and ``R`` the routing matrix: ``R[r, s]`` is the fraction of OD pair
-``s`` that traverses link ``r`` (1 for single shortest paths, fractional under
-equal-cost multipath splitting).
+vectorised traffic matrix (row-major OD order: pair ``(i, j)`` is entry
+``i * n + j``, as in ``TrafficMatrixSeries.to_vectors``), ``Y`` the vector
+of per-link byte counts and ``R`` the routing matrix: ``R[r, s]`` is the
+fraction of OD pair ``s`` that traverses link ``r`` (1 for single shortest
+paths, fractional under equal-cost multipath splitting).
 
 Routing follows IGP link weights: one ``scipy.sparse.csgraph`` Dijkstra
 gives the all-pairs distances, and each OD pair is split evenly over its

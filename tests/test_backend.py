@@ -7,8 +7,8 @@ tests pin that contract from three sides:
 * kernel equivalence, parametrized over the *input form*: ``numpy`` passes
   float ndarrays, ``numpy_generic`` passes the same values as plain nested
   Python lists.  Both forms must give bit-identical results, and both must
-  agree within 1e-10 with an independent per-bin reference (the per-matrix
-  kernel or the textbook formula),
+  agree within 1e-10 with an independent per-bin reference (the textbook
+  formula, written out in this module),
 * host results: kernels return writable float64 ndarrays and never write to
   their inputs,
 * no selection surface: there is no ``backend`` registry, keyword,
@@ -23,11 +23,10 @@ import numpy as np
 import pytest
 
 from repro.core.fitting import fit_stable_fp
-from repro.core.gravity import gravity_matrix, gravity_series_values
+from repro.core.gravity import gravity_series_values
 from repro.core.ic_model import (
     general_ic_matrix,
     general_ic_series,
-    simplified_ic_matrix,
     simplified_ic_series,
     time_varying_ic_series,
 )
@@ -41,6 +40,18 @@ from repro.estimation.pipeline import TMEstimator
 from repro.estimation.tomogravity import tomogravity_estimate
 
 TOL = 1e-10
+
+
+def ic_oracle(f, a, p) -> np.ndarray:
+    """Eq. 2 for one bin, written out: ``f A Pᵀ + (1 - f) P Aᵀ``, ``P`` normalised."""
+    p = np.asarray(p, dtype=float) / np.sum(p)
+    return f * np.outer(a, p) + (1.0 - f) * np.outer(p, a)
+
+
+def gravity_oracle(ingress, egress) -> np.ndarray:
+    """``X_ij = ingress_i egress_j / total`` for one bin; all zero without traffic."""
+    total = float(np.sum(ingress))
+    return np.outer(ingress, egress) / total if total > 0 else np.zeros((len(ingress),) * 2)
 
 
 @pytest.fixture(params=["numpy", "numpy_generic"])
@@ -183,7 +194,7 @@ class TestTransfers:
 class TestKernelEquivalence:
     def test_simplified_ic_series(self, form, small_problem):
         activity, preference = small_problem
-        reference = np.stack([simplified_ic_matrix(0.25, a, preference) for a in activity])
+        reference = np.stack([ic_oracle(0.25, a, preference) for a in activity])
         result = simplified_ic_series(0.25, form(activity), form(preference))
         _close(reference, result)
         assert np.array_equal(result, simplified_ic_series(0.25, activity, preference))
@@ -203,7 +214,7 @@ class TestKernelEquivalence:
         preference_series = rng.random(activity.shape) + 1e-3
         forward_series = rng.random(activity.shape[0])
         reference = np.stack([
-            simplified_ic_matrix(f, a, p)
+            ic_oracle(f, a, p)
             for f, a, p in zip(forward_series, activity, preference_series)
         ])
         result = time_varying_ic_series(
@@ -216,7 +227,7 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(17)
         preference_series = rng.random(activity.shape) + 1e-3
         reference = np.stack([
-            simplified_ic_matrix(0.3, a, p) for a, p in zip(activity, preference_series)
+            ic_oracle(0.3, a, p) for a, p in zip(activity, preference_series)
         ])
         result = time_varying_ic_series(0.3, form(activity), form(preference_series))
         _close(reference, result)
@@ -227,7 +238,7 @@ class TestKernelEquivalence:
         egress = rng.random(activity.shape) * 1e6
         ingress = activity.copy()
         ingress[3] = 0.0  # a zero-traffic bin must come back all-zero
-        reference = np.stack([gravity_matrix(i, e) for i, e in zip(ingress, egress)])
+        reference = np.stack([gravity_oracle(i, e) for i, e in zip(ingress, egress)])
         result = gravity_series_values(form(ingress), form(egress))
         _close(reference, result)
         assert np.all(result[3] == 0.0)
@@ -237,14 +248,14 @@ class TestKernelEquivalence:
         activity, preference = small_problem
         result = simplified_ic_series(0.25, form(activity[0]), form(preference))
         assert result.shape == (1, activity.shape[1], activity.shape[1])
-        _close(simplified_ic_matrix(0.25, activity[0], preference), result[0])
+        _close(ic_oracle(0.25, activity[0], preference), result[0])
 
     def test_numpy_backend_is_bit_identical(self, small_problem):
         """The batched kernel equals stacking the per-bin matrix bit for bit."""
         activity, preference = small_problem
         assert np.array_equal(
             simplified_ic_series(0.25, activity, preference),
-            np.stack([simplified_ic_matrix(0.25, a, preference) for a in activity]),
+            np.stack([ic_oracle(0.25, a, preference) for a in activity]),
         )
 
 
@@ -390,13 +401,13 @@ class TestScenarioThreading:
             Scenario(dataset="geant", prior="stable_fp", backend="numpy")
 
     def test_scenario_unknown_backend_rejected(self):
-        from repro.scenarios import run_scenario, sweep
+        from repro.scenarios import Scenario, ScenarioRunner
 
         spec = {"dataset": "geant", "prior": "gravity", "backend": "numpy"}
         with pytest.raises(ValidationError, match="unknown Scenario fields"):
-            run_scenario(spec)
+            ScenarioRunner().run(Scenario.from_dict(spec))
         with pytest.raises(ValidationError, match="unknown Scenario fields"):
-            sweep(priors=["gravity"], datasets=["geant"], base=spec)
+            ScenarioRunner().sweep(priors=["gravity"], datasets=["geant"], base=spec)
 
     def test_runner_backend_matches_default(self, monkeypatch):
         from repro.scenarios import Scenario, ScenarioRunner

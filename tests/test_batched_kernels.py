@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.gravity import gravity_matrix, gravity_series_values
+from repro.core.gravity import gravity_series_values
 from repro.core.ic_model import (
     general_ic_matrix,
     general_ic_series,
-    simplified_ic_matrix,
     simplified_ic_series,
     time_varying_ic_series,
 )
@@ -35,6 +34,18 @@ from repro.estimation.tomogravity import tomogravity_estimate
 from repro.errors import ShapeError, ValidationError
 from repro.synthesis.datasets import load_dataset
 from repro.topology.library import random_topology
+
+def ic_oracle(f, a, p) -> np.ndarray:
+    """Eq. 2 for one bin, written out: ``f A Pᵀ + (1 - f) P Aᵀ``, ``P`` normalised."""
+    p = np.asarray(p, dtype=float) / np.sum(p)
+    return f * np.outer(a, p) + (1.0 - f) * np.outer(p, a)
+
+
+def gravity_oracle(ingress, egress) -> np.ndarray:
+    """``X_ij = ingress_i egress_j / total`` for one bin; all zero without traffic."""
+    total = float(np.sum(ingress))
+    return np.outer(ingress, egress) / total if total > 0 else np.zeros((len(ingress),) * 2)
+
 
 # -- strategies -------------------------------------------------------------
 
@@ -89,7 +100,7 @@ def time_varying_inputs(draw):
 def test_simplified_series_matches_per_bin_loop_bitwise(inputs):
     forward, activity, preference = inputs
     reference = np.stack(
-        [simplified_ic_matrix(forward, activity[t], preference) for t in range(activity.shape[0])]
+        [ic_oracle(forward, activity[t], preference) for t in range(activity.shape[0])]
     )
     assert np.array_equal(simplified_ic_series(forward, activity, preference), reference)
 
@@ -113,7 +124,7 @@ def test_time_varying_series_matches_per_bin_loop_bitwise(inputs):
     forward, activity, preference = inputs
     reference = np.stack(
         [
-            simplified_ic_matrix(float(forward[t]), activity[t], preference[t])
+            ic_oracle(float(forward[t]), activity[t], preference[t])
             for t in range(activity.shape[0])
         ]
     )
@@ -126,7 +137,7 @@ def test_time_varying_series_scalar_f_matches_loop(inputs, forward):
     _, activity, preference = inputs
     reference = np.stack(
         [
-            simplified_ic_matrix(forward, activity[t], preference[t])
+            ic_oracle(forward, activity[t], preference[t])
             for t in range(activity.shape[0])
         ]
     )
@@ -151,7 +162,7 @@ def test_kernel_chunking_boundary_is_seamless():
     activity = rng.random((300, 40)) * 1e5
     preference = rng.random(40) + 1e-3
     reference = np.stack(
-        [simplified_ic_matrix(0.25, activity[t], preference) for t in range(300)]
+        [ic_oracle(0.25, activity[t], preference) for t in range(300)]
     )
     assert np.array_equal(simplified_ic_series(0.25, activity, preference), reference)
 
@@ -168,7 +179,7 @@ def test_kernel_chunking_boundary_is_seamless():
 def test_gravity_series_values_matches_per_bin_loop_bitwise(marginals):
     ingress, egress = marginals
     reference = np.stack(
-        [gravity_matrix(ingress[t], egress[t]) for t in range(ingress.shape[0])]
+        [gravity_oracle(ingress[t], egress[t]) for t in range(ingress.shape[0])]
     )
     assert np.array_equal(gravity_series_values(ingress, egress), reference)
 
@@ -194,7 +205,7 @@ def test_stable_f_prior_series_matches_seed_loop(marginals, forward):
     activity, preference = stable_f_closed_form(forward, ingress, egress)
     reference = np.stack(
         [
-            simplified_ic_matrix(forward, activity[t], preference[t])
+            ic_oracle(forward, activity[t], preference[t])
             if preference[t].sum() > 0
             else np.zeros((ingress.shape[1], ingress.shape[1]))
             for t in range(ingress.shape[0])

@@ -388,6 +388,24 @@ class TestServe:
         assert err.startswith("error:") and "measurement_noise" in err
         assert not (sink / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--source", "examples/sample_flows.csv"],
+            ["serve", "--source", "synthetic", "--dataset", "geant", *SMALL],
+            ["estimate", "--prior", "gravity", "--dataset", "geant", *SMALL],
+        ],
+        ids=["serve-file", "serve-synthetic", "estimate"],
+    )
+    def test_parameterized_topology_exits_2(self, argv, tmp_path, capsys):
+        """``random`` needs ``n_nodes``, so naming it is a usage error, not a crash."""
+        if argv[0] == "serve":
+            argv = [*argv, "--sink", str(tmp_path / "out")]
+        assert main([*argv, "--topology", "random"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "takes parameters" in err
+        assert "Traceback" not in err
+
     def test_serve_file_source_requires_topology(self, capsys):
         code = main(["serve", "--source", "examples/sample_flows.csv"])
         assert code == 2

@@ -407,12 +407,13 @@ class TestScenarioFastPath:
         assert scenario.validate() is scenario
 
     def test_runner_threads_fast_path_through(self):
-        from repro.scenarios import run_scenario
+        from repro.scenarios import ScenarioRunner
+
         base = Scenario(
             dataset="geant", prior="gravity", bins_per_week=12, max_bins=12,
             measurement_noise=0.0,
         )
-        batch = run_scenario(base)
-        streamed = run_scenario(base.replace(stream=True, chunk_bins=5))
+        batch = ScenarioRunner().run(base)
+        streamed = ScenarioRunner().run(base.replace(stream=True, chunk_bins=5))
         assert streamed.errors is not None
         np.testing.assert_array_equal(streamed.errors, batch.errors)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.fitting import fit_stable_fp
 from repro.core.general_fitting import fit_general_ic, fit_pairwise_forward_fractions
-from repro.core.ic_model import general_ic_matrix
+from repro.core.ic_model import general_ic_matrix, general_ic_series
 from repro.core.traffic_matrix import TrafficMatrixSeries
 
 
@@ -72,8 +72,11 @@ class TestFitGeneralIC:
         from repro.core.metrics import rel_l2_temporal_error
 
         general = fit_general_ic(TrafficMatrixSeries(values))
+        predicted = general_ic_series(
+            general.forward_fraction_matrix, general.activity, general.preference
+        )
         np.testing.assert_allclose(
-            rel_l2_temporal_error(values, general.predicted_values()), general.errors, atol=1e-12
+            rel_l2_temporal_error(values, predicted), general.errors, atol=1e-12
         )
 
     def test_runs_without_precomputed_base_fit(self, general_world):

@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.gravity import GravityModel, gravity_matrix, gravity_series
-from repro.core.traffic_matrix import TrafficMatrix, TrafficMatrixSeries
+from repro.core.gravity import gravity_series, gravity_series_values
+from repro.core.ic_model import degrees_of_freedom
+from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
+
+
+def gravity_matrix(ingress, egress) -> np.ndarray:
+    """One bin of the batched kernel: a T = 1 call."""
+    return gravity_series_values(ingress, egress)[0]
 
 
 class TestGravityMatrix:
@@ -67,28 +73,9 @@ class TestGravitySeries:
 
 
 class TestGravityModel:
-    def test_series_from_marginals(self):
-        model = GravityModel(["a", "b"])
-        series = model.series(np.ones((5, 2)), np.ones((5, 2)))
-        assert series.n_timesteps == 5
-        assert series.nodes == ("a", "b")
-
     def test_series_shape_mismatch(self):
-        model = GravityModel()
         with pytest.raises(ShapeError):
-            model.series(np.ones((5, 2)), np.ones((4, 2)))
+            gravity_series_values(np.ones((5, 2)), np.ones((4, 2)))
 
     def test_degrees_of_freedom(self):
-        assert GravityModel().degrees_of_freedom(22, 2016) == 2 * 22 * 2016 - 1
-
-    def test_matrix_from_traffic(self):
-        matrix = TrafficMatrix([[1.0, 2.0], [3.0, 4.0]])
-        estimate = GravityModel.matrix_from_traffic(matrix)
-        np.testing.assert_allclose(estimate.sum(), matrix.total)
-
-    def test_fit_series_equivalent_to_gravity_series(self):
-        values = np.random.default_rng(4).random((3, 3, 3))
-        series = TrafficMatrixSeries(values)
-        np.testing.assert_allclose(
-            GravityModel().fit_series(series).values, gravity_series(series).values
-        )
+        assert degrees_of_freedom("gravity", 22, 2016) == 2 * 22 * 2016 - 1

@@ -9,10 +9,20 @@ from repro.core.ic_model import (
     StableFPICModel,
     degrees_of_freedom,
     general_ic_matrix,
-    simplified_ic_matrix,
     simplified_ic_series,
 )
 from repro.errors import ShapeError, ValidationError
+
+
+def simplified_ic_matrix(forward_fraction, activity, preference) -> np.ndarray:
+    """One bin of the batched simplified kernel: a T = 1 call."""
+    return simplified_ic_series(forward_fraction, activity, preference)[0]
+
+
+def ic_oracle(f, a, p) -> np.ndarray:
+    """Eq. 2 for one bin, written out: ``f A Pᵀ + (1 - f) P Aᵀ``, ``P`` normalised."""
+    p = np.asarray(p, dtype=float) / np.sum(p)
+    return f * np.outer(a, p) + (1.0 - f) * np.outer(p, a)
 
 
 class TestSimplifiedMatrix:
@@ -66,7 +76,7 @@ class TestGeneralMatrix:
         preference = rng.random(n)
         f = 0.3
         general = general_ic_matrix(np.full((n, n), f), activity, preference)
-        simplified = simplified_ic_matrix(f, activity, preference)
+        simplified = ic_oracle(f, activity, preference)
         np.testing.assert_allclose(general, simplified)
 
     def test_uses_f_ij_forward_and_f_ji_reverse(self):
@@ -96,7 +106,7 @@ class TestSeriesHelpers:
         f = 0.25
         batch = simplified_ic_series(f, activity, preference)
         for t in range(7):
-            np.testing.assert_allclose(batch[t], simplified_ic_matrix(f, activity[t], preference))
+            np.testing.assert_allclose(batch[t], ic_oracle(f, activity[t], preference))
 
     def test_single_row_promoted(self):
         result = simplified_ic_series(0.3, np.ones(3), np.ones(3))

@@ -47,10 +47,19 @@ from repro.ingest import (
     SyntheticFlowSource,
     read_flow_file,
     write_flow_csv,
-    write_flow_jsonl,
 )
 from repro.streaming import ArrayChunkStream, FunctionChunkStream, cache_chunks
 from repro.synthesis.datasets import open_dataset_stream
+
+
+def write_flow_jsonl(path, rows) -> int:
+    """Write ``(time, src, dst, bytes)`` rows as a replayable JSONL trace."""
+    lines = [
+        json.dumps({"time": float(t), "src": str(a), "dst": str(b), "bytes": float(v)}) + "\n"
+        for t, a, b, v in rows
+    ]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+    return len(lines)
 
 
 # Node names that exercise multibyte UTF-8 across block boundaries.

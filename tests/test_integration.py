@@ -13,7 +13,8 @@ import pytest
 from repro.core.fitting import fit_stable_fp
 from repro.core.gravity import gravity_series
 from repro.core.metrics import mean_relative_error, percent_improvement, rel_l2_temporal_error
-from repro.core.priors import GravityPrior, MeasuredParameterPrior, StableFPPrior
+from repro.core.ic_model import simplified_ic_series
+from repro.core.priors import GravityPrior, StableFPPrior
 from repro.estimation.linear_system import simulate_link_loads
 from repro.estimation.pipeline import TMEstimator
 from repro.synthesis.generator import ICTMGenerator, SyntheticTMConfig
@@ -49,7 +50,9 @@ class TestFitAndEstimateWorkflow:
         system = simulate_link_loads(dataset.topology, target, noise_std=0.01, seed=4)
         measured_fit = fit_stable_fp(target)
         calibration_fit = fit_stable_fp(dataset.week(0))
-        measured_prior = MeasuredParameterPrior.from_fit(measured_fit).series(nodes=target.nodes)
+        measured_prior = simplified_ic_series(
+            float(measured_fit.forward_fraction), measured_fit.activity, measured_fit.preference
+        )
         stable_fp_prior = StableFPPrior.from_fit(calibration_fit).series(
             system.ingress, system.egress, nodes=target.nodes
         )
@@ -123,9 +126,27 @@ class TestPersistenceWorkflow:
         week = small_geant_dataset.week(0)
         path = tmp_path / "week.npz"
         week.save(path)
-        from repro.core.traffic_matrix import TrafficMatrixSeries
-
-        loaded = TrafficMatrixSeries.load(path)
+        with np.load(path, allow_pickle=False) as data:
+            loaded = data["values"]
         original_fit = fit_stable_fp(week)
         loaded_fit = fit_stable_fp(loaded)
         assert loaded_fit.forward_fraction == pytest.approx(original_fit.forward_fraction)
+
+
+class TestPublicSurface:
+    def test_exported_names_resolve_and_deleted_names_are_gone(self):
+        import importlib
+
+        deleted = {
+            "TrafficMatrix", "od_pairs", "gravity_matrix", "GravityModel",
+            "simplified_ic_matrix", "MeasuredParameterPrior",
+            "estimate_activity_from_marginals", "rel_l2_spatial_error",
+            "mart_from_state", "register_dataset_stream", "run_scenario", "sweep",
+            "write_flow_jsonl",
+        }
+        for name in ("repro", "repro.core", "repro.synthesis", "repro.ingest",
+                     "repro.marts", "repro.scenarios"):
+            module = importlib.import_module(name)
+            for exported in module.__all__:
+                assert getattr(module, exported, None) is not None, (name, exported)
+            assert not deleted & set(module.__all__), name

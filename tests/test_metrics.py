@@ -1,4 +1,4 @@
-"""Tests for the error metrics (paper Eq. 6 and companions)."""
+"""Tests for the error metrics (paper Eq. 6 and the improvement summaries)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.core.metrics import (
     mean_relative_error,
     percent_improvement,
-    rel_l2_spatial_error,
     rel_l2_temporal_error,
     summarize_improvement,
 )
@@ -52,17 +51,6 @@ class TestTemporalError:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             rel_l2_temporal_error(np.ones((2, 2, 2)), np.ones((3, 2, 2)))
-
-
-class TestSpatialError:
-    def test_shape(self):
-        actual = np.random.default_rng(3).random((6, 4, 4))
-        error = rel_l2_spatial_error(actual, actual * 0.9)
-        assert error.shape == (4, 4)
-
-    def test_exact_is_zero(self):
-        actual = np.random.default_rng(4).random((6, 3, 3))
-        np.testing.assert_allclose(rel_l2_spatial_error(actual, actual), 0.0)
 
 
 class TestImprovement:

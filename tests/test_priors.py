@@ -5,14 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.fitting import fit_stable_fp
-from repro.core.ic_model import simplified_ic_matrix, simplified_ic_series
+from repro.core.ic_model import simplified_ic_series
 from repro.core.priors import (
     GravityPrior,
-    MeasuredParameterPrior,
     StableFPPrior,
     StableFPrior,
-    estimate_activity_from_marginals,
     ic_design_matrix,
     marginal_operators,
     stable_f_closed_form,
@@ -42,7 +39,7 @@ class TestDesignMatrix:
         for t in range(3):
             np.testing.assert_allclose(
                 phi @ activity[t],
-                simplified_ic_matrix(forward, activity[t], preference).reshape(-1),
+                simplified_ic_series(forward, activity[t], preference).reshape(-1),
             )
 
     def test_shape(self):
@@ -68,23 +65,23 @@ class TestMarginalOperators:
 class TestActivityFromMarginals:
     def test_recovers_activity_exactly_in_model(self, stable_fp_world):
         forward, preference, activity, series = stable_fp_world
-        recovered = estimate_activity_from_marginals(
-            forward, preference, series.ingress, series.egress
+        recovered = StableFPPrior(forward, preference).estimate_activity(
+            series.ingress, series.egress
         )
         np.testing.assert_allclose(recovered, activity, rtol=1e-6)
 
     def test_single_bin_shape(self, stable_fp_world):
         forward, preference, activity, series = stable_fp_world
-        recovered = estimate_activity_from_marginals(
-            forward, preference, series.ingress[0], series.egress[0]
+        recovered = StableFPPrior(forward, preference).estimate_activity(
+            series.ingress[0], series.egress[0]
         )
         assert recovered.shape == (series.n_nodes,)
 
     def test_shape_mismatch(self, stable_fp_world):
         forward, preference, _, series = stable_fp_world
         with pytest.raises(ShapeError):
-            estimate_activity_from_marginals(
-                forward, preference, series.ingress, series.egress[:-1]
+            StableFPPrior(forward, preference).estimate_activity(
+                series.ingress, series.egress[:-1]
             )
 
 
@@ -112,24 +109,6 @@ class TestStableFClosedForm:
 
 
 class TestPriors:
-    def test_measured_prior_reproduces_model_series(self, stable_fp_world):
-        forward, preference, activity, series = stable_fp_world
-        prior = MeasuredParameterPrior(forward, preference, activity)
-        np.testing.assert_allclose(prior.series().values, series.values, rtol=1e-9)
-
-    def test_measured_prior_from_fit(self, stable_fp_world):
-        *_, series = stable_fp_world
-        fit = fit_stable_fp(series)
-        prior = MeasuredParameterPrior.from_fit(fit)
-        assert prior.series().n_timesteps == series.n_timesteps
-
-    def test_measured_prior_rejects_wrong_model(self, stable_fp_world):
-        *_, series = stable_fp_world
-        fit = fit_stable_fp(series)
-        fit.model = "stable-f"
-        with pytest.raises(ValidationError):
-            MeasuredParameterPrior.from_fit(fit)
-
     def test_stable_fp_prior_exact_in_model(self, stable_fp_world):
         forward, preference, activity, series = stable_fp_world
         prior = StableFPPrior(forward, preference)

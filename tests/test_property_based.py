@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.gravity import gravity_matrix
-from repro.core.ic_model import simplified_ic_matrix, simplified_ic_series
+from repro.core.gravity import gravity_series_values
+from repro.core.ic_model import simplified_ic_series
 from repro.core.metrics import percent_improvement, rel_l2_temporal_error
-from repro.core.priors import estimate_activity_from_marginals, stable_f_closed_form
-from repro.core.traffic_matrix import TrafficMatrix, TrafficMatrixSeries
+from repro.core.priors import StableFPPrior, stable_f_closed_form
+from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.estimation.ipf import iterative_proportional_fitting
 from repro.topology.library import random_topology
 from repro.topology.routing import build_routing_matrix
@@ -52,7 +52,7 @@ def ic_inputs(draw):
 @settings(max_examples=60, deadline=None)
 def test_ic_matrix_total_equals_total_activity(inputs):
     forward, activity, preference = inputs
-    matrix = simplified_ic_matrix(forward, activity, preference)
+    matrix = simplified_ic_series(forward, activity, preference)[0]
     assert matrix.sum() == pytest.approx(activity.sum(), rel=1e-9, abs=1e-6)
 
 
@@ -60,7 +60,7 @@ def test_ic_matrix_total_equals_total_activity(inputs):
 @settings(max_examples=60, deadline=None)
 def test_ic_matrix_nonnegative(inputs):
     forward, activity, preference = inputs
-    matrix = simplified_ic_matrix(forward, activity, preference)
+    matrix = simplified_ic_series(forward, activity, preference)[0]
     assert np.all(matrix >= 0)
 
 
@@ -69,7 +69,7 @@ def test_ic_matrix_nonnegative(inputs):
 def test_ic_marginal_identities(inputs):
     forward, activity, preference = inputs
     normalised = preference / preference.sum()
-    matrix = simplified_ic_matrix(forward, activity, normalised)
+    matrix = simplified_ic_series(forward, activity, normalised)[0]
     np.testing.assert_allclose(
         matrix.sum(axis=1),
         forward * activity + (1 - forward) * normalised * activity.sum(),
@@ -89,7 +89,7 @@ def test_ic_marginal_identities(inputs):
 def test_ic_transpose_symmetry_under_f_half(inputs):
     """At f = 0.5 the IC matrix is symmetric (forward and reverse are equal)."""
     _, activity, preference = inputs
-    matrix = simplified_ic_matrix(0.5, activity, preference)
+    matrix = simplified_ic_series(0.5, activity, preference)[0]
     np.testing.assert_allclose(matrix, matrix.T, rtol=1e-9, atol=1e-6)
 
 
@@ -102,7 +102,7 @@ def test_gravity_preserves_marginals_when_totals_agree(n, seed):
     rng = np.random.default_rng(seed)
     ingress = rng.random(n) * 100 + 1.0
     egress = rng.permutation(ingress)
-    estimate = gravity_matrix(ingress, egress)
+    estimate = gravity_series_values(ingress, egress)[0]
     np.testing.assert_allclose(estimate.sum(axis=1), ingress, rtol=1e-9)
     np.testing.assert_allclose(estimate.sum(axis=0), egress, rtol=1e-9)
 
@@ -119,7 +119,7 @@ def test_stable_f_closed_form_recovers_parameters(inputs):
     if activity.sum() <= 0:
         activity = activity + 1.0
     normalised = preference / preference.sum()
-    matrix = simplified_ic_matrix(forward, activity, normalised)
+    matrix = simplified_ic_series(forward, activity, normalised)[0]
     est_activity, est_preference = stable_f_closed_form(
         forward, matrix.sum(axis=1), matrix.sum(axis=0)
     )
@@ -138,8 +138,8 @@ def test_activity_recovery_from_marginals(inputs, timesteps):
     )
     values = simplified_ic_series(forward, activity_series, normalised)
     series = TrafficMatrixSeries(values)
-    recovered = estimate_activity_from_marginals(
-        forward, normalised, series.ingress, series.egress
+    recovered = StableFPPrior(forward, normalised).estimate_activity(
+        series.ingress, series.egress
     )
     np.testing.assert_allclose(recovered, activity_series, rtol=1e-5, atol=1e-3)
 
@@ -218,8 +218,8 @@ def test_routing_matrix_column_properties(n, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_traffic_matrix_vector_round_trip(values):
-    matrix = TrafficMatrix(values)
-    rebuilt = TrafficMatrix.from_vector(matrix.to_vector())
+    matrix = TrafficMatrixSeries(values)
+    rebuilt = TrafficMatrixSeries(matrix.to_vectors().reshape(1, 4, 4))
     np.testing.assert_allclose(rebuilt.values, matrix.values)
-    assert matrix.total == pytest.approx(matrix.ingress.sum())
-    assert matrix.total == pytest.approx(matrix.egress.sum())
+    assert matrix.totals[0] == pytest.approx(matrix.ingress.sum())
+    assert matrix.totals[0] == pytest.approx(matrix.egress.sum())

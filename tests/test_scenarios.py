@@ -14,7 +14,7 @@ from repro.registry import (
     Registry,
     canonical_name,
 )
-from repro.scenarios import Scenario, ScenarioRunner, run_scenario, sweep
+from repro.scenarios import Scenario, ScenarioRunner
 from repro.synthesis.datasets import load_dataset
 
 SMALL = {"bins_per_week": 36, "max_bins": 6}
@@ -211,7 +211,7 @@ class TestWeekResolution:
 
 class TestScenarioRunner:
     def test_run_produces_errors_improvement_and_timing(self):
-        result = run_scenario(Scenario(dataset="geant", prior="stable_f", **SMALL))
+        result = ScenarioRunner().run(Scenario(dataset="geant", prior="stable_f", **SMALL))
         assert result.errors.shape == (6,)
         assert result.improvement is not None
         assert np.all(np.isfinite(result.improvement))
@@ -219,7 +219,7 @@ class TestScenarioRunner:
         assert result.timing["total"] > 0
 
     def test_run_accepts_plain_dicts(self):
-        result = run_scenario({"dataset": "geant", "prior": "gravity", **SMALL})
+        result = ScenarioRunner().run(Scenario.from_dict({"dataset": "geant", "prior": "gravity", **SMALL}))
         assert result.prior_label == "gravity"
 
     def test_matches_figure_driver_exactly(self):
@@ -241,12 +241,12 @@ class TestScenarioRunner:
             result.mean_improvement
 
     def test_gravity_scenario_runs_without_self_baseline(self):
-        result = run_scenario(Scenario(dataset="geant", prior="gravity", **SMALL))
+        result = ScenarioRunner().run(Scenario(dataset="geant", prior="gravity", **SMALL))
         assert result.improvement is None
         assert result.mean_error > 0
 
     def test_format_table_mentions_components(self):
-        result = run_scenario(Scenario(dataset="geant", prior="stable_f", **SMALL))
+        result = ScenarioRunner().run(Scenario(dataset="geant", prior="stable_f", **SMALL))
         table = result.format_table()
         assert "stable-f" in table
         assert "mean improvement %" in table
@@ -258,28 +258,28 @@ class TestScenarioRunner:
         monkeypatch.setattr(
             RoutingMatrix, "matrix", property(lambda self: pytest.fail("dense R read"))
         )
-        result = run_scenario(Scenario(dataset="geant", prior="stable_fp", **SMALL))
+        result = ScenarioRunner().run(Scenario(dataset="geant", prior="stable_fp", **SMALL))
         assert result.errors.shape == (6,)
         assert np.all(np.isfinite(result.errors))
 
     def test_entropy_estimator_differs_from_tomogravity(self):
         base = Scenario(dataset="geant", prior="gravity", **SMALL)
-        tomo = run_scenario(base)
-        entropy = run_scenario(base.replace(estimator="entropy"))
+        tomo = ScenarioRunner().run(base)
+        entropy = ScenarioRunner().run(base.replace(estimator="entropy"))
         assert not np.array_equal(tomo.errors, entropy.errors)
 
     def test_topology_override_must_match_dataset_nodes(self):
-        matching = run_scenario(Scenario(dataset="geant", prior="gravity", topology="geant", **SMALL))
+        matching = ScenarioRunner().run(Scenario(dataset="geant", prior="gravity", topology="geant", **SMALL))
         assert matching.mean_error > 0
         with pytest.raises(ValidationError, match="node sets must match"):
-            run_scenario(Scenario(dataset="geant", prior="gravity", topology="abilene", **SMALL))
+            ScenarioRunner().run(Scenario(dataset="geant", prior="gravity", topology="abilene", **SMALL))
         with pytest.raises(ValidationError, match="parameter"):
-            run_scenario(Scenario(dataset="geant", prior="gravity", topology="random", **SMALL))
+            ScenarioRunner().run(Scenario(dataset="geant", prior="gravity", topology="random", **SMALL))
 
 
 class TestSweep:
     def test_grid_over_two_priors_and_two_datasets(self):
-        result = sweep(priors=("stable_f", "gravity"), datasets=("geant", "totem"), **SMALL)
+        result = ScenarioRunner().sweep(priors=("stable_f", "gravity"), datasets=("geant", "totem"), **SMALL)
         assert len(result.results) == 4
         assert not result.failures
         labels = {r.scenario.label for r in result.results}
@@ -291,7 +291,7 @@ class TestSweep:
 
     def test_sweep_shares_dataset_synthesis(self):
         load_dataset.cache_clear()
-        sweep(priors=("stable_f", "stable_f"), datasets=("geant",), **SMALL)
+        ScenarioRunner().sweep(priors=("stable_f", "stable_f"), datasets=("geant",), **SMALL)
         info = load_dataset.cache_info()
         assert info.hits >= 1
 
@@ -299,12 +299,12 @@ class TestSweep:
         # gravity targets week 0, stable_f week 1: without a shared n_weeks
         # floor they would synthesize (and estimate against) different data.
         load_dataset.cache_clear()
-        result = sweep(priors=("gravity", "stable_f"), datasets=("geant",), **SMALL)
+        result = ScenarioRunner().sweep(priors=("gravity", "stable_f"), datasets=("geant",), **SMALL)
         assert len(result.results) == 2
         assert load_dataset.cache_info().misses == 1
 
     def test_failed_cells_are_collected_not_raised(self):
-        result = sweep(
+        result = ScenarioRunner().sweep(
             priors=("stable_fp",), datasets=("geant",), target_week=0, **SMALL
         )
         assert not result.results
@@ -314,4 +314,4 @@ class TestSweep:
 
     def test_sweep_requires_nonempty_axes(self):
         with pytest.raises(ValidationError):
-            sweep(priors=(), datasets=("geant",))
+            ScenarioRunner().sweep(priors=(), datasets=("geant",))

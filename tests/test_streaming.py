@@ -506,68 +506,5 @@ class TestCustomDatasetStreaming:
                 open_dataset_stream("cube_only", n_weeks=1)
             message = str(excinfo.value)
             assert "geant" in message and "totem" in message
-            assert "register_dataset_stream" in message
         finally:
             DATASETS.unregister("cube_only")
-
-    def test_registered_chunk_factory_streams(self):
-        from repro.registry import DATASETS, register_dataset
-        from repro.streaming import FunctionChunkStream
-        from repro.synthesis import (
-            open_dataset_stream,
-            register_dataset_stream,
-            streamable_dataset_names,
-        )
-        from repro.synthesis.datasets import _STREAM_OPENERS
-
-        register_dataset("toy_stream", lambda n_weeks=1, **kwargs: None, overwrite=True)
-
-        class ToyStreaming:
-            nodes = ("a", "b")
-            n_weeks = 1
-            bin_seconds = 300.0
-
-            def week_stream(self, index, *, chunk_bins=None, max_bins=None):
-                def factory(chunk):
-                    yield 0, np.full((4, 2, 2), float(index + 1))
-
-                return FunctionChunkStream(
-                    factory, n_bins=4, nodes=self.nodes, bin_seconds=self.bin_seconds
-                )
-
-        seen_kwargs = {}
-
-        @register_dataset_stream("toy_stream")
-        def open_toy(**kwargs):
-            seen_kwargs.update(kwargs)
-            return ToyStreaming()
-
-        try:
-            assert "toy_stream" in streamable_dataset_names()
-            data = open_dataset_stream("toy_stream", n_weeks=1, chunk_bins=2)
-            assert seen_kwargs["n_weeks"] == 1 and seen_kwargs["chunk_bins"] == 2
-            week = data.week_stream(0).materialize()
-            assert np.all(week.values == 1.0)
-        finally:
-            DATASETS.unregister("toy_stream")
-            _STREAM_OPENERS.pop("toy_stream", None)
-
-    def test_builtin_opener_cannot_be_replaced(self):
-        from repro.errors import RegistryError
-        from repro.synthesis import register_dataset_stream
-
-        with pytest.raises(RegistryError, match="built-in"):
-            register_dataset_stream("geant", lambda **kwargs: None)
-
-    def test_duplicate_opener_needs_overwrite(self):
-        from repro.errors import RegistryError
-        from repro.synthesis import register_dataset_stream
-        from repro.synthesis.datasets import _STREAM_OPENERS
-
-        register_dataset_stream("dup_stream", lambda **kwargs: None)
-        try:
-            with pytest.raises(RegistryError, match="overwrite"):
-                register_dataset_stream("dup_stream", lambda **kwargs: None)
-            register_dataset_stream("dup_stream", lambda **kwargs: None, overwrite=True)
-        finally:
-            _STREAM_OPENERS.pop("dup_stream", None)

@@ -1,73 +1,45 @@
-"""Tests for the TrafficMatrix / TrafficMatrixSeries containers."""
+"""Tests for the TrafficMatrixSeries container."""
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core.traffic_matrix import TrafficMatrix, TrafficMatrixSeries, od_pairs
+from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
 
 
-class TestOdPairs:
-    def test_row_major_order(self):
-        assert od_pairs(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_count(self):
-        assert len(od_pairs(5)) == 25
-
-
 class TestTrafficMatrix:
+    """Single-matrix behaviour, on a one-bin series."""
+
     def setup_method(self):
         self.values = np.array([[1.0, 2.0], [3.0, 4.0]])
-        self.matrix = TrafficMatrix(self.values, ["a", "b"])
+        self.matrix = TrafficMatrixSeries(self.values, ["a", "b"])
 
     def test_marginals(self):
-        assert self.matrix.ingress.tolist() == [3.0, 7.0]
-        assert self.matrix.egress.tolist() == [4.0, 6.0]
-        assert self.matrix.total == pytest.approx(10.0)
+        assert self.matrix.ingress.tolist() == [[3.0, 7.0]]
+        assert self.matrix.egress.tolist() == [[4.0, 6.0]]
+        assert self.matrix.totals.tolist() == pytest.approx([10.0])
 
     def test_vector_round_trip(self):
-        vector = self.matrix.to_vector()
-        rebuilt = TrafficMatrix.from_vector(vector, ["a", "b"])
-        assert rebuilt.allclose(self.matrix)
-
-    def test_from_vector_rejects_non_square_length(self):
-        with pytest.raises(ShapeError):
-            TrafficMatrix.from_vector(np.arange(5.0))
-
-    def test_flow_by_name(self):
-        assert self.matrix.flow("a", "b") == 2.0
-        with pytest.raises(ValidationError):
-            self.matrix.flow("a", "zz")
+        vectors = self.matrix.to_vectors()
+        assert vectors.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+        rebuilt = TrafficMatrixSeries(vectors.reshape(1, 2, 2), ["a", "b"])
+        np.testing.assert_array_equal(rebuilt.values, self.matrix.values)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValidationError):
-            TrafficMatrix([[1.0, -2.0], [0.0, 0.0]])
+            TrafficMatrixSeries([[1.0, -2.0], [0.0, 0.0]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
-            TrafficMatrix(np.ones((2, 3)))
-
-    def test_scaled(self):
-        doubled = self.matrix.scaled(2.0)
-        assert doubled.total == pytest.approx(20.0)
-        with pytest.raises(ValidationError):
-            self.matrix.scaled(-1.0)
-
-    def test_without_self_traffic(self):
-        cleaned = self.matrix.without_self_traffic()
-        assert np.trace(cleaned.values) == 0.0
-        assert cleaned.values[0, 1] == 2.0
-
-    def test_equality(self):
-        assert self.matrix == TrafficMatrix(self.values, ["a", "b"])
-        assert self.matrix != TrafficMatrix(self.values, ["x", "y"])
+            TrafficMatrixSeries(np.ones((2, 3)))
 
     def test_default_node_names(self):
-        anonymous = TrafficMatrix(self.values)
+        anonymous = TrafficMatrixSeries(self.values)
         assert anonymous.nodes == ("node00", "node01")
 
 
@@ -83,8 +55,8 @@ class TestTrafficMatrixSeries:
 
     def test_indexing_returns_matrix(self):
         first = self.series[0]
-        assert isinstance(first, TrafficMatrix)
-        assert first.values.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert isinstance(first, np.ndarray)
+        assert first.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
     def test_slicing_returns_series(self):
         part = self.series[1:3]
@@ -100,7 +72,7 @@ class TestTrafficMatrixSeries:
         # The series shares its input buffer, so a matrix taken from it is
         # a read-only view rather than a writable alias of that buffer.
         with pytest.raises(ValueError):
-            self.series[0].values[0, 0] = 99.0
+            self.series[0][0, 0] = 99.0
 
     def test_wrapping_a_nonnegative_cube_does_not_copy_it(self):
         cube = np.random.default_rng(0).random((512, 22, 22))
@@ -123,9 +95,9 @@ class TestTrafficMatrixSeries:
                 vectors[0, 0] = 99.0
         matrix = np.ones((3, 3))
         with pytest.raises(ValueError):
-            TrafficMatrix(matrix).values[0, 0] = 99.0
+            TrafficMatrixSeries(matrix).values[0, 0, 0] = 99.0
         with pytest.raises(ValueError):
-            TrafficMatrix(matrix).to_vector()[0] = 99.0
+            TrafficMatrixSeries(matrix).to_vectors()[0, 0] = 99.0
         assert cube[0, 0, 0] == 0.0 and matrix[0, 0] == 1.0
 
     def test_tiny_negatives_are_still_clipped_into_a_copy(self):
@@ -145,54 +117,21 @@ class TestTrafficMatrixSeries:
             self.series.totals, self.values.sum(axis=(1, 2))
         )
 
-    def test_mean_matrix(self):
-        np.testing.assert_allclose(self.series.mean_matrix().values, self.values.mean(axis=0))
-
     def test_vector_round_trip(self):
         vectors = self.series.to_vectors()
-        rebuilt = TrafficMatrixSeries.from_vectors(vectors, ["a", "b"], bin_seconds=300.0)
-        np.testing.assert_allclose(rebuilt.values, self.series.values)
-
-    def test_from_vectors_rejects_bad_width(self):
-        with pytest.raises(ShapeError):
-            TrafficMatrixSeries.from_vectors(np.ones((3, 5)))
-
-    def test_subsample(self):
-        sampled = self.series.subsample(2)
-        assert sampled.n_timesteps == 3
-        assert sampled.bin_seconds == 600.0
-        with pytest.raises(ValidationError):
-            self.series.subsample(0)
-
-    def test_aggregate(self):
-        aggregated = self.series.aggregate(3)
-        assert aggregated.n_timesteps == 2
-        np.testing.assert_allclose(aggregated.values[0], self.values[:3].sum(axis=0))
-        with pytest.raises(ValidationError):
-            self.series.aggregate(10)
-
-    def test_split_weeks_explicit(self):
-        weeks = self.series.split_weeks(bins_per_week=2)
-        assert len(weeks) == 3
-        assert all(week.n_timesteps == 2 for week in weeks)
-
-    def test_concatenate(self):
-        combined = self.series.concatenate(self.series)
-        assert combined.n_timesteps == 12
-        other_nodes = TrafficMatrixSeries(self.values, ["x", "y"], bin_seconds=300.0)
-        with pytest.raises(ValidationError):
-            self.series.concatenate(other_nodes)
-        other_bins = TrafficMatrixSeries(self.values, ["a", "b"], bin_seconds=600.0)
-        with pytest.raises(ValidationError):
-            self.series.concatenate(other_bins)
+        assert vectors.shape == (6, 4)
+        rebuilt = TrafficMatrixSeries(vectors.reshape(6, 2, 2), ["a", "b"], bin_seconds=300.0)
+        np.testing.assert_array_equal(rebuilt.values, self.series.values)
 
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "series.npz"
         self.series.save(path)
-        loaded = TrafficMatrixSeries.load(path)
-        np.testing.assert_allclose(loaded.values, self.series.values)
-        assert loaded.nodes == self.series.nodes
-        assert loaded.bin_seconds == self.series.bin_seconds
+        with np.load(path, allow_pickle=False) as data:
+            values = data["values"]
+            metadata = json.loads(str(data["metadata"]))
+        np.testing.assert_array_equal(values, self.series.values)
+        assert tuple(metadata["nodes"]) == self.series.nodes
+        assert metadata["bin_seconds"] == self.series.bin_seconds
 
     def test_rejects_negative_bin(self):
         with pytest.raises(ValidationError):
