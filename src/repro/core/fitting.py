@@ -32,9 +32,14 @@ iteration: ``X_t P`` and ``X_t^T P``, then ``r_t = X_t A_t`` and
   + (f^2+g^2)|A_t|^2 |P|^2 + 2fg (A_t.P)^2``, from the ``X_t P``, ``X_t^T P``
   that the next activity solve needs anyway.
 
-No ``(T, n, n)`` array is built per iteration.  A bin where that expansion
-cancels (a near-exact fit, an all-zero bin) is re-scored exactly from its
-own values, so ``errors`` and ``objective_history`` stay exact.
+In stable-fP, where ``P`` is shared, ``r_t`` and ``s_t`` enter only
+through the two weighted sums ``sum_t w_t^2 r_t`` and ``sum_t w_t^2 s_t``:
+each chunk adds into two length-``n`` vectors, and no per-bin ``r_t`` or
+``s_t`` is kept.  Stable-f and time-varying keep them per bin.
+
+No ``(T, n, n)`` array is built per iteration.  A bin where the score's
+expansion cancels (a near-exact fit, an all-zero bin) is re-scored exactly
+from its own values, so ``errors`` and ``objective_history`` stay exact.
 """
 
 from __future__ import annotations
@@ -135,12 +140,12 @@ def _forward_start(
 
 def _bin_norms(values: np.ndarray) -> np.ndarray:
     """Per-bin Frobenius norms ``||X(t)||``."""
-    return np.sqrt((values**2).sum(axis=(1, 2)))
+    return np.sqrt(np.einsum("tij,tij->t", values, values))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product along the last axis, broadcasting a shared vector over bins."""
-    return np.sum(a * b, axis=-1)
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _contract(block: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,18 +180,18 @@ def _clip_normalize(preference: np.ndarray) -> np.ndarray:
 
 
 def _shared_preference(
-    activity: np.ndarray, r: np.ndarray, s: np.ndarray, f: float, w2: np.ndarray
+    activity: np.ndarray, wr: np.ndarray, ws: np.ndarray, f: float, w2: np.ndarray
 ) -> np.ndarray:
     """Weighted least-squares preference shared by all bins, for fixed ``(f, A(t))``.
 
     ``M = sum_t w_t^2 [ (f^2+g^2) |A(t)|^2 I + 2 f g A(t) A(t)^T ]`` and
-    ``b = sum_t w_t^2 [ f s_t + g r_t ]``.
+    ``b = f ws + g wr`` with ``wr = sum_t w_t^2 r_t``, ``ws = sum_t w_t^2 s_t``.
     """
     g = 1.0 - f
     n = activity.shape[1]
-    identity_scale = float(np.sum(w2 * _rowdot(activity, activity))) * (f * f + g * g)
+    identity_scale = float(w2 @ _rowdot(activity, activity)) * (f * f + g * g)
     m = identity_scale * np.eye(n) + 2.0 * f * g * ((activity * w2[:, np.newaxis]).T @ activity)
-    b = f * (w2 @ s) + g * (w2 @ r)
+    b = f * ws + g * wr
     try:
         preference = np.linalg.solve(m + _EPS * np.eye(n), b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
@@ -210,19 +215,16 @@ def _bin_preference(activity: np.ndarray, r: np.ndarray, s: np.ndarray, f) -> np
     return _clip_normalize((b - along * activity) / c)
 
 
-def _forward_terms(
-    activity: np.ndarray, preference: np.ndarray, r: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin numerator and denominator of the least-squares ``f``.
+def _forward_spread(activity: np.ndarray, preference: np.ndarray) -> np.ndarray:
+    """Per-bin ``|A_t|^2 |P|^2 - (A_t.P)^2``, the model part of the least-squares ``f``.
 
     Writing ``X = f U + V`` with ``U = A P^T - P A^T`` and ``V = P A^T``, the
     optimum is ``<U, X - V> / <U, U>``, where ``<U_t, X_t> = P.s_t - P.r_t``,
-    ``<U_t, V_t> = (A_t.P)^2 - |A_t|^2 |P|^2`` and
-    ``<U_t, U_t> = 2 (|A_t|^2 |P|^2 - (A_t.P)^2)``.
+    ``-<U_t, V_t>`` is this spread and ``<U_t, U_t>`` is twice it.
     """
-    a_dot_p_sq = _rowdot(activity, preference) ** 2
-    cross = _rowdot(activity, activity) * _rowdot(preference, preference)
-    return _rowdot(s - r, preference) + cross - a_dot_p_sq, 2.0 * (cross - a_dot_p_sq)
+    return _rowdot(activity, activity) * _rowdot(preference, preference) - _rowdot(
+        activity, preference
+    ) ** 2
 
 
 def _bin_errors(
@@ -346,8 +348,10 @@ def _als(
         score = iteration > 0 or not solve
         with tracer.span("fit_als_pass", iteration=iteration):
             solved = np.empty((n_bins, n))
-            r = np.empty((n_bins, n))
-            s = np.empty((n_bins, n))
+            if shared_preference:  # sum_t w_t^2 r_t and sum_t w_t^2 s_t
+                r, s = np.zeros(n), np.zeros(n)
+            else:
+                r, s = np.empty((n_bins, n)), np.empty((n_bins, n))
             for t0, block in chunks():
                 stop = t0 + block.shape[0]
                 p = preference if shared_preference else preference[t0:stop]
@@ -359,7 +363,15 @@ def _als(
                     )
                 if solve:
                     solved[t0:stop] = _activity_update(f_rows, p, xp, xtp)
-                    r[t0:stop], s[t0:stop] = _contract(block, solved[t0:stop])
+                    if shared_preference:
+                        # einsum, not one BLAS product over T*n rows: a threaded
+                        # BLAS splits that sum by thread, so it would depend on
+                        # the BLAS thread count.
+                        u = w2[t0:stop, np.newaxis] * solved[t0:stop]
+                        r += np.einsum("tij,tj->i", block, u)
+                        s += np.einsum("tij,ti->j", block, u)
+                    else:
+                        r[t0:stop], s[t0:stop] = _contract(block, solved[t0:stop])
         if iteration > 0:
             objective = float(np.sum(errors))
             history.append(objective)
@@ -374,9 +386,15 @@ def _als(
             preference = _shared_preference(activity, r, s, f, w2)
         else:
             preference = _bin_preference(activity, r, s, f)
-        numerator, denominator = _forward_terms(activity, preference, r, s)
-        if shared_forward:
-            numerator, denominator = np.sum(w2 * numerator), np.sum(w2 * denominator)
+        spread = _forward_spread(activity, preference)
+        if shared_preference:  # r and s are already weighted sums over the bins
+            spread = w2 @ spread
+            numerator = preference @ (s - r) + spread
+        else:
+            numerator = _rowdot(s - r, preference) + spread
+            if shared_forward:
+                numerator, spread = w2 @ numerator, w2 @ spread
+        denominator = 2.0 * spread
         flat = denominator <= _EPS
         with np.errstate(divide="ignore", invalid="ignore"):
             f = np.clip(np.where(flat, 0.5, numerator / denominator), bounds[0], bounds[1])
@@ -417,7 +435,8 @@ def fit_stable_fp(
     fitted chunk by chunk in ``O(chunk * n^2 + T * n)`` memory, so it must
     be re-iterable (synthesis streams regenerate chunks from cached RNG
     state; array streams yield views).  Every update is per bin or sums
-    over per-bin terms, so the result does not depend on the chunking.
+    over per-bin terms, so fits of one series agree across chunkings to
+    rounding.
 
     Parameters
     ----------
@@ -433,7 +452,9 @@ def fit_stable_fp(
     max_iterations:
         Cap on alternating-least-squares iterations.
     tolerance:
-        Stop when the objective improves by less than this (absolute).
+        Stop when the objective improves by less than this (absolute).  A
+        pass whose objective rises also stops, with ``converged=True``, and
+        the result is that last, worse iterate.
     forward_bounds:
         Box constraint on ``f``.  The default upper bound of 0.5 resolves the
         model's mirror ambiguity — ``(f, A, P)`` and ``(1-f, cP, A/c)`` produce
@@ -460,8 +481,8 @@ def fit_stable_fp(
     # Pass 0: per-bin marginals and norms -> initial (P, A).
     ingress, egress, norms = [], [], []
     for _, block in chunks():
-        ingress.append(block.sum(axis=2))
-        egress.append(block.sum(axis=1))
+        ingress.append(np.einsum("tij->ti", block))
+        egress.append(np.einsum("tij->tj", block))
         norms.append(_bin_norms(block))
     if not norms:
         raise ValidationError("series must contain at least one time bin")

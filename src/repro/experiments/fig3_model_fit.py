@@ -5,22 +5,55 @@ nonlinear program) and the per-bin relative L2 error compared with the
 gravity model's reconstruction from the same week's marginals.  The paper
 reports improvements of roughly 20-25 % on Geant and 6-8 % on Totem, despite
 the IC model having about half the degrees of freedom.
+
+Figures 7, 8 and 9 read ``P`` and ``A(t)`` from the same fit of the same
+week, so :func:`week_fit` makes it once per dataset week and all four
+figures share it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._tables import format_rows
-from repro.core.fitting import fit_stable_fp
+from repro.core.fitting import FitResult, fit_stable_fp
 from repro.core.gravity import gravity_series
 from repro.core.ic_model import degrees_of_freedom
 from repro.core.metrics import percent_improvement, rel_l2_temporal_error, summarize_improvement
+from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.synthesis.datasets import load_dataset
 
-__all__ = ["ModelFitResult", "run_model_fit"]
+__all__ = ["ModelFitResult", "run_model_fit", "week_fit"]
+
+# dataset object -> {week index: its stable-fP fit}
+_WEEK_FITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def week_fit(
+    dataset: str, *, week: int, bins_per_week: int | None, full_scale: bool
+) -> tuple[TrafficMatrixSeries, FitResult]:
+    """Week ``week`` of ``dataset`` and its stable-fP fit, fitted on first use.
+
+    The fit is kept against the dataset object that
+    :func:`~repro.synthesis.datasets.load_dataset` memoises, weakly, so it
+    lives exactly as long as that memo entry: ``load_dataset.cache_clear()``
+    drops it with the data it was fitted to.  Every caller gets the same
+    result object, so its arrays are read-only.
+    """
+    data = load_dataset(
+        dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale
+    )
+    series = data.week(week)
+    fits = _WEEK_FITS.setdefault(data, {})
+    if week not in fits:
+        fit = fit_stable_fp(series)
+        for array in (fit.preference, fit.activity, fit.errors):
+            array.flags.writeable = False
+        fits[week] = fit
+    return series, fits[week]
 
 
 @dataclass(frozen=True)
@@ -87,9 +120,7 @@ def run_model_fit(
     week:
         Which week of the dataset to fit.
     """
-    data = load_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
-    series = data.week(week)
-    fit = fit_stable_fp(series)
+    series, fit = week_fit(dataset, week=week, bins_per_week=bins_per_week, full_scale=full_scale)
     gravity = gravity_series(series)
     gravity_errors = rel_l2_temporal_error(series, gravity)
     improvement = percent_improvement(gravity_errors, fit.errors)

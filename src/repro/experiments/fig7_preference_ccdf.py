@@ -19,8 +19,7 @@ from repro.characterization.distributions import (
     compare_tail_fits,
     empirical_ccdf,
 )
-from repro.core.fitting import fit_stable_fp
-from repro.synthesis.datasets import load_dataset
+from repro.experiments.fig3_model_fit import week_fit
 
 __all__ = ["PreferenceCCDFResult", "run_preference_ccdf"]
 
@@ -73,8 +72,7 @@ def run_preference_ccdf(
     week: int = 0,
 ) -> PreferenceCCDFResult:
     """Fit one week, compute the preference CCDF and compare tail models."""
-    data = load_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
-    fit = fit_stable_fp(data.week(week))
+    _, fit = week_fit(dataset, week=week, bins_per_week=bins_per_week, full_scale=full_scale)
     preference = fit.preference
     positive = preference[preference > 0]
     values, probabilities = empirical_ccdf(positive)

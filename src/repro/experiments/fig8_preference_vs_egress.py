@@ -16,8 +16,7 @@ import numpy as np
 
 from repro._tables import format_rows
 from repro.characterization.stability import correlation
-from repro.core.fitting import fit_stable_fp
-from repro.synthesis.datasets import load_dataset
+from repro.experiments.fig3_model_fit import week_fit
 
 __all__ = ["PreferenceVsEgressResult", "run_preference_vs_egress"]
 
@@ -78,9 +77,7 @@ def run_preference_vs_egress(
     week: int = 0,
 ) -> PreferenceVsEgressResult:
     """Compare fitted preference with normalised egress counts for one week."""
-    data = load_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
-    series = data.week(week)
-    fit = fit_stable_fp(series)
+    series, fit = week_fit(dataset, week=week, bins_per_week=bins_per_week, full_scale=full_scale)
     egress_share = series.egress.mean(axis=0)
     egress_share = egress_share / egress_share.sum()
     preference = fit.preference

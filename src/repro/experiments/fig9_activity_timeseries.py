@@ -15,8 +15,7 @@ import numpy as np
 
 from repro._tables import format_rows
 from repro.characterization.activity_analysis import ActivitySummary, analyze_activity, weekend_ratio
-from repro.core.fitting import fit_stable_fp
-from repro.synthesis.datasets import load_dataset
+from repro.experiments.fig3_model_fit import week_fit
 
 __all__ = ["ActivityTimeseriesResult", "run_activity_timeseries"]
 
@@ -76,9 +75,7 @@ def run_activity_timeseries(
     week: int = 0,
 ) -> ActivityTimeseriesResult:
     """Fit one week and extract the Figure 9 activity time series."""
-    data = load_dataset(dataset, n_weeks=max(week + 1, 1), bins_per_week=bins_per_week, full_scale=full_scale)
-    series = data.week(week)
-    fit = fit_stable_fp(series)
+    series, fit = week_fit(dataset, week=week, bins_per_week=bins_per_week, full_scale=full_scale)
     summary = analyze_activity(fit.activity, bin_seconds=series.bin_seconds)
     selection = {
         "largest": fit.activity[:, summary.largest],

@@ -230,6 +230,72 @@ class TestFig10RoutingAsymmetry:
         assert "asymmetry level" in table
 
 
+class TestSharedWeekFit:
+    """Figures 3, 7, 8 and 9 share one stable-fP fit per memoised dataset week."""
+
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """Every series an experiment driver passes to ``fit_stable_fp``."""
+        import sys
+
+        fitted = []
+
+        def counting(series, **kwargs):
+            fitted.append(series)
+            return fit_stable_fp(series, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.experiments.") and hasattr(module, "fit_stable_fp"):
+                monkeypatch.setattr(module, "fit_stable_fp", counting)
+        load_dataset.cache_clear()
+        yield fitted
+        load_dataset.cache_clear()
+
+    def test_figures_fit_each_week_once(self, fitted):
+        fig3, fig7, fig8, fig9 = (
+            run("totem", **SMALL)
+            for run in (run_model_fit, run_preference_ccdf, run_preference_vs_egress, run_activity_timeseries)
+        )
+        assert len(fitted) == 1
+        fit = fit_stable_fp(load_dataset("totem", n_weeks=1, **SMALL).week(0))
+        np.testing.assert_array_equal(fig3.ic_errors, fit.errors)
+        assert fig3.fitted_f == fit.forward_fraction
+        np.testing.assert_array_equal(fig7.preference, fit.preference)
+        np.testing.assert_array_equal(fig8.preference, fit.preference)
+        np.testing.assert_array_equal(fig9.activity, fit.activity)
+
+    def test_fit_lives_as_long_as_the_dataset_memo(self, fitted):
+        import gc
+        import weakref
+
+        from repro.experiments.fig3_model_fit import _WEEK_FITS
+
+        run_preference_ccdf("totem", **SMALL)
+        run_preference_ccdf("totem", **SMALL)
+        assert len(fitted) == 1
+        dataset = weakref.ref(load_dataset("totem", n_weeks=1, **SMALL))
+        load_dataset.cache_clear()
+        gc.collect()
+        assert dataset() is None
+        assert len(_WEEK_FITS) == 0
+        run_preference_ccdf("totem", **SMALL)
+        assert len(fitted) == 2
+
+    def test_shared_fit_is_read_only(self, fitted):
+        from repro.experiments.fig3_model_fit import week_fit
+
+        _, fit = week_fit("totem", week=0, bins_per_week=36, full_scale=False)
+        for array in (fit.preference, fit.activity):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_fig10_fits_are_not_shared(self, fitted):
+        kwargs = {"n_nodes": 6, "n_bins": 12, "asymmetry_levels": (0.0, 0.1)}
+        run_routing_asymmetry(**kwargs)
+        run_routing_asymmetry(**kwargs)
+        assert len(fitted) == 4
+
+
 ESTIMATION_SMALL = {"bins_per_week": 36, "max_bins": 12}
 
 
