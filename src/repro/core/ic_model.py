@@ -18,7 +18,7 @@ Temporal variants (Eqs. 3-5) restrict which parameters may vary with time:
 
 This module provides the batched ``*_ic_series`` kernels that the fits,
 priors and synthesis run on, the per-bin :func:`general_ic_matrix` that the
-general-model fit evaluates, one model class
+tests use as the oracle for :func:`general_ic_series`, one model class
 (:class:`StableFPICModel`, the synthetic-generation recipe of Section 5.5)
 and the degrees-of-freedom accounting used in Section 5.1.
 """

@@ -14,8 +14,8 @@ We solve the penalised form (quadratic penalty on the constraint residual)
 with ``scipy.optimize.minimize`` (L-BFGS-B), which is robust, dependency-free
 and entirely adequate at PoP scale (a few hundred OD pairs).  This estimator
 is not needed to reproduce any figure — the paper's step 2 is tomogravity —
-but it is the natural "generalised" alternative and is exercised by the
-ablation benchmarks.
+but it is the natural "generalised" alternative, selected with
+``TMEstimator(method="entropy")``.
 """
 
 from __future__ import annotations

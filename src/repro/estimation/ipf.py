@@ -5,6 +5,10 @@ observed ingress (row-sum) and egress (column-sum) totals by alternately
 rescaling rows and columns.  This is the classic IPF / RAS / Kruithof
 procedure; the paper notes that "step 3 remains the same across many
 solutions".
+
+There is one kernel, :func:`iterative_proportional_fitting_series`, which
+fits a ``(T, n, n)`` stack bin by bin; the single-matrix
+:func:`iterative_proportional_fitting` is a one-bin call of it.
 """
 
 from __future__ import annotations
@@ -48,55 +52,17 @@ def iterative_proportional_fitting(
         uniform allocation over the non-fixed cells before fitting, so the
         procedure cannot silently drop traffic.
     """
-    max_iterations = require_positive_int(max_iterations, "max_iterations")
     seed = np.asarray(matrix, dtype=float)
     if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
         raise ShapeError(f"matrix must be square, got shape {seed.shape}")
-    if np.any(seed < 0):
-        raise ValidationError("IPF seed matrix must be non-negative")
-    n = seed.shape[0]
     rows = np.asarray(row_totals, dtype=float)
     cols = np.asarray(column_totals, dtype=float)
-    if rows.shape != (n,) or cols.shape != (n,):
+    if rows.shape != (seed.shape[0],) or cols.shape != (seed.shape[0],):
         raise ShapeError("row_totals and column_totals must have length n")
-    if np.any(rows < 0) or np.any(cols < 0):
-        raise ValidationError("marginal totals must be non-negative")
-
-    grand_row, grand_col = rows.sum(), cols.sum()
-    if grand_row <= 0 or grand_col <= 0:
-        return np.zeros_like(seed)
-    # Reconcile the two marginals to a common grand total.
-    grand = 0.5 * (grand_row + grand_col)
-    rows = rows * (grand / grand_row)
-    cols = cols * (grand / grand_col)
-
-    current = seed.copy()
-    # Give empty-but-needed rows/columns a uniform seed so they can be scaled.
-    empty_rows = (current.sum(axis=1) <= 0) & (rows > 0)
-    current[empty_rows, :] = 1.0
-    empty_cols = (current.sum(axis=0) <= 0) & (cols > 0)
-    current[:, empty_cols] = np.maximum(current[:, empty_cols], 1.0)
-
-    for _ in range(max_iterations):
-        row_sums = current.sum(axis=1)
-        row_scale = np.where(row_sums > 0, rows / np.where(row_sums > 0, row_sums, 1.0), 0.0)
-        current = current * row_scale[:, None]
-        col_sums = current.sum(axis=0)
-        col_scale = np.where(col_sums > 0, cols / np.where(col_sums > 0, col_sums, 1.0), 0.0)
-        current = current * col_scale[None, :]
-        row_error = _max_relative_mismatch(current.sum(axis=1), rows)
-        col_error = _max_relative_mismatch(current.sum(axis=0), cols)
-        if max(row_error, col_error) < tolerance:
-            break
-    return current
-
-
-def _max_relative_mismatch(actual: np.ndarray, target: np.ndarray) -> float:
-    scale = np.maximum(target, 1e-12)
-    mask = target > 0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(actual[mask] - target[mask]) / scale[mask]))
+    return iterative_proportional_fitting_series(
+        seed[np.newaxis], rows[np.newaxis], cols[np.newaxis],
+        max_iterations=max_iterations, tolerance=tolerance,
+    )[0]
 
 
 def iterative_proportional_fitting_series(
@@ -110,11 +76,10 @@ def iterative_proportional_fitting_series(
 ) -> np.ndarray:
     """Batched IPF over a ``(T, n, n)`` stack of seed matrices.
 
-    Vectorised equivalent of running :func:`iterative_proportional_fitting`
-    independently on every bin (bit-identical to that loop): each bin keeps
-    its own convergence state, and bins that have met the tolerance are
-    frozen while the rest keep iterating, exactly as the per-bin ``break``
-    would leave them.
+    Every bin is fitted independently: each keeps its own convergence
+    state, and bins that have met the tolerance are frozen while the rest
+    keep iterating, so a bin's result does not depend on the rest of the
+    stack.
 
     Parameters
     ----------
@@ -122,8 +87,11 @@ def iterative_proportional_fitting_series(
         Non-negative seed matrices, shape ``(T, n, n)``.
     row_totals, column_totals:
         Target ingress and egress totals, shape ``(T, n)``.
-    max_iterations, tolerance:
-        As in :func:`iterative_proportional_fitting`.
+    max_iterations:
+        Iteration cap (at least 1).
+    tolerance:
+        Convergence threshold on each bin's maximum relative marginal
+        mismatch.
     iteration_counts:
         Optional out-array of shape ``(T,)`` (integer dtype); on return,
         entry ``t`` is the number of scaling sweeps bin ``t`` ran before
@@ -189,11 +157,11 @@ def iterative_proportional_fitting_series(
             iteration_counts[active] = iteration
         # The next sweep's row scaling reuses these row sums.
         row_sums = sub.sum(axis=2)
-        row_error = _max_relative_mismatch_rows(row_sums, sub_rows)
-        col_error = _max_relative_mismatch_rows(sub.sum(axis=1), sub_cols)
-        # Mirror the scalar loop's ``max(row, col) < tolerance`` check exactly,
-        # including its NaN semantics (Python's max returns its first argument
-        # unless the second compares greater, and NaN comparisons are False).
+        row_error = _max_relative_mismatch(row_sums, sub_rows)
+        col_error = _max_relative_mismatch(sub.sum(axis=1), sub_cols)
+        # ``max(row, col) < tolerance`` per bin, with Python's ``max`` NaN
+        # semantics: the row error stands unless the column error compares
+        # greater, and NaN comparisons are False.
         combined = np.where(col_error > row_error, col_error, row_error)
         converged = combined < tolerance
         if converged.any():
@@ -206,8 +174,8 @@ def iterative_proportional_fitting_series(
     return current
 
 
-def _max_relative_mismatch_rows(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per-bin version of :func:`_max_relative_mismatch` over ``(T, n)`` rows."""
+def _max_relative_mismatch(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-bin maximum relative marginal mismatch over ``(T, n)`` rows."""
     scale = np.maximum(target, 1e-12)
     relative = np.where(target > 0, np.abs(actual - target) / scale, 0.0)
     return relative.max(axis=1)

@@ -3,8 +3,9 @@
 Every experiment exposes a ``run_*`` function taking keyword parameters with
 fast defaults (reduced bin counts) and a ``full_scale`` switch for the
 paper-sized workload.  Results are small dataclasses with a ``format_table()``
-method producing the ASCII equivalent of the paper's figure, so the benchmark
-harness and the CLI can print directly comparable output.
+method producing the ASCII equivalent of the paper's figure, which the CLI
+prints.  ``tests/test_figures.py`` checks each figure's summary numbers
+against committed goldens.
 
 Each driver is registered in :data:`repro.registry.EXPERIMENTS_REGISTRY`
 under its figure identifier with an ``accepts`` metadata tuple naming the

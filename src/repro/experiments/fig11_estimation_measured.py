@@ -42,7 +42,7 @@ def run_estimation_measured(
         Which week to estimate (the fit uses the same week).
     max_bins:
         Cap on the number of bins run through the estimation pipeline
-        (``None`` runs the whole week; the default keeps benchmarks quick).
+        (``None`` runs the whole week; the default keeps figure runs quick).
     measurement_noise:
         Relative SNMP measurement noise.
     stream, chunk_bins:

@@ -171,7 +171,8 @@ class ServeArchive:
         if series is None:
             return None
         if self._jsonl is not None:
-            published = sum(1 for line in self._jsonl.open() if line.strip())
+            with self._jsonl.open() as handle:
+                published = sum(1 for line in handle if line.strip())
             if series.shape[0] != published:
                 return None
         return series

@@ -74,7 +74,8 @@ def _shard_shape(path) -> tuple:
 def _read_values(path) -> np.ndarray:
     """A shard's ``values`` array; a torn or corrupt shard raises naming its path."""
     try:
-        with np.load(path) as payload:
+        # np.load leaves its own handle open when NpzFile rejects the file.
+        with open(path, "rb") as handle, np.load(handle) as payload:
             return payload["values"]
     except (zipfile.BadZipFile, zlib.error, ValueError, KeyError, EOFError) as exc:
         raise ValidationError(f"cannot read spill shard {path}: {exc}") from exc

@@ -13,8 +13,7 @@ trivially achieve zero error):
   in for netflow sampling and binning artefacts.
 
 :class:`GravityTMGenerator` produces gravity-consistent synthetic matrices
-(the approach of Roughan [17]) and is used as the generation baseline in the
-ablation benchmarks.
+(the approach of Roughan [17]); no figure uses it.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ a trace substrate:
 * :mod:`repro.traces.matching` — the paper's measurement procedure: match
   flows across the two directions by 5-tuple, identify the initiator by the
   SYN, classify unmatched/straddling traffic as unknown, and compute
-  ``f = I_i / (I_i + R_j)`` per time bin,
-* :mod:`repro.traces.netflow` — packet-sampled (1/N) flow export and OD-flow
-  aggregation, mirroring how the D1/D2 traffic matrices were built.
+  ``f = I_i / (I_i + R_j)`` per time bin.
+
+Figure 4 (:mod:`repro.experiments.fig4_f_from_traces`) runs this
+measurement.
 """
 
 from repro.traces.applications import ApplicationProfile, DEFAULT_APPLICATION_MIX
@@ -25,7 +26,6 @@ from repro.traces.flows import FlowRecord, FiveTuple
 from repro.traces.connections import Connection
 from repro.traces.trace_generator import BidirectionalTraceGenerator, LinkTracePair
 from repro.traces.matching import FMeasurement, measure_forward_fraction
-from repro.traces.netflow import NetflowSampler, od_flows_from_connections
 
 __all__ = [
     "ApplicationProfile",
@@ -37,6 +37,4 @@ __all__ = [
     "LinkTracePair",
     "FMeasurement",
     "measure_forward_fraction",
-    "NetflowSampler",
-    "od_flows_from_connections",
 ]

@@ -19,6 +19,7 @@ from repro.estimation.ipf import (
 from repro.estimation.linear_system import LinkLoadSystem, simulate_link_loads
 from repro.estimation.pipeline import TMEstimator
 from repro.estimation.tomogravity import tomogravity_estimate
+from repro.synthesis.datasets import load_dataset
 from repro.topology import Topology
 from repro.topology.library import abilene_topology
 from repro.topology.routing import build_routing_matrix
@@ -356,3 +357,13 @@ class TestSparseAugmentedSystem:
                 clear_routing_cache()
             assert len(factored) == 1 and scipy_sparse.isspmatrix_csr(factored[0])
             assert factored[0].shape == (system.routing.n_links + 2 * n, n * n)
+
+
+def test_component_ipf():
+    week = load_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
+    matrix = np.array(week.values[0], copy=True)
+    rows = week.ingress[1]
+    cols = week.egress[1]
+    fitted = iterative_proportional_fitting(matrix, rows, cols)
+    reconciled = rows * (0.5 * (rows.sum() + cols.sum()) / rows.sum())
+    np.testing.assert_allclose(fitted.sum(axis=1), reconciled, rtol=1e-3)

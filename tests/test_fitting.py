@@ -9,6 +9,7 @@ from repro.core.fitting import fit_stable_f, fit_stable_fp, fit_time_varying
 from repro.core.ic_model import simplified_ic_series, time_varying_ic_series
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
+from repro.synthesis.datasets import load_dataset
 
 
 def _predicted(fit) -> np.ndarray:
@@ -322,3 +323,9 @@ def test_near_exact_fit_is_scored_exactly(clean_ic_series):
     """The expanded score cancels to ~1e-7 here; the exact re-score keeps it."""
     series, *_ = clean_ic_series
     assert fit_stable_fp(series).objective < 1e-10
+
+
+def test_component_stable_fp_fit():
+    week = load_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
+    fit = fit_stable_fp(week)
+    assert fit.mean_error < 1.0

@@ -9,6 +9,7 @@ from repro.core.gravity import gravity_series, gravity_series_values
 from repro.core.ic_model import degrees_of_freedom
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ShapeError, ValidationError
+from repro.synthesis.datasets import load_dataset
 
 
 def gravity_matrix(ingress, egress) -> np.ndarray:
@@ -79,3 +80,9 @@ class TestGravityModel:
 
     def test_degrees_of_freedom(self):
         assert degrees_of_freedom("gravity", 22, 2016) == 2 * 22 * 2016 - 1
+
+
+def test_component_gravity_series():
+    week = load_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
+    result = gravity_series(week)
+    assert result.n_timesteps == week.n_timesteps

@@ -153,3 +153,11 @@ class TestDegreesOfFreedom:
     def test_invalid_sizes(self):
         with pytest.raises(ValidationError):
             degrees_of_freedom("gravity", 0, 5)
+
+
+def test_component_ic_series_evaluation():
+    rng = np.random.default_rng(0)
+    activity = rng.random((2016, 22)) * 1e6
+    preference = rng.random(22)
+    result = simplified_ic_series(0.25, activity, preference)
+    assert result.shape == (2016, 22, 22)

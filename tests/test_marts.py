@@ -14,8 +14,10 @@ The contract under test is the one ``repro report`` advertises:
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +460,28 @@ class TestServeArchive:
         assert not archive.used_sidecar
         report = build_report(archive, marts=["overview"])
         assert report["cells"][0]["marts"]["overview"]["n_bins"] == 40
+
+    def test_sidecar_check_closes_the_jsonl(self, tmp_path):
+        self._serve_sink(tmp_path, sidecar=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert open_archive(tmp_path).used_sidecar
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_torn_shard_read_closes_the_file(self, tmp_path):
+        writer = SpillStore(tmp_path, shard_bins=4).writer("estimate")
+        writer(0, np.ones((4, 3, 3)))
+        writer.finish()
+        (shard,) = tmp_path.glob("estimate-*.npz")
+        with shard.open("r+b") as handle:
+            handle.truncate(shard.stat().st_size // 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="cannot read spill shard"):
+                discover_spilled_series(tmp_path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_service_sidecar_matches_jsonl(self, tmp_path):
         """End-to-end: `repro serve --estimate-shards` writes a coherent sidecar."""

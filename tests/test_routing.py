@@ -232,3 +232,8 @@ class TestRoutingKernel:
         routing = build_routing_matrix(Topology("solo", ["a"]))
         assert routing.sparse.shape == (0, 1)
         assert routing.matrix.shape == (0, 1)
+
+
+def test_component_routing_matrix_build():
+    routing = build_routing_matrix(geant_topology())
+    assert routing.matrix.shape[1] == 22 * 22

@@ -23,6 +23,7 @@ from scipy import sparse
 from scipy.linalg import lapack
 
 from repro.core.gravity import gravity_series
+from repro.core.priors import GravityPrior
 from repro.core.traffic_matrix import TrafficMatrixSeries
 from repro.errors import ValidationError
 from repro.estimation import tomogravity
@@ -35,7 +36,7 @@ from repro.estimation.tomogravity import (
 )
 from repro.synthesis.datasets import load_dataset
 from repro.topology import Topology
-from repro.topology.library import abilene_topology
+from repro.topology.library import abilene_topology, geant_topology
 from repro.topology.routing import build_routing_matrix, clear_routing_cache
 
 BUDGET = 1e-10
@@ -303,3 +304,13 @@ def test_weight_floor_must_be_finite_and_positive(weight_floor):
     priors, matrix = np.ones((2, 4)), np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
     with pytest.raises(ValidationError, match="weight_floor"):
         tomogravity_estimate(priors, matrix, priors @ matrix.T, weight_floor=weight_floor)
+
+
+def test_component_tomogravity():
+    week = load_dataset("geant", n_weeks=1, bins_per_week=96).week(0)
+    system = simulate_link_loads(geant_topology(), week[:8], noise_std=0.0)
+    prior = GravityPrior().series(system.ingress, system.egress, nodes=week.nodes)
+    matrix, observations = system.augmented_system()
+    vector = prior.to_vectors()[0]
+    refined = tomogravity_estimate(vector, matrix, observations[0])
+    assert refined.shape == vector.shape

@@ -14,7 +14,6 @@ from repro.traces.applications import (
 from repro.traces.connections import Connection
 from repro.traces.flows import FiveTuple, FlowRecord
 from repro.traces.matching import measure_forward_fraction
-from repro.traces.netflow import NetflowSampler, od_flows_from_connections
 from repro.traces.trace_generator import BidirectionalTraceGenerator
 
 
@@ -189,64 +188,3 @@ class TestMeasureForwardFraction:
         pair = BidirectionalTraceGenerator(seed=8, connections_per_hour=100).generate(600)
         with pytest.raises(ValidationError):
             measure_forward_fraction(pair, bin_seconds=0.0)
-
-
-class TestNetflow:
-    def test_rate_one_is_exact(self):
-        sampler = NetflowSampler(sampling_rate=1)
-        assert sampler.sampled_volume(12345.0) == 12345.0
-
-    def test_sampling_is_unbiased_on_average(self):
-        sampler = NetflowSampler(sampling_rate=100, seed=0)
-        true_volume = 1e7
-        estimates = np.array([sampler.sampled_volume(true_volume) for _ in range(200)])
-        assert abs(estimates.mean() - true_volume) / true_volume < 0.05
-
-    def test_vectorised_matches_scalar_distribution(self):
-        sampler = NetflowSampler(sampling_rate=50, seed=1)
-        volumes = np.full(500, 1e6)
-        estimates = sampler.sampled_volumes(volumes)
-        assert estimates.shape == (500,)
-        assert abs(estimates.mean() - 1e6) / 1e6 < 0.1
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            NetflowSampler(sampling_rate=0)
-        with pytest.raises(ValidationError):
-            NetflowSampler().sampled_volume(-1.0)
-
-    def test_od_aggregation_attributes_directions_correctly(self):
-        connection = Connection(
-            "h", "s", 1, 2, "A", "B", forward_bytes=10.0, reverse_bytes=30.0, start=0.0, duration=1.0
-        )
-        matrix = od_flows_from_connections([connection], ["A", "B"])
-        np.testing.assert_allclose(matrix, [[0.0, 10.0], [30.0, 0.0]])
-
-    def test_od_aggregation_unknown_node(self):
-        connection = Connection(
-            "h", "s", 1, 2, "A", "Z", forward_bytes=1.0, reverse_bytes=1.0, start=0.0, duration=1.0
-        )
-        with pytest.raises(ValidationError):
-            od_flows_from_connections([connection], ["A", "B"])
-
-    def test_self_pair_connections_rejected_by_default(self):
-        connection = Connection(
-            "h", "s", 1, 2, "A", "A", forward_bytes=5.0, reverse_bytes=3.0, start=0.0, duration=1.0
-        )
-        with pytest.raises(ValidationError, match="keep_self_pairs"):
-            od_flows_from_connections([connection], ["A", "B"])
-
-    def test_keep_self_pairs_accumulates_on_diagonal(self):
-        connection = Connection(
-            "h", "s", 1, 2, "A", "A", forward_bytes=5.0, reverse_bytes=3.0, start=0.0, duration=1.0
-        )
-        matrix = od_flows_from_connections([connection], ["A", "B"], keep_self_pairs=True)
-        np.testing.assert_allclose(matrix, [[8.0, 0.0], [0.0, 0.0]])
-
-    def test_od_aggregation_with_sampler(self):
-        connections = [
-            Connection("h", "s", 1, 2, "A", "B", 1e6, 3e6, 0.0, 1.0) for _ in range(20)
-        ]
-        sampled = od_flows_from_connections(connections, ["A", "B"], sampler=NetflowSampler(10, seed=2))
-        exact = od_flows_from_connections(connections, ["A", "B"])
-        assert abs(sampled.sum() - exact.sum()) / exact.sum() < 0.2
